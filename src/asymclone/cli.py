@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -14,6 +15,8 @@ import numpy as np
 from . import cloner, pauli
 from .gates import apply_circuit, apply_cnot, apply_hadamard, apply_ry, apply_rz, prepare_two_qubit
 from .qstate import (
+    _NAMED_AMPLITUDES,
+    ZERO_NORM_FLOOR,
     StateVector,
     basis_state,
     bloch_vector,
@@ -33,8 +36,6 @@ EXIT_INFEASIBLE = 2
 
 CSV_HEADER = "s0,s1,feasible,margin,c1,c2,c4,theta2,theta4,fidelity0,fidelity1,residual_max"
 
-_NAMED_SPECS = ("0", "1", "+", "-", "+i", "-i")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default, which collides with the
@@ -44,23 +45,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _finite(values: list[float]) -> list[float]:
+    """The values unchanged; ValueError if any is NaN or infinite."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("non-finite number")
+    return values
+
+
 def _parse_real(text: str) -> float:
     try:
         if "/" in text:
             num, den = text.split("/")
-            return float(num) / float(den)
-        return float(text)
+            value = float(num) / float(den)
+        else:
+            value = float(text)
+        return _finite([value])[0]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from None
 
 
 def _parse_state(text: str) -> StateVector:
     """Named state, 'theta,phi' Bloch angles, or 're0,im0,re1,im1' amplitudes."""
-    if text in _NAMED_SPECS:
+    if text in _NAMED_AMPLITUDES:
         return named_state(text, "a0")
     parts = text.split(",")
     try:
-        values = [float(p) for p in parts]
+        values = _finite([float(p) for p in parts])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad state spec {text!r}") from None
     if len(values) == 2:
@@ -69,7 +79,7 @@ def _parse_state(text: str) -> StateVector:
     elif len(values) == 4:
         amps = np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]])
         norm = float(np.linalg.norm(amps))
-        if norm < 1e-9:
+        if norm < ZERO_NORM_FLOOR:
             raise argparse.ArgumentTypeError(f"state spec {text!r} has zero norm")
         amps = amps / norm
     else:
@@ -82,10 +92,8 @@ def _parse_state(text: str) -> StateVector:
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            return complex(*_finite([float(p) for p in parts]))
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"bad complex literal {text!r}: use 're' or 're,im'")
@@ -254,7 +262,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_pauli(args) -> int:
     raw = np.array([args.x1, args.x2, args.x3, args.x4], dtype=complex)
     norm = float(np.linalg.norm(raw))
-    if norm < 1e-9:
+    if norm < ZERO_NORM_FLOOR:
         print("pauli: coefficients have zero norm", file=sys.stderr)
         return EXIT_USAGE
     if abs(norm - 1.0) > 1e-6:

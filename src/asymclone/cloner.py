@@ -27,6 +27,9 @@ import numpy as np
 
 from .gates import apply_cnot
 from .qstate import (
+    _NAMED_AMPLITUDES,
+    INPUT_NORM_TOL,
+    ZERO_NORM_FLOOR,
     DensityMatrix,
     StateVector,
     bloch_vector,
@@ -38,17 +41,12 @@ from .qstate import (
 )
 
 FEASIBLE_TOL = 1e-12
-RANGE_TOL = 1e-12
 DEGENERATE_TOL = 1e-12
-ARCCOS_TOL = 1e-10
-BRANCH_RESIDUAL_TOL = 1e-8
-BLOCH_INPUT_FLOOR = 1e-9
+MODULUS_TOL = 1e-12
 
 NETWORK_ORDER = (("a0", "a1"), ("a0", "b1"), ("a1", "a0"), ("b1", "a0"))
 
-PROBE_NAMES = ("0", "1", "+", "-", "+i", "-i")
-
-_BRANCH_ORDER = (("minus", "minus"), ("minus", "plus"), ("plus", "minus"), ("plus", "plus"))
+_BRANCH_SIGNS = {"minus": -1.0, "plus": 1.0}
 
 
 class InfeasibleScalingError(ValueError):
@@ -79,10 +77,10 @@ class PrepState:
 
     def __post_init__(self):
         for name, c in (("c1", self.c1), ("c2", self.c2), ("c4", self.c4)):
-            if not 0.0 <= c <= 1.0 + 1e-12:
+            if not 0.0 <= c <= 1.0 + MODULUS_TOL:
                 raise ValueError(f"modulus {name} = {c!r} outside [0, 1]")
         norm_sq = self.c1**2 + self.c2**2 + self.c4**2
-        if abs(norm_sq - 1.0) > 1e-10:
+        if not abs(norm_sq - 1.0) <= INPUT_NORM_TOL:
             raise ValueError(f"moduli are not normalized: sum c^2 = {norm_sq!r}")
 
     @property
@@ -144,7 +142,7 @@ def feasibility(s0: float, s1: float) -> ScalingPair:
     if not (np.isfinite(s0) and np.isfinite(s1)):
         raise ValueError(f"scaling factors must be finite, got ({s0!r}, {s1!r})")
     margin = s0 * s0 + s1 * s1 + s0 * s1 - s0 - s1
-    in_range = -RANGE_TOL <= s0 <= 1.0 + RANGE_TOL and -RANGE_TOL <= s1 <= 1.0 + RANGE_TOL
+    in_range = -FEASIBLE_TOL <= s0 <= 1.0 + FEASIBLE_TOL and -FEASIBLE_TOL <= s1 <= 1.0 + FEASIBLE_TOL
     if not in_range:
         return ScalingPair(s0, s1, False, margin, "scaling factors must lie in [0, 1]")
     if margin > FEASIBLE_TOL:
@@ -156,40 +154,20 @@ def _theta(numerator: float, factor_a: float, factor_b: float, sign: float) -> f
     # the amplitude this phase multiplies vanishes, so the phase is free
     if factor_a < DEGENERATE_TOL or factor_b < DEGENERATE_TOL:
         return 0.0
+    # arg^2 = 1 + margin / (factor_a * factor_b), so arg exceeds 1 only by
+    # rounding on pairs within FEASIBLE_TOL of the boundary, whose phase is 0
     arg = numerator / np.sqrt(factor_a * factor_b)
-    if arg > 1.0 + ARCCOS_TOL:
-        raise InfeasibleScalingError(
-            f"phase equation has no solution: cos value {arg!r} exceeds 1"
-        )
     return float(sign * np.arccos(min(arg, 1.0))) + 0.0
 
 
-def _build_prep(s0: float, s1: float, branch2: str, branch4: str) -> PrepState:
-    signs = {"minus": -1.0, "plus": 1.0}
-    c1 = float(np.sqrt((s0 + s1) / 2.0))
-    c2 = float(np.sqrt((1.0 - s0) / 2.0))
-    c4 = float(np.sqrt((1.0 - s1) / 2.0))
-    theta2 = _theta(s1, s0 + s1, 1.0 - s0, signs[branch2])
-    theta4 = _theta(s0, s0 + s1, 1.0 - s1, signs[branch4])
-    return PrepState(c1=c1, c2=c2, c4=c4, theta1=0.0, theta2=theta2, theta4=theta4)
+def solve_prep(pair: ScalingPair, branch2: str = "minus", branch4: str = "minus") -> PrepState:
+    """Solve the preparation state for a feasible pair, in closed form.
 
-
-def _probe_residual(prep: PrepState) -> float:
-    worst = 0.0
-    for name in PROBE_NAMES:
-        out = run_cloner(named_state(name, "a0"), prep)
-        worst = max(worst, out.residual0, out.residual1)
-    return worst
-
-
-def solve_prep(
-    pair: ScalingPair, branch2: str | None = None, branch4: str | None = None
-) -> PrepState:
-    """Solve the preparation state for a feasible pair.
-
-    Each phase carries a sign freedom. With branches left as None the sign
-    combinations are tried in a fixed order against the six-probe residual
-    oracle and the first to pass wins, so (minus, minus) takes ties.
+    The moduli are the three square roots of the module docstring and the
+    phases two arccosines. The reduced clones see the phases only through
+    cos(theta1 - theta2) and cos(theta1 - theta4), so either sign of each
+    arccosine gives the same two reduced clones. branch2 and branch4 pick
+    the signs of theta2 and theta4; (minus, minus) is the default.
     """
     if not pair.feasible:
         raise InfeasibleScalingError(
@@ -197,26 +175,17 @@ def solve_prep(
             f"{pair.reason or f'margin {pair.margin:.6g}'}"
         )
     for branch in (branch2, branch4):
-        if branch not in (None, "plus", "minus"):
+        if branch not in ("minus", "plus"):
             raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     s0 = min(max(pair.s0, 0.0), 1.0)
     s1 = min(max(pair.s1, 0.0), 1.0)
-
-    if branch2 is not None and branch4 is not None:
-        return _build_prep(s0, s1, branch2, branch4)
-
-    candidates = [
-        (b2, b4)
-        for b2, b4 in _BRANCH_ORDER
-        if branch2 in (None, b2) and branch4 in (None, b4)
-    ]
-    for b2, b4 in candidates:
-        prep = _build_prep(s0, s1, b2, b4)
-        if _probe_residual(prep) < BRANCH_RESIDUAL_TOL:
-            return prep
-    raise InfeasibleScalingError(
-        f"no phase branch reproduces the scaled-output form for "
-        f"(s0={pair.s0!r}, s1={pair.s1!r})"
+    return PrepState(
+        c1=float(np.sqrt((s0 + s1) / 2.0)),
+        c2=float(np.sqrt((1.0 - s0) / 2.0)),
+        c4=float(np.sqrt((1.0 - s1) / 2.0)),
+        theta1=0.0,
+        theta2=_theta(s1, s0 + s1, 1.0 - s0, _BRANCH_SIGNS[branch2]),
+        theta4=_theta(s0, s0 + s1, 1.0 - s1, _BRANCH_SIGNS[branch4]),
     )
 
 
@@ -252,7 +221,7 @@ def run_cloner(input_state: StateVector, prep: PrepState | StateVector) -> Clone
     rho_in = to_density(original)
     m_in = bloch_vector(rho_in).as_array()
     m_in_sq = float(m_in @ m_in)
-    if np.sqrt(m_in_sq) <= BLOCH_INPUT_FLOOR:
+    if np.sqrt(m_in_sq) <= ZERO_NORM_FLOOR:
         raise ValueError("input Bloch vector is too short to define scaling estimates")
 
     estimates = []
@@ -300,5 +269,9 @@ def verify_scaling(out: CloneOutput, tol: float) -> ScalingReport:
 
 
 def probe_states(label: str = "a0") -> list[StateVector]:
-    """The six axis states used by the branch oracle, on the given label."""
-    return [named_state(name, label) for name in PROBE_NAMES]
+    """The six axis states 0, 1, +, -, +i, -i on the given label.
+
+    Together they span every Bloch direction, so residuals over them check
+    the scaled-output form; sweep reads its fidelity columns off the first.
+    """
+    return [named_state(name, label) for name in _NAMED_AMPLITUDES]

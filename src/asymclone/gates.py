@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import StateVector
+from .qstate import INPUT_NORM_TOL, StateVector
 
 CNOT = "cnot"
 HADAMARD = "hadamard"
@@ -19,7 +19,6 @@ RY = "ry"
 RZ = "rz"
 
 ANGLE_TOL = 1e-12
-PREP_NORM_TOL = 1e-10
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -151,7 +150,7 @@ def prepare_two_qubit(
     if amps.shape != (4,):
         raise ValueError(f"need exactly 4 amplitudes, got {amps.shape[0]}")
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > PREP_NORM_TOL:
+    if not abs(norm - 1.0) <= INPUT_NORM_TOL:
         raise ValueError(f"amplitudes are not normalized: norm = {norm!r}")
     amps = amps / norm
 

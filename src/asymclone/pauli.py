@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloner import cloning_network
-from .qstate import StateVector, reorder, tensor
+from .qstate import INPUT_NORM_TOL, StateVector, reorder, tensor
 
 BELL_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
@@ -30,8 +30,6 @@ _BELL_MATRIX = np.array(
     dtype=complex,
 ) / np.sqrt(2.0)
 
-COEFF_NORM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class BellCoefficients:
@@ -44,7 +42,7 @@ class BellCoefficients:
 
     def __post_init__(self):
         norm_sq = sum(abs(x) ** 2 for x in (self.x1, self.x2, self.x3, self.x4))
-        if abs(norm_sq - 1.0) > COEFF_NORM_TOL:
+        if not abs(norm_sq - 1.0) <= INPUT_NORM_TOL:
             raise ValueError(f"Bell coefficients not normalized: sum |x|^2 = {norm_sq!r}")
 
     def as_array(self) -> np.ndarray:

@@ -21,35 +21,27 @@ NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 BLOCH_NORM_TOL = 1e-10
+# caller-supplied coefficients (preparation moduli, Bell amplitudes, two-qubit
+# targets) must be normalized to within this
+INPUT_NORM_TOL = 1e-10
+# a vector this short (input amplitudes, Bell coefficients, input Bloch
+# vector) has no direction to normalize or to measure a shrink against
+ZERO_NORM_FLOOR = 1e-9
+
+# Every check below is written as `not (err <= tol)` so that NaN fails it.
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized pure state of a named qubit register."""
+class _Register:
+    """Label addressing shared by StateVector and DensityMatrix."""
 
-    amplitudes: np.ndarray
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        labels = tuple(self.labels)
-        if not 1 <= len(labels) <= MAX_QUBITS:
-            raise ValueError(
-                f"register must hold 1..{MAX_QUBITS} qubits, got {len(labels)}"
-            )
+    @staticmethod
+    def _unique(labels) -> tuple[str, ...]:
+        labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels in {labels}")
-        if amps.shape != (2 ** len(labels),):
-            raise ValueError(
-                f"{len(labels)}-qubit register needs {2 ** len(labels)} amplitudes, "
-                f"got {amps.shape[0]}"
-            )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "labels", labels)
+        return labels
 
     @property
     def n_qubits(self) -> int:
@@ -66,7 +58,34 @@ class StateVector:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class StateVector(_Register):
+    """Normalized pure state of a named qubit register."""
+
+    amplitudes: np.ndarray
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        labels = self._unique(self.labels)
+        if not 1 <= len(labels) <= MAX_QUBITS:
+            raise ValueError(
+                f"register must hold 1..{MAX_QUBITS} qubits, got {len(labels)}"
+            )
+        if amps.shape != (2 ** len(labels),):
+            raise ValueError(
+                f"{len(labels)}-qubit register needs {2 ** len(labels)} amplitudes, "
+                f"got {amps.shape[0]}"
+            )
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "labels", labels)
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(_Register):
     """Hermitian, unit-trace, positive-semidefinite operator on a register."""
 
     entries: np.ndarray
@@ -74,36 +93,22 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(self.entries, dtype=complex)
-        labels = tuple(self.labels)
+        labels = self._unique(self.labels)
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"{len(labels)}-qubit density matrix must be {dim}x{dim}, got {mat.shape}"
             )
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate qubit labels in {labels}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > HERMITIAN_TOL:
+        if not abs(trace - 1.0) <= HERMITIAN_TOL:
             raise ValueError(f"density matrix trace is {trace!r}, expected 1")
-        if float(np.min(np.linalg.eigvalsh(mat))) < EIGENVALUE_FLOOR:
+        if not float(np.min(np.linalg.eigvalsh(mat))) >= EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.labels)
-
-    def axis(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(
-                f"unknown qubit label {label!r}; register has {self.labels}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,7 @@ class BlochVector:
 
     def __post_init__(self):
         norm_sq = self.mx**2 + self.my**2 + self.mz**2
-        if norm_sq > 1.0 + BLOCH_NORM_TOL:
+        if not norm_sq <= 1.0 + BLOCH_NORM_TOL:
             raise ValueError(f"Bloch vector leaves the unit ball: |m|^2 = {norm_sq!r}")
 
     def norm(self) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -62,6 +63,21 @@ def test_solve_rejects_malformed_number():
     code, _, err = run_cli("solve", "abc", "0.5")
     assert code == 1
     assert "not a real number" in err
+
+
+def test_solve_rejects_non_finite_numbers():
+    for argv in (("solve", "nan", "0.5"), ("solve", "--", "0.5", "-inf")):
+        code, _, err = run_cli(*argv)
+        assert code == 1
+        assert "not a real number" in err
+        assert "Traceback" not in err
+
+
+def test_solve_corner_pair_on_the_boundary():
+    # margin 0.0, but the phase cosine rounds above 1 there
+    code, out, _ = run_cli("solve", "2.467399070893439e-06", "0.999999999993912")
+    assert code == 0
+    assert "theta2 = 0.0" in out
 
 
 def test_solve_out_of_range_exits_2():
@@ -257,6 +273,18 @@ def test_pauli_rejects_bad_literals_and_zero_norm():
     assert "zero norm" in err
 
 
+def test_non_finite_state_and_coefficients_exit_1():
+    for argv in (
+        ("clone", "--state", "nan,0", "--s0", "0.5", "--s1", "0.5"),
+        ("pauli", "nan", "0", "0", "0"),
+        ("pauli", "0.3,nan", "0", "0", "0"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "Traceback" not in err
+
+
 def test_verify_small_run_passes():
     code, out, _ = run_cli("verify", "--seed", "7", "--trials", "5")
     assert code == 0
@@ -286,3 +314,17 @@ def test_usage_errors_exit_1():
     assert code == 1
     code, _, _ = run_cli("solve", "0.5")
     assert code == 1
+
+
+def test_stdout_is_byte_identical_to_the_reference():
+    # sha256 of the reference outputs; a change here changes what users see
+    expected = {
+        ("sweep", "--step", "1/10"): "18574f6685fca2853cde195ff5f18b91ca025ea19b6eab6d69f03df731924116",
+        ("verify", "--seed", "42", "--trials", "200"): (
+            "04850bdf5f5794dcc8e92ce5d4b7609f80dbbd86b9138297425373ab064442e7"
+        ),
+    }
+    for argv, digest in expected.items():
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -287,8 +287,13 @@ def test_solver_roundtrip_on_random_feasible_pairs():
         assert verify_scaling(out, 1e-8).ok
 
 
+# margin 0.0 on the ellipse next to (0, 1), where the phase cosine rounds to
+# 1.0000019855 and must be clamped
+CORNER = (2.467399070893439e-06, 0.999999999993912)
+
+
 def test_degenerate_corner_pairs_solve_cleanly():
-    for s0, s1 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2 / 3, 2 / 3)):
+    for s0, s1 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2 / 3, 2 / 3), CORNER, CORNER[::-1]):
         prep = solve_prep(feasibility(s0, s1))
         for probe in probe_states():
             out = run_cloner(probe, prep)

@@ -220,3 +220,8 @@ def test_prepare_rejects_bad_input():
         prepare_two_qubit([1, 1, 0, 0])
     with pytest.raises(ValueError, match="exactly 4"):
         prepare_two_qubit([1, 0])
+
+
+def test_prepare_rejects_nan_amplitudes():
+    with pytest.raises(ValueError, match="not normalized"):
+        prepare_two_qubit([np.nan, 0, 0, 0])

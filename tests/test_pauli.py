@@ -47,6 +47,11 @@ def test_bell_coefficients_require_normalization():
         BellCoefficients(1.0, 1.0, 0.0, 0.0)
 
 
+def test_bell_coefficients_reject_nan():
+    with pytest.raises(ValueError, match="not normalized"):
+        BellCoefficients(np.nan, 0.0, 0.0, 0.0)
+
+
 def test_expand_components_roundtrip():
     rng = np.random.default_rng(31)
     for _ in range(50):

@@ -45,6 +45,11 @@ class TestStateVector:
         with pytest.raises(ValueError, match="needs 4 amplitudes"):
             StateVector([1, 0], ("a", "b"))
 
+    def test_rejects_non_finite_amplitudes(self):
+        for amps in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="not normalized"):
+                StateVector(amps, ("q",))
+
     def test_unknown_axis(self):
         psi = named_state("0", "q")
         with pytest.raises(ValueError, match="unknown qubit label"):
@@ -69,6 +74,10 @@ class TestDensityMatrix:
         # hermitian with unit trace but an eigenvalue at -0.5
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix([[1.5, 0.0], [0.0, -0.5]], ("q",))
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix([[np.nan, 0.0], [0.0, 1.0]], ("q",))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="must be 4x4"):
@@ -209,6 +218,11 @@ def test_bloch_requires_single_qubit():
 def test_bloch_vector_rejects_outside_unit_ball():
     with pytest.raises(ValueError, match="unit ball"):
         BlochVector(1.0, 1.0, 0.0)
+
+
+def test_bloch_vector_rejects_nan():
+    with pytest.raises(ValueError, match="unit ball"):
+        BlochVector(np.nan, 0.0, 0.0)
 
 
 def test_basis_state_patterns():
