@@ -35,6 +35,8 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 CSV_HEADER = "s0,s1,feasible,margin,c1,c2,c4,theta2,theta4,fidelity0,fidelity1,residual_max"
+# bounds the sweep grid at 1001 x 1001 points
+MIN_STEP = 0.001
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +52,23 @@ def _finite(values: list[float]) -> list[float]:
     if not all(math.isfinite(v) for v in values):
         raise ValueError("non-finite number")
     return values
+
+
+def _unit(raw: np.ndarray) -> tuple[np.ndarray, float]:
+    """raw / |raw| and |raw|; ValueError names a zero or overflowing norm.
+
+    The norm is taken of raw scaled by 2**-k and scaled back by 2**k, k the
+    binary exponent of its largest real or imaginary part (0 when that is
+    below 1): powers of two scale exactly, and no square can overflow.
+    """
+    k = max(math.frexp(float(np.max(np.abs(raw.view(float)))))[1], 0)
+    try:
+        norm = math.ldexp(float(np.linalg.norm(raw * math.ldexp(1.0, -k))), k)
+    except OverflowError:
+        raise ValueError("a norm past the float range") from None
+    if norm < ZERO_NORM_FLOOR:
+        raise ValueError("zero norm")
+    return raw / norm, norm
 
 
 def _parse_real(text: str) -> float:
@@ -77,11 +96,10 @@ def _parse_state(text: str) -> StateVector:
         theta, phi = values
         amps = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
     elif len(values) == 4:
-        amps = np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]])
-        norm = float(np.linalg.norm(amps))
-        if norm < ZERO_NORM_FLOOR:
-            raise argparse.ArgumentTypeError(f"state spec {text!r} has zero norm")
-        amps = amps / norm
+        try:
+            amps, _ = _unit(np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]]))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"state spec {text!r} has {exc}") from None
     else:
         raise argparse.ArgumentTypeError(
             f"bad state spec {text!r}: use a named state, 'theta,phi' or 're0,im0,re1,im1'"
@@ -125,20 +143,19 @@ def _csv_num(x: float) -> str:
     return format(x, ".9g")
 
 
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, allow_nan=False))
+
+
+def _pair_json(pair: cloner.ScalingPair) -> dict:
+    # the margin of an out-of-range pair can overflow to inf or NaN
+    margin = _json_num(pair.margin) if math.isfinite(pair.margin) else None
+    return {"s0": _json_num(pair.s0), "s1": _json_num(pair.s1), "feasible": pair.feasible, "margin": margin}
+
+
 def _emit_infeasible(pair: cloner.ScalingPair, fmt: str) -> int:
     if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "s0": _json_num(pair.s0),
-                    "s1": _json_num(pair.s1),
-                    "feasible": False,
-                    "margin": _json_num(pair.margin),
-                    "reason": pair.reason,
-                },
-                indent=2,
-            )
-        )
+        _print_json({**_pair_json(pair), "reason": pair.reason})
     else:
         print(
             f"infeasible: s0 = {_json_num(pair.s0)}, s1 = {_json_num(pair.s1)}, "
@@ -154,10 +171,7 @@ def _cmd_solve(args) -> int:
     prep = cloner.solve_prep(pair)
     if args.format == "json":
         payload = {
-            "s0": _json_num(pair.s0),
-            "s1": _json_num(pair.s1),
-            "feasible": True,
-            "margin": _json_num(pair.margin),
+            **_pair_json(pair),
             "c1": _json_num(prep.c1),
             "c2": _json_num(prep.c2),
             "c4": _json_num(prep.c4),
@@ -166,7 +180,7 @@ def _cmd_solve(args) -> int:
             "theta4": _json_num(prep.theta4),
             "amplitudes": _json_vector(prep.as_amplitudes),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"s0 = {_json_num(pair.s0)}  s1 = {_json_num(pair.s1)}  margin = {_json_num(pair.margin)}")
         print(f"c1 = {_json_num(prep.c1)}  theta1 = {_json_num(prep.theta1)}")
@@ -201,7 +215,7 @@ def _cmd_clone(args) -> int:
         "fidelity0": _json_num(out.fidelity0),
         "fidelity1": _json_num(out.fidelity1),
     }
-    print(json.dumps(payload, indent=2))
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -243,8 +257,8 @@ def sweep_rows(step: float) -> list[str]:
 
 
 def _cmd_sweep(args) -> int:
-    if not 0.0 < args.step <= 0.5:
-        print("sweep: step must lie in (0, 0.5]", file=sys.stderr)
+    if not MIN_STEP <= args.step <= 0.5:
+        print(f"sweep: step must lie in [{MIN_STEP}, 0.5]", file=sys.stderr)
         return EXIT_USAGE
     text = "\n".join([CSV_HEADER] + sweep_rows(args.step)) + "\n"
     if args.out == "-":
@@ -260,18 +274,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pauli(args) -> int:
-    raw = np.array([args.x1, args.x2, args.x3, args.x4], dtype=complex)
-    norm = float(np.linalg.norm(raw))
-    if norm < ZERO_NORM_FLOOR:
-        print("pauli: coefficients have zero norm", file=sys.stderr)
+    try:
+        unit, norm = _unit(np.array([args.x1, args.x2, args.x3, args.x4], dtype=complex))
+    except ValueError as exc:
+        print(f"pauli: coefficients have {exc}", file=sys.stderr)
         return EXIT_USAGE
     if abs(norm - 1.0) > 1e-6:
         print(f"pauli: renormalizing input of norm {norm:.9g}", file=sys.stderr)
-    coeffs = pauli.BellCoefficients(*(raw / norm))
-    matrix = pauli.bell_decompose(pauli.run_pauli_cloner(coeffs))
-    off_diagonal = matrix - np.diag(np.diag(matrix))
-    max_off = float(np.max(np.abs(off_diagonal)))
-    if max_off >= 1e-10:
+    coeffs = pauli.BellCoefficients(*unit)
+    matrix, max_off = pauli.bell_output(coeffs)
+    if not max_off <= pauli.BELL_DIAGONAL_TOL:
         print(f"pauli: output is not Bell-diagonal (max off-diagonal {max_off:.3g})", file=sys.stderr)
         return EXIT_USAGE
     payload = {
@@ -281,96 +293,65 @@ def _cmd_pauli(args) -> int:
         "diagonal": _json_vector(np.diag(matrix)),
         "max_offdiagonal": _json_num(max_off),
     }
-    print(json.dumps(payload, indent=2))
+    _print_json(payload)
     return EXIT_OK
 
 
-def _suite_state_algebra(rng: np.random.Generator, trials: int) -> tuple[int, int]:
-    checks = failures = 0
-    for _ in range(trials):
-        single = random_state(("q0",), rng)
-        double = random_state(("q1", "q2"), rng)
-        joint = tensor(single, double)
-        checks += 1
-        failures += abs(float(np.linalg.norm(joint.amplitudes)) - 1.0) > 1e-12
-        back = reorder(reorder(joint, ("q2", "q0", "q1")), joint.labels)
-        checks += 1
-        failures += float(np.max(np.abs(back.amplitudes - joint.amplitudes))) > 1e-12
-        checks += 1
-        failures += abs(abs(overlap(joint, back)) - 1.0) > 1e-12
-        rho = to_density(single)
-        rebuilt = from_bloch(bloch_vector(rho), "q0")
-        checks += 1
-        failures += float(np.max(np.abs(rebuilt.entries - rho.entries))) > 1e-12
-        reduced = partial_trace(to_density(joint), ["q0", "q2"])
-        checks += 1
-        failures += reduced.labels != ("q0", "q2")
-    return checks, failures
+# Each suite runs one trial and yields (error, tolerance) per check; a check
+# fails unless error <= tolerance, so a NaN error is a failure.
 
 
-def _suite_gates(rng: np.random.Generator, trials: int) -> tuple[int, int]:
-    checks = failures = 0
-    for _ in range(trials):
-        psi = random_state(("x", "y", "z"), rng)
-        twice = apply_cnot(apply_cnot(psi, "x", "z"), "x", "z")
-        checks += 1
-        failures += float(np.max(np.abs(twice.amplitudes - psi.amplitudes))) > 1e-12
-        squared = apply_hadamard(apply_hadamard(psi, "y"), "y")
-        checks += 1
-        failures += float(np.max(np.abs(squared.amplitudes - psi.amplitudes))) > 1e-12
-        rotated = apply_rz(
-            apply_ry(psi, "x", float(rng.uniform(-np.pi, np.pi))),
-            "z",
-            float(rng.uniform(-np.pi, np.pi)),
-        )
-        checks += 1
-        failures += abs(float(np.linalg.norm(rotated.amplitudes)) - 1.0) > 1e-12
-        raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        target, circuit = prepare_two_qubit(raw / np.linalg.norm(raw))
-        built = apply_circuit(basis_state("00", ("a1", "b1")), circuit)
-        checks += 1
-        failures += abs(abs(overlap(target, built)) - 1.0) > 1e-10
-    return checks, failures
+def _suite_state_algebra(rng: np.random.Generator):
+    single = random_state(("q0",), rng)
+    double = random_state(("q1", "q2"), rng)
+    joint = tensor(single, double)
+    yield abs(float(np.linalg.norm(joint.amplitudes)) - 1.0), 1e-12
+    back = reorder(reorder(joint, ("q2", "q0", "q1")), joint.labels)
+    yield float(np.max(np.abs(back.amplitudes - joint.amplitudes))), 1e-12
+    yield abs(abs(overlap(joint, back)) - 1.0), 1e-12
+    rho = to_density(single)
+    rebuilt = from_bloch(bloch_vector(rho), "q0")
+    yield float(np.max(np.abs(rebuilt.entries - rho.entries))), 1e-12
+    reduced = partial_trace(to_density(joint), ["q0", "q2"])
+    yield float(reduced.labels != ("q0", "q2")), 0.0
 
 
-def _suite_cloner(rng: np.random.Generator, trials: int) -> tuple[int, int]:
-    checks = failures = 0
-    for _ in range(trials):
-        while True:
-            s0, s1 = rng.uniform(0.0, 1.0, size=2)
-            pair = cloner.feasibility(float(s0), float(s1))
-            if pair.feasible:
-                break
-        prep = cloner.solve_prep(pair)
-        for _ in range(2):
-            out = cloner.run_cloner(random_state(("a0",), rng), prep)
-            checks += 1
-            failures += not cloner.verify_scaling(out, 1e-8).ok
-            checks += 1
-            failures += max(abs(out.s0_est - pair.s0), abs(out.s1_est - pair.s1)) > 1e-8
-            checks += 1
-            failures += (
-                max(
-                    abs(out.fidelity0 - 0.5 * (1.0 + out.s0_est)),
-                    abs(out.fidelity1 - 0.5 * (1.0 + out.s1_est)),
-                )
-                > 1e-8
-            )
-    return checks, failures
+def _suite_gates(rng: np.random.Generator):
+    psi = random_state(("x", "y", "z"), rng)
+    twice = apply_cnot(apply_cnot(psi, "x", "z"), "x", "z")
+    yield float(np.max(np.abs(twice.amplitudes - psi.amplitudes))), 1e-12
+    squared = apply_hadamard(apply_hadamard(psi, "y"), "y")
+    yield float(np.max(np.abs(squared.amplitudes - psi.amplitudes))), 1e-12
+    rotated = apply_ry(psi, "x", float(rng.uniform(-np.pi, np.pi)))
+    rotated = apply_rz(rotated, "z", float(rng.uniform(-np.pi, np.pi)))
+    yield abs(float(np.linalg.norm(rotated.amplitudes)) - 1.0), 1e-12
+    raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    target, circuit = prepare_two_qubit(raw / np.linalg.norm(raw))
+    built = apply_circuit(basis_state("00", ("a1", "b1")), circuit)
+    yield abs(abs(overlap(target, built)) - 1.0), 1e-10
 
 
-def _suite_pauli(rng: np.random.Generator, trials: int) -> tuple[int, int]:
-    checks = failures = 0
-    for _ in range(trials):
-        raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        raw = raw / np.linalg.norm(raw)
-        matrix = pauli.bell_decompose(pauli.run_pauli_cloner(pauli.BellCoefficients(*raw)))
-        off_diagonal = matrix - np.diag(np.diag(matrix))
-        checks += 1
-        failures += float(np.max(np.abs(off_diagonal))) > 1e-10
-        checks += 1
-        failures += float(np.max(np.abs(np.diag(matrix) - raw))) > 1e-10
-    return checks, failures
+def _suite_cloner(rng: np.random.Generator):
+    while True:
+        s0, s1 = rng.uniform(0.0, 1.0, size=2)
+        pair = cloner.feasibility(float(s0), float(s1))
+        if pair.feasible:
+            break
+    prep = cloner.solve_prep(pair)
+    for _ in range(2):
+        out = cloner.run_cloner(random_state(("a0",), rng), prep)
+        yield float(not cloner.verify_scaling(out, 1e-8).ok), 0.0
+        yield float(np.max(np.abs([out.s0_est - pair.s0, out.s1_est - pair.s1]))), 1e-8
+        fidelity_form = [out.fidelity0 - 0.5 * (1.0 + out.s0_est), out.fidelity1 - 0.5 * (1.0 + out.s1_est)]
+        yield float(np.max(np.abs(fidelity_form))), 1e-8
+
+
+def _suite_pauli(rng: np.random.Generator):
+    raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    raw = raw / np.linalg.norm(raw)
+    matrix, max_off = pauli.bell_output(pauli.BellCoefficients(*raw))
+    yield max_off, pauli.BELL_DIAGONAL_TOL
+    yield float(np.max(np.abs(np.diag(matrix) - raw))), 1e-10
 
 
 _SUITES = (
@@ -388,10 +369,10 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     total_checks = total_failures = 0
     for name, suite in _SUITES:
-        checks, failures = suite(rng, args.trials)
-        total_checks += checks
-        total_failures += failures
-        print(f"suite {name}: {checks} checks, {failures} failures")
+        failed = [not err <= tol for _ in range(args.trials) for err, tol in suite(rng)]
+        total_checks += len(failed)
+        total_failures += sum(failed)
+        print(f"suite {name}: {len(failed)} checks, {sum(failed)} failures")
     print(
         f"verify: {total_checks} checks, {total_failures} failures "
         f"(seed {args.seed}, trials {args.trials})"
@@ -421,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clone.set_defaults(func=_cmd_clone)
 
     p_sweep = sub.add_parser("sweep", help="tabulate the feasible region as CSV")
-    p_sweep.add_argument("--step", type=_parse_real, required=True, help="grid step in (0, 0.5]")
+    p_sweep.add_argument("--step", type=_parse_real, required=True, help=f"grid step in [{MIN_STEP}, 0.5]")
     p_sweep.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_sweep.set_defaults(func=_cmd_sweep)
 

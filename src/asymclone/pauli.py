@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloner import cloning_network
-from .qstate import INPUT_NORM_TOL, StateVector, reorder, tensor
+from .qstate import NORM_TOL, StateVector, reorder, tensor
 
 BELL_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+# largest off-diagonal Bell x Bell amplitude that still counts as Bell-diagonal
+BELL_DIAGONAL_TOL = 1e-10
 
 # columns are Phi+, Phi-, Psi+, Psi- over the computational basis 00,01,10,11
 _BELL_MATRIX = np.array(
@@ -42,7 +44,7 @@ class BellCoefficients:
 
     def __post_init__(self):
         norm_sq = sum(abs(x) ** 2 for x in (self.x1, self.x2, self.x3, self.x4))
-        if not abs(norm_sq - 1.0) <= INPUT_NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"Bell coefficients not normalized: sum |x|^2 = {norm_sq!r}")
 
     def as_array(self) -> np.ndarray:
@@ -89,3 +91,13 @@ def bell_decompose(
         raise ValueError(f"pairing {pairing} does not cover the register {state.labels}")
     amps = reorder(state, order).amplitudes.reshape(4, 4)
     return _BELL_MATRIX.conj().T @ amps @ _BELL_MATRIX.conj()
+
+
+def bell_output(coeffs: BellCoefficients) -> tuple[np.ndarray, float]:
+    """Bell x Bell coefficients of the network output and their largest off-diagonal modulus.
+
+    The output is Bell-diagonal, with coeffs on the diagonal, when that
+    modulus is at most BELL_DIAGONAL_TOL.
+    """
+    matrix = bell_decompose(run_pauli_cloner(coeffs))
+    return matrix, float(np.max(np.abs(matrix - np.diag(np.diag(matrix)))))

@@ -21,8 +21,8 @@ NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 BLOCH_NORM_TOL = 1e-10
-# caller-supplied coefficients (preparation moduli, Bell amplitudes, two-qubit
-# targets) must be normalized to within this
+# two-qubit synthesis targets must be normalized to within this; they are
+# renormalized afterwards, so the StateVector built from them meets NORM_TOL
 INPUT_NORM_TOL = 1e-10
 # a vector this short (input amplitudes, Bell coefficients, input Bloch
 # vector) has no direction to normalize or to measure a shrink against

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -328,3 +329,98 @@ def test_stdout_is_byte_identical_to_the_reference():
         code, out, _ = run_cli(*argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_counts_nan_errors_as_failures(monkeypatch):
+    monkeypatch.setattr("asymclone.cli.overlap", lambda a, b: complex("nan"))
+    code, out, _ = run_cli("verify", "--trials", "3")
+    assert code == 1
+    assert "suite state-algebra: 15 checks, 3 failures" in out
+    assert "suite gates: 12 checks, 3 failures" in out
+    assert "verify: 51 checks, 6 failures" in out
+
+
+def test_non_finite_margin_is_null_in_json():
+    for argv in (
+        ("solve", "--format", "json", "--", "1e200", "-1e200"),
+        ("solve", "1e200", "0", "--format", "json"),
+        ("clone", "--state", "0", "--s0", "1e308", "--s1", "1e308"),
+    ):
+        code, out, _ = run_cli(*argv)
+        assert code == 2, argv
+        payload = _strict_json(out)
+        assert payload["feasible"] is False
+        assert payload["margin"] is None
+
+
+def test_large_coefficients_renormalize():
+    code, out, err = run_cli("pauli", "1e200", "0", "0", "0")
+    assert code == 0
+    assert err == "pauli: renormalizing input of norm 1e+200\n"
+    assert _strict_json(out)["diagonal"][0] == [1.0, 0.0]
+    code, out, err = run_cli("clone", "--state", "1e308,0,1e308,0", "--s0", "2/3", "--s1", "2/3")
+    assert code == 0
+    assert err == ""
+    assert _strict_json(out)["input"][0][0] == pytest.approx(1 / np.sqrt(2))
+
+
+def test_norm_past_the_float_range_exits_1():
+    code, out, err = run_cli("pauli", "1e308", "1e308", "1e308", "1e308")
+    assert (code, out) == (1, "")
+    assert err == "pauli: coefficients have a norm past the float range\n"
+    code, out, err = run_cli("clone", "--state", "1e308,1e308,1e308,1e308", "--s0", "1", "--s1", "0")
+    assert (code, out) == (1, "")
+    assert "has a norm past the float range" in err
+
+
+def test_sweep_rejects_steps_below_the_grid_bound():
+    # 0.001, the smallest accepted step, builds a 1001 x 1001 grid and is not run here
+    for step in ("1e-300", "0.0009"):
+        code, out, err = run_cli("sweep", "--step", step)
+        assert (code, out) == (1, "")
+        assert "step must lie in [0.001, 0.5]" in err
+
+
+def test_number_arguments_always_end_cleanly():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(
+            ["nan", "-inf", "1e308", "-1e308", "1e200", "1e-300", "5e-324", "2/3", "1/0", "1e308/1e-308"]
+        ),
+    )
+    state = st.one_of(
+        st.lists(number, min_size=2, max_size=2), st.lists(number, min_size=4, max_size=4)
+    ).map(",".join)
+    literal = st.one_of(number, st.tuples(number, number).map(",".join))
+    argv = st.one_of(
+        st.tuples(number, number).map(lambda p: ("solve", "--", *p)),
+        st.tuples(number, number).map(lambda p: ("solve", "--format", "json", "--", *p)),
+        st.tuples(state, number, number).map(
+            lambda p: ("clone", f"--state={p[0]}", f"--s0={p[1]}", f"--s1={p[2]}")
+        ),
+        st.tuples(literal, literal, literal, literal).map(lambda p: ("pauli", "--", *p)),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(argv)
+    def check(argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(*argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if out and (argv[0] != "solve" or "json" in argv):
+            _strict_json(out)
+
+    check()

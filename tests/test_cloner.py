@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,14 @@ class TestSolvePrep:
         with pytest.raises(ValueError, match="not normalized"):
             PrepState(c1=0.5, c2=0.5, c4=0.5, theta1=0.0, theta2=0.0, theta4=0.0)
 
+    def test_prep_state_accepts_only_what_the_network_accepts(self):
+        # a norm error between the two tolerances used to pass construction
+        # and then fail inside run_cloner
+        with pytest.raises(ValueError, match="not normalized"):
+            PrepState(c1=np.sqrt(0.5 + 2.5e-11), c2=0.5, c4=0.5, theta1=0.0, theta2=0.0, theta4=0.0)
+        prep = PrepState(c1=np.sqrt(0.5 + 2.5e-13), c2=0.5, c4=0.5, theta1=0.0, theta2=0.0, theta4=0.0)
+        assert run_cloner(named_state("0", "a0"), prep).joint.n_qubits == 3
+
     def test_as_state_labels(self):
         prep = solve_prep(feasibility(0.5, 0.5))
         assert prep.as_state().labels == ("a1", "b1")
@@ -239,6 +249,13 @@ class TestVerifyScaling:
     def test_identity_channel_passes_tight_tolerance(self):
         out = run_cloner(single_qubit(0.6, 0.8, "a0"), solve_prep(feasibility(1, 0)))
         assert verify_scaling(out, 1e-12).ok
+
+    def test_reads_the_errors_run_cloner_computed(self):
+        out = run_cloner(named_state("+", "a0"), solve_prep(feasibility(0.8, 0.4)))
+        report = verify_scaling(out, 1e-8)
+        assert (report.residual0, report.residual1) == (out.residual0, out.residual1)
+        assert (report.isotropy0, report.isotropy1) == (out.isotropy0, out.isotropy1)
+        assert not verify_scaling(replace(out, isotropy1=float("nan")), 1e-8)
 
     def test_injected_c3_breaks_the_scaled_form(self):
         # axis-aligned probes still fit individually, so generic inputs are

@@ -3,12 +3,14 @@ import pytest
 
 from asymclone.cloner import cloning_network, feasibility, solve_prep
 from asymclone.pauli import (
+    BELL_DIAGONAL_TOL,
     BELL_NAMES,
     BellCoefficients,
     bell_basis,
     bell_components,
     bell_decompose,
     bell_expand,
+    bell_output,
     run_pauli_cloner,
 )
 from asymclone.qstate import StateVector, random_state, tensor
@@ -147,3 +149,19 @@ def test_network_agrees_with_cloner_module():
     phi_p = bell_basis(("r", "a0"))[0]
     direct = cloning_network(tensor(phi_p, StateVector(prep_state.amplitudes, ("a1", "b1"))))
     assert np.max(np.abs(via_bell.amplitudes - direct.amplitudes)) < 1e-12
+
+
+def test_bell_coefficients_accept_only_what_the_network_accepts():
+    # a norm error between the two tolerances used to pass construction and
+    # then fail inside run_pauli_cloner
+    with pytest.raises(ValueError, match="not normalized"):
+        BellCoefficients(np.sqrt(1 + 5e-11), 0.0, 0.0, 0.0)
+    assert run_pauli_cloner(BellCoefficients(np.sqrt(1 + 5e-13), 0.0, 0.0, 0.0)).n_qubits == 4
+
+
+def test_bell_output_is_diagonal_with_the_input_on_it():
+    coeffs = _random_coeffs(np.random.default_rng(5))
+    matrix, max_off = bell_output(coeffs)
+    assert max_off <= BELL_DIAGONAL_TOL
+    assert np.max(np.abs(np.diag(matrix) - coeffs.as_array())) < 1e-12
+    assert np.array_equal(matrix, bell_decompose(run_pauli_cloner(coeffs)))
