@@ -12,11 +12,10 @@ import sys
 
 import numpy as np
 
-from . import cloner, pauli
+from . import cloner, pauli, qstate
 from .gates import apply_circuit, apply_cnot, apply_hadamard, apply_ry, apply_rz, prepare_two_qubit
 from .qstate import (
     _NAMED_AMPLITUDES,
-    ZERO_NORM_FLOOR,
     StateVector,
     basis_state,
     bloch_vector,
@@ -66,7 +65,7 @@ def _unit(raw: np.ndarray) -> tuple[np.ndarray, float]:
         norm = math.ldexp(float(np.linalg.norm(raw * math.ldexp(1.0, -k))), k)
     except OverflowError:
         raise ValueError("a norm past the float range") from None
-    if norm < ZERO_NORM_FLOOR:
+    if norm < qstate.ZERO_NORM_FLOOR:
         raise ValueError("zero norm")
     return raw / norm, norm
 
@@ -154,13 +153,12 @@ def _pair_json(pair: cloner.ScalingPair) -> dict:
 
 
 def _emit_infeasible(pair: cloner.ScalingPair, fmt: str) -> int:
+    head = _pair_json(pair)
     if fmt == "json":
-        _print_json({**_pair_json(pair), "reason": pair.reason})
+        _print_json({**head, "reason": pair.reason})
     else:
-        print(
-            f"infeasible: s0 = {_json_num(pair.s0)}, s1 = {_json_num(pair.s1)}, "
-            f"margin = {_json_num(pair.margin)} ({pair.reason})"
-        )
+        margin = "null" if head["margin"] is None else head["margin"]
+        print(f"infeasible: s0 = {head['s0']}, s1 = {head['s1']}, margin = {margin} ({pair.reason})")
     return EXIT_INFEASIBLE
 
 
@@ -220,7 +218,7 @@ def _cmd_clone(args) -> int:
 
 
 def _sweep_values(step: float) -> list[float]:
-    count = int(np.floor(1.0 / step + 1e-9))
+    count = int(np.floor(1.0 / step + qstate.GRID_SLACK))
     return [k * step for k in range(count + 1)]
 
 
@@ -279,7 +277,7 @@ def _cmd_pauli(args) -> int:
     except ValueError as exc:
         print(f"pauli: coefficients have {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > qstate.RENORMALIZE_WARN:
         print(f"pauli: renormalizing input of norm {norm:.9g}", file=sys.stderr)
     coeffs = pauli.BellCoefficients(*unit)
     matrix, max_off = pauli.bell_output(coeffs)
@@ -305,13 +303,13 @@ def _suite_state_algebra(rng: np.random.Generator):
     single = random_state(("q0",), rng)
     double = random_state(("q1", "q2"), rng)
     joint = tensor(single, double)
-    yield abs(float(np.linalg.norm(joint.amplitudes)) - 1.0), 1e-12
+    yield abs(float(np.linalg.norm(joint.amplitudes)) - 1.0), qstate.ROUNDOFF_TOL
     back = reorder(reorder(joint, ("q2", "q0", "q1")), joint.labels)
-    yield float(np.max(np.abs(back.amplitudes - joint.amplitudes))), 1e-12
-    yield abs(abs(overlap(joint, back)) - 1.0), 1e-12
+    yield float(np.max(np.abs(back.amplitudes - joint.amplitudes))), qstate.ROUNDOFF_TOL
+    yield abs(abs(overlap(joint, back)) - 1.0), qstate.ROUNDOFF_TOL
     rho = to_density(single)
     rebuilt = from_bloch(bloch_vector(rho), "q0")
-    yield float(np.max(np.abs(rebuilt.entries - rho.entries))), 1e-12
+    yield float(np.max(np.abs(rebuilt.entries - rho.entries))), qstate.ROUNDOFF_TOL
     reduced = partial_trace(to_density(joint), ["q0", "q2"])
     yield float(reduced.labels != ("q0", "q2")), 0.0
 
@@ -319,16 +317,16 @@ def _suite_state_algebra(rng: np.random.Generator):
 def _suite_gates(rng: np.random.Generator):
     psi = random_state(("x", "y", "z"), rng)
     twice = apply_cnot(apply_cnot(psi, "x", "z"), "x", "z")
-    yield float(np.max(np.abs(twice.amplitudes - psi.amplitudes))), 1e-12
+    yield float(np.max(np.abs(twice.amplitudes - psi.amplitudes))), qstate.ROUNDOFF_TOL
     squared = apply_hadamard(apply_hadamard(psi, "y"), "y")
-    yield float(np.max(np.abs(squared.amplitudes - psi.amplitudes))), 1e-12
+    yield float(np.max(np.abs(squared.amplitudes - psi.amplitudes))), qstate.ROUNDOFF_TOL
     rotated = apply_ry(psi, "x", float(rng.uniform(-np.pi, np.pi)))
     rotated = apply_rz(rotated, "z", float(rng.uniform(-np.pi, np.pi)))
-    yield abs(float(np.linalg.norm(rotated.amplitudes)) - 1.0), 1e-12
+    yield abs(float(np.linalg.norm(rotated.amplitudes)) - 1.0), qstate.ROUNDOFF_TOL
     raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     target, circuit = prepare_two_qubit(raw / np.linalg.norm(raw))
     built = apply_circuit(basis_state("00", ("a1", "b1")), circuit)
-    yield abs(abs(overlap(target, built)) - 1.0), 1e-10
+    yield abs(abs(overlap(target, built)) - 1.0), qstate.ACCUMULATED_TOL
 
 
 def _suite_cloner(rng: np.random.Generator):
@@ -340,10 +338,10 @@ def _suite_cloner(rng: np.random.Generator):
     prep = cloner.solve_prep(pair)
     for _ in range(2):
         out = cloner.run_cloner(random_state(("a0",), rng), prep)
-        yield float(not cloner.verify_scaling(out, 1e-8).ok), 0.0
-        yield float(np.max(np.abs([out.s0_est - pair.s0, out.s1_est - pair.s1]))), 1e-8
+        yield float(not cloner.verify_scaling(out, qstate.ESTIMATE_TOL).ok), 0.0
+        yield float(np.max(np.abs([out.s0_est - pair.s0, out.s1_est - pair.s1]))), qstate.ESTIMATE_TOL
         fidelity_form = [out.fidelity0 - 0.5 * (1.0 + out.s0_est), out.fidelity1 - 0.5 * (1.0 + out.s1_est)]
-        yield float(np.max(np.abs(fidelity_form))), 1e-8
+        yield float(np.max(np.abs(fidelity_form))), qstate.ESTIMATE_TOL
 
 
 def _suite_pauli(rng: np.random.Generator):
@@ -351,7 +349,7 @@ def _suite_pauli(rng: np.random.Generator):
     raw = raw / np.linalg.norm(raw)
     matrix, max_off = pauli.bell_output(pauli.BellCoefficients(*raw))
     yield max_off, pauli.BELL_DIAGONAL_TOL
-    yield float(np.max(np.abs(np.diag(matrix) - raw))), 1e-10
+    yield float(np.max(np.abs(np.diag(matrix) - raw))), qstate.ACCUMULATED_TOL
 
 
 _SUITES = (
@@ -365,6 +363,9 @@ _SUITES = (
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         print("verify: trials must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("verify: seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     total_checks = total_failures = 0

@@ -28,8 +28,7 @@ import numpy as np
 from .gates import apply_cnot
 from .qstate import (
     _NAMED_AMPLITUDES,
-    NORM_TOL,
-    ZERO_NORM_FLOOR,
+    ROUNDOFF_TOL,
     DensityMatrix,
     StateVector,
     bloch_vector,
@@ -39,10 +38,6 @@ from .qstate import (
     tensor,
     to_density,
 )
-
-FEASIBLE_TOL = 1e-12
-DEGENERATE_TOL = 1e-12
-MODULUS_TOL = 1e-12
 
 NETWORK_ORDER = (("a0", "a1"), ("a0", "b1"), ("a1", "a0"), ("b1", "a0"))
 
@@ -77,11 +72,12 @@ class PrepState:
 
     def __post_init__(self):
         for name, c in (("c1", self.c1), ("c2", self.c2), ("c4", self.c4)):
-            if not 0.0 <= c <= 1.0 + MODULUS_TOL:
+            if not 0.0 <= c <= 1.0 + ROUNDOFF_TOL:
                 raise ValueError(f"modulus {name} = {c!r} outside [0, 1]")
-        norm_sq = self.c1**2 + self.c2**2 + self.c4**2
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(f"moduli are not normalized: sum c^2 = {norm_sq!r}")
+        if not np.isfinite([self.theta1, self.theta2, self.theta4]).all():
+            raise ValueError("phases must be finite")
+        # the state it becomes checks the norm
+        self.as_state()
 
     @property
     def as_amplitudes(self) -> np.ndarray:
@@ -149,20 +145,20 @@ def feasibility(s0: float, s1: float) -> ScalingPair:
     if not (np.isfinite(s0) and np.isfinite(s1)):
         raise ValueError(f"scaling factors must be finite, got ({s0!r}, {s1!r})")
     margin = s0 * s0 + s1 * s1 + s0 * s1 - s0 - s1
-    in_range = -FEASIBLE_TOL <= s0 <= 1.0 + FEASIBLE_TOL and -FEASIBLE_TOL <= s1 <= 1.0 + FEASIBLE_TOL
+    in_range = -ROUNDOFF_TOL <= s0 <= 1.0 + ROUNDOFF_TOL and -ROUNDOFF_TOL <= s1 <= 1.0 + ROUNDOFF_TOL
     if not in_range:
         return ScalingPair(s0, s1, False, margin, "scaling factors must lie in [0, 1]")
-    if margin > FEASIBLE_TOL:
+    if margin > ROUNDOFF_TOL:
         return ScalingPair(s0, s1, False, margin, f"margin {margin:.6g} exceeds 0")
     return ScalingPair(s0, s1, True, margin)
 
 
 def _theta(numerator: float, factor_a: float, factor_b: float, sign: float) -> float:
     # the amplitude this phase multiplies vanishes, so the phase is free
-    if factor_a < DEGENERATE_TOL or factor_b < DEGENERATE_TOL:
+    if factor_a < ROUNDOFF_TOL or factor_b < ROUNDOFF_TOL:
         return 0.0
     # arg^2 = 1 + margin / (factor_a * factor_b), so arg exceeds 1 only by
-    # rounding on pairs within FEASIBLE_TOL of the boundary, whose phase is 0
+    # rounding on pairs within ROUNDOFF_TOL of the boundary, whose phase is 0
     arg = numerator / np.sqrt(factor_a * factor_b)
     return float(sign * np.arccos(min(arg, 1.0))) + 0.0
 
@@ -227,9 +223,8 @@ def run_cloner(input_state: StateVector, prep: PrepState | StateVector) -> Clone
 
     rho_in = to_density(original)
     m_in = bloch_vector(rho_in).as_array()
+    # never near 0: a valid pure input has |m_in|^2 = (|a|^2 + |b|^2)^2
     m_in_sq = float(m_in @ m_in)
-    if np.sqrt(m_in_sq) <= ZERO_NORM_FLOOR:
-        raise ValueError("input Bloch vector is too short to define scaling estimates")
 
     estimates = []
     residuals = []

@@ -11,14 +11,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import INPUT_NORM_TOL, StateVector
+from .qstate import ACCUMULATED_TOL, ROUNDOFF_TOL, StateVector
 
 CNOT = "cnot"
 HADAMARD = "hadamard"
 RY = "ry"
 RZ = "rz"
-
-ANGLE_TOL = 1e-12
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -118,9 +116,9 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     v = u * np.exp(-0.5j * np.angle(det))
     beta = 2.0 * np.arctan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[1, 0]) < ANGLE_TOL:
+    if abs(v[1, 0]) < ROUNDOFF_TOL:
         alpha, gamma = 2.0 * np.angle(v[1, 1]), 0.0
-    elif abs(v[0, 0]) < ANGLE_TOL:
+    elif abs(v[0, 0]) < ROUNDOFF_TOL:
         alpha, gamma = 2.0 * np.angle(v[1, 0]), 0.0
     else:
         alpha = np.angle(v[1, 1]) + np.angle(v[1, 0])
@@ -132,7 +130,7 @@ def _rotation_gates(u: np.ndarray, label: str) -> list[GateApplication]:
     alpha, beta, gamma = zyz_angles(u)
     gates = []
     for kind, angle in ((RZ, gamma), (RY, beta), (RZ, alpha)):
-        if abs(angle) > ANGLE_TOL:
+        if abs(angle) > ROUNDOFF_TOL:
             gates.append(GateApplication(kind, label, angle=angle))
     return gates
 
@@ -150,7 +148,7 @@ def prepare_two_qubit(
     if amps.shape != (4,):
         raise ValueError(f"need exactly 4 amplitudes, got {amps.shape[0]}")
     norm = float(np.linalg.norm(amps))
-    if not abs(norm - 1.0) <= INPUT_NORM_TOL:
+    if not abs(norm - 1.0) <= ACCUMULATED_TOL:
         raise ValueError(f"amplitudes are not normalized: norm = {norm!r}")
     amps = amps / norm
 
@@ -161,7 +159,7 @@ def prepare_two_qubit(
     xi = 2.0 * np.arctan2(schmidt[1], schmidt[0])
 
     gates: list[GateApplication] = []
-    if xi > ANGLE_TOL:
+    if xi > ROUNDOFF_TOL:
         gates.append(GateApplication(RY, first, angle=float(xi)))
         gates.append(GateApplication(CNOT, second, control=first))
     gates.extend(_rotation_gates(u, first))

@@ -17,18 +17,21 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_QUBITS = 4
-NORM_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
-BLOCH_NORM_TOL = 1e-10
-# two-qubit synthesis targets must be normalized to within this; they are
-# renormalized afterwards, so the StateVector built from them meets NORM_TOL
-INPUT_NORM_TOL = 1e-10
-# a vector this short (input amplitudes, Bell coefficients, input Bloch
-# vector) has no direction to normalize or to measure a shrink against
-ZERO_NORM_FLOOR = 1e-9
 
-# Every check below is written as `not (err <= tol)` so that NaN fails it.
+# The package's one tolerance table. Validators write their checks as
+# `not (err <= tol)` so that NaN fails them.
+# round-off of one step on unit-scale numbers: norms, traces, margins, angles
+ROUNDOFF_TOL = 1e-12
+# error accumulated over a chain of steps: eigenvalues, Bloch lengths, circuits
+ACCUMULATED_TOL = 1e-10
+# a vector shorter than this (amplitudes, Bell coefficients) has no direction
+ZERO_NORM_FLOOR = 1e-9
+# agreement of a clone's estimated shrink, and its fidelity, with the target
+ESTIMATE_TOL = 1e-8
+# slack on 1/step so that a sweep step dividing 1 keeps the grid point 1
+GRID_SLACK = 1e-9
+# a coefficient norm further than this from 1 is reported as renormalized
+RENORMALIZE_WARN = 1e-6
 
 
 class _Register:
@@ -77,7 +80,7 @@ class StateVector(_Register):
                 f"got {amps.shape[0]}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
+        if not abs(norm_sq - 1.0) <= ROUNDOFF_TOL:
             raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -99,12 +102,12 @@ class DensityMatrix(_Register):
             raise ValueError(
                 f"{len(labels)}-qubit density matrix must be {dim}x{dim}, got {mat.shape}"
             )
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= ROUNDOFF_TOL:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(mat))
-        if not abs(trace - 1.0) <= HERMITIAN_TOL:
+        if not abs(trace - 1.0) <= ROUNDOFF_TOL:
             raise ValueError(f"density matrix trace is {trace!r}, expected 1")
-        if not float(np.min(np.linalg.eigvalsh(mat))) >= EIGENVALUE_FLOOR:
+        if not float(np.min(np.linalg.eigvalsh(mat))) >= -ACCUMULATED_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
@@ -121,7 +124,7 @@ class BlochVector:
 
     def __post_init__(self):
         norm_sq = self.mx**2 + self.my**2 + self.mz**2
-        if not norm_sq <= 1.0 + BLOCH_NORM_TOL:
+        if not norm_sq <= 1.0 + ACCUMULATED_TOL:
             raise ValueError(f"Bloch vector leaves the unit ball: |m|^2 = {norm_sq!r}")
 
     def norm(self) -> float:

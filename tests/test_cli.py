@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -303,9 +304,13 @@ def test_verify_is_deterministic():
 
 
 def test_verify_rejects_nonpositive_trials():
-    code, _, err = run_cli("verify", "--trials", "0")
-    assert code == 1
-    assert "at least 1" in err
+    for argv, message in (
+        (("verify", "--trials", "0"), "at least 1"),
+        (("verify", "--seed", "-1", "--trials", "1"), "verify: seed must be non-negative\n"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, ""), argv
+        assert message in err
 
 
 def test_usage_errors_exit_1():
@@ -360,6 +365,13 @@ def test_non_finite_margin_is_null_in_json():
         assert payload["margin"] is None
 
 
+def test_non_finite_margin_is_null_in_text():
+    for argv in (("solve", "1e200", "0"), ("solve", "--", "1e200", "-1e200")):
+        code, out, _ = run_cli(*argv)
+        assert code == 2, argv
+        assert "margin = null (scaling factors must lie in [0, 1])" in out
+
+
 def test_large_coefficients_renormalize():
     code, out, err = run_cli("pauli", "1e200", "0", "0", "0")
     assert code == 0
@@ -388,6 +400,19 @@ def test_sweep_rejects_steps_below_the_grid_bound():
         assert "step must lie in [0.001, 0.5]" in err
 
 
+def _run_cleanly(argv):
+    """run_cli, asserting an exit code in 0..2, no traceback or warning, and no NaN/inf in stdout."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
+    return code, out, err
+
+
 def test_number_arguments_always_end_cleanly():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -413,14 +438,34 @@ def test_number_arguments_always_end_cleanly():
     @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @hypothesis.given(argv)
     def check(argv):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run_cli(*argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        assert "RuntimeWarning" not in err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        _, out, _ = _run_cleanly(argv)
         if out and (argv[0] != "solve" or "json" in argv):
             _strict_json(out)
+
+    check()
+
+
+def test_sweep_and_verify_arguments_always_end_cleanly():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # valid steps below 0.1 build grids too large for a unit test
+    step = st.one_of(
+        st.floats(0.1, 0.5).map(repr),
+        st.floats().filter(lambda x: not 0.001 <= x < 0.1).map(repr),
+        st.sampled_from(["nan", "-inf", "1/0", "1/3", "1/10", "0", "-0.0", "1e-300", "0.5000001", "x"]),
+    )
+    count = st.one_of(st.integers(-2, 2).map(str), st.sampled_from(["1.5", "nan", ""]))
+    seed = st.one_of(st.integers(-2, 2).map(str), st.integers().map(str), st.sampled_from([str(2**200), "1e3", "x"]))
+    argv = st.one_of(
+        step.map(lambda s: ("sweep", f"--step={s}")),
+        st.tuples(seed, count).map(lambda p: ("verify", f"--seed={p[0]}", f"--trials={p[1]}")),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(argv)
+    def check(argv):
+        code, out, _ = _run_cleanly(argv)
+        if code == 0 and argv[0] == "sweep":
+            assert out.startswith(CSV_HEADER + "\n")
 
     check()

@@ -15,6 +15,7 @@ from asymclone.cloner import (
     verify_scaling,
 )
 from asymclone.qstate import (
+    ROUNDOFF_TOL,
     StateVector,
     named_state,
     random_state,
@@ -152,6 +153,11 @@ class TestSolvePrep:
             PrepState(c1=1.2, c2=0.0, c4=0.0, theta1=0.0, theta2=0.0, theta4=0.0)
         with pytest.raises(ValueError, match="not normalized"):
             PrepState(c1=0.5, c2=0.5, c4=0.5, theta1=0.0, theta2=0.0, theta4=0.0)
+        basis = dict(c1=1.0, c2=0.0, c4=0.0, theta1=0.0, theta2=0.0, theta4=0.0)
+        for phase in ("theta1", "theta2", "theta4"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    PrepState(**{**basis, phase: value})
 
     def test_prep_state_accepts_only_what_the_network_accepts(self):
         # a norm error between the two tolerances used to pass construction
@@ -283,6 +289,38 @@ class TestBoundary:
             prep = solve_prep(pair)
             out = run_cloner(named_state("+", "a0"), prep)
             assert max(out.residual0, out.residual1) < 1e-8
+
+    def test_phases_match_a_50_digit_reference_inside_the_arc(self):
+        # arccos has slope 1/sqrt(1 - x^2) where its argument nears 1 at the
+        # boundary; pairs pulled inside the arc by a relative 1e-16..1e-4 keep
+        # the phase error far below what the cloner's checks resolve
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(41)
+        corner = 1.7e-3  # |dt| that keeps the arc point within 1e-3 of (1, 0) or (0, 1)
+        ts = np.concatenate(
+            [
+                rng.uniform(-np.pi / 3, np.pi / 3, 1800),
+                -np.pi / 3 + rng.uniform(0.0, corner, 100),
+                np.pi / 3 - rng.uniform(0.0, corner, 100),
+            ]
+        )
+        pulls = 10.0 ** rng.uniform(-16.0, -4.0, ts.size)
+
+        def reference(numerator, factor_a, factor_b):
+            if factor_a < ROUNDOFF_TOL or factor_b < ROUNDOFF_TOL:
+                return 0.0
+            return -float(mpmath.acos(min(numerator / mpmath.sqrt(factor_a * factor_b), 1)))
+
+        for t, pull in zip(ts, pulls):
+            b0, b1 = _boundary_point(t)
+            pair = feasibility(1 / 3 + (1 - pull) * (b0 - 1 / 3), 1 / 3 + (1 - pull) * (b1 - 1 / 3))
+            assert pair.feasible
+            prep = solve_prep(pair)
+            s0 = mpmath.mpf(min(max(pair.s0, 0.0), 1.0))
+            s1 = mpmath.mpf(min(max(pair.s1, 0.0), 1.0))
+            assert abs(prep.theta2 - reference(s1, s0 + s1, 1 - s0)) <= 1e-7
+            assert abs(prep.theta4 - reference(s0, s0 + s1, 1 - s1)) <= 1e-7
 
     def test_boundary_endpoints(self):
         s0, s1 = _boundary_point(-np.pi / 3)
