@@ -17,7 +17,8 @@ with the |10> amplitude identically zero, and phases fixed through
     cos(theta1 - theta4) = s0 / sqrt((s0+s1)(1-s1)).
 
 The network itself is four CNOTs on (a0, a1, b1), applied in the order
-a0->a1, a0->b1, a1->a0, b1->a0.
+a0->a1, a0->b1, a1->a0, b1->a0. On the 8 basis amplitudes that is one
+fixed permutation, which clone_batch applies to a whole stack of inputs.
 """
 from __future__ import annotations
 
@@ -31,15 +32,36 @@ from .qstate import (
     ROUNDOFF_TOL,
     DensityMatrix,
     StateVector,
-    bloch_vector,
+    check_bloch_length,
+    check_density,
+    check_unit_norm,
     fidelity_pure,
     named_state,
-    partial_trace,
-    tensor,
-    to_density,
 )
 
+# the per-object steps clone_batch reproduces; bench/test_bench.py checks
+# that tracing rebinds these names in this module
+from .qstate import partial_trace, tensor, to_density  # noqa: F401
+
 NETWORK_ORDER = (("a0", "a1"), ("a0", "b1"), ("a1", "a0"), ("b1", "a0"))
+NETWORK_LABELS = ("a0", "a1", "b1")
+
+
+def _network_permutation() -> np.ndarray:
+    """perm with joint = amplitudes[perm] for the four CNOTs on (a0, a1, b1).
+
+    Each CNOT flips the target bit of every basis index whose control bit is
+    set (bit k, most significant first, belongs to NETWORK_LABELS[k]); the
+    amplitude of index i ends up at image[i].
+    """
+    bit = {label: 1 << (len(NETWORK_LABELS) - 1 - k) for k, label in enumerate(NETWORK_LABELS)}
+    image = np.arange(2 ** len(NETWORK_LABELS))
+    for control, target in NETWORK_ORDER:
+        image = np.where(image & bit[control], image ^ bit[target], image)
+    return np.argsort(image)
+
+
+_NETWORK_PERMUTATION = _network_permutation()
 
 _BRANCH_SIGNS = {"minus": -1.0, "plus": 1.0}
 
@@ -199,6 +221,84 @@ def cloning_network(state: StateVector) -> StateVector:
     return state
 
 
+@dataclass(frozen=True)
+class CloneBatch:
+    """run_cloner's numbers for a stack of N inputs, one row per input.
+
+    Column 0 of the (N, 2) arrays belongs to the original a0 and column 1 to
+    the copy a1; rho[:, 0] and rho[:, 1] are their reduced states.
+    """
+
+    joint: np.ndarray  # (N, 8) amplitudes over NETWORK_LABELS
+    rho: np.ndarray  # (N, 2, 2, 2)
+    s_est: np.ndarray  # (N, 2)
+    residual: np.ndarray  # (N, 2)
+    isotropy: np.ndarray  # (N, 2)
+    fidelity: np.ndarray  # (N, 2)
+
+
+def _outer(amplitudes: np.ndarray) -> np.ndarray:
+    """|psi><psi| for each row, the product np.outer forms."""
+    return amplitudes[:, :, None] * amplitudes.conj()[:, None, :]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis, one 1-D @ per row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
+    """Clone each row of an (N, 2) input stack with one preparation in one pass.
+
+    prep_amplitudes are the four over |00>, |01>, |10>, |11> of (a1, b1).
+    Every number is bit for bit what the per-object path (tensor, the four
+    CNOTs, to_density, partial_trace, bloch_vector, fidelity_pure) gives
+    for that row: the kernel repeats its arithmetic step for step, with
+    np.trace in partial_trace's order and every dot product as a 1-D @ on
+    contiguous rows. The rules of StateVector, DensityMatrix and BlochVector
+    are checked on the whole stack, so one bad row raises ValueError.
+    """
+    inputs = np.ascontiguousarray(inputs, dtype=complex)
+    prep = np.asarray(prep_amplitudes, dtype=complex)
+    if inputs.ndim != 2 or inputs.shape[1] != 2:
+        raise ValueError(f"inputs must be an (N, 2) stack of one-qubit states, got shape {inputs.shape}")
+    if prep.shape != (4,):
+        raise ValueError(f"preparation must be 4 amplitudes, got shape {prep.shape}")
+    check_unit_norm(inputs)
+    check_unit_norm(prep)
+    n = inputs.shape[0]
+
+    joint = (inputs[:, :, None] * prep).reshape(n, 8)[:, _NETWORK_PERMUTATION]
+    check_unit_norm(joint)
+    rho_joint = _outer(joint)
+    check_density(rho_joint)
+    # partial_trace traces b1 first, then a1 (keeping a0) or a0 (keeping a1).
+    # np.stack keeps the traces' strided layout; @ below needs C order, since
+    # on strided operands it takes another path whose last bits differ
+    work = np.trace(rho_joint.reshape((n,) + (2,) * 6), axis1=3, axis2=6)
+    rho = np.ascontiguousarray(
+        np.stack([np.trace(work, axis1=2, axis2=4), np.trace(work, axis1=1, axis2=3)], axis=1)
+    )
+    rho_in = _outer(inputs)
+    states = np.concatenate([rho_in[:, None], rho], axis=1)
+    check_density(states)
+
+    # bloch_vector of rho_in, rho_a0 and rho_a1
+    lower = states[..., 1, 0]
+    m = np.stack([2.0 * lower.real, 2.0 * lower.imag, (states[..., 0, 0] - states[..., 1, 1]).real], axis=-1)
+    check_bloch_length(m)
+    m_in, m_out = m[:, :1], m[:, 1:]
+    # never near 0: a valid pure input has |m_in|^2 = (|a|^2 + |b|^2)^2
+    s_est = _dot(m_out, m_in) / _dot(m_in, m_in)
+    expected = s_est[..., None, None] * rho_in[:, None] + (0.5 * (1.0 - s_est))[..., None, None] * np.eye(2)
+    residual = np.abs(rho - expected).max(axis=(-2, -1))
+    isotropy = np.abs(m_out - s_est[..., None] * m_in).max(axis=-1)
+    # fidelity_pure: <psi| (rho @ |psi>)
+    psi = inputs[:, None, :]
+    fidelity = _dot(psi.conj(), (rho @ psi[..., None])[..., 0]).real
+    return CloneBatch(joint, rho, s_est, residual, isotropy, fidelity)
+
+
 def run_cloner(input_state: StateVector, prep: PrepState | StateVector) -> CloneOutput:
     """Clone a single-qubit input through the network with the given preparation.
 
@@ -208,47 +308,25 @@ def run_cloner(input_state: StateVector, prep: PrepState | StateVector) -> Clone
     if input_state.n_qubits != 1:
         raise ValueError(f"input must be a single qubit, got {input_state.n_qubits}")
     if isinstance(prep, PrepState):
-        prep_state = prep.as_state()
+        prep_amplitudes = prep.as_amplitudes
     else:
         if prep.n_qubits != 2:
             raise ValueError(f"preparation must be two qubits, got {prep.n_qubits}")
-        prep_state = StateVector(prep.amplitudes, ("a1", "b1"))
+        prep_amplitudes = prep.amplitudes
 
-    original = StateVector(input_state.amplitudes, ("a0",))
-    joint = cloning_network(tensor(original, prep_state))
-
-    rho_joint = to_density(joint)
-    rho_a0 = partial_trace(rho_joint, ["a0"])
-    rho_a1 = partial_trace(rho_joint, ["a1"])
-
-    rho_in = to_density(original)
-    m_in = bloch_vector(rho_in).as_array()
-    # never near 0: a valid pure input has |m_in|^2 = (|a|^2 + |b|^2)^2
-    m_in_sq = float(m_in @ m_in)
-
-    estimates = []
-    residuals = []
-    isotropies = []
-    identity = np.eye(2)
-    for rho in (rho_a0, rho_a1):
-        m_out = bloch_vector(rho).as_array()
-        s_est = float(m_out @ m_in) / m_in_sq
-        expected = s_est * rho_in.entries + 0.5 * (1.0 - s_est) * identity
-        estimates.append(s_est)
-        residuals.append(float(abs(rho.entries - expected).max()))
-        isotropies.append(float(abs(m_out - s_est * m_in).max()))
-
+    batch = clone_batch(input_state.amplitudes[None, :], prep_amplitudes)
+    s_est, residual, isotropy = (row[0].tolist() for row in (batch.s_est, batch.residual, batch.isotropy))
     return CloneOutput(
-        joint=joint,
-        rho_a0=rho_a0,
-        rho_a1=rho_a1,
-        s0_est=estimates[0],
-        s1_est=estimates[1],
-        residual0=residuals[0],
-        residual1=residuals[1],
-        input_state=original,
-        isotropy0=isotropies[0],
-        isotropy1=isotropies[1],
+        joint=StateVector(batch.joint[0], NETWORK_LABELS),
+        rho_a0=DensityMatrix(batch.rho[0, 0], ("a0",)),
+        rho_a1=DensityMatrix(batch.rho[0, 1], ("a1",)),
+        s0_est=s_est[0],
+        s1_est=s_est[1],
+        residual0=residual[0],
+        residual1=residual[1],
+        input_state=StateVector(input_state.amplitudes, ("a0",)),
+        isotropy0=isotropy[0],
+        isotropy1=isotropy[1],
     )
 
 

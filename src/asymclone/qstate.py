@@ -34,6 +34,49 @@ GRID_SLACK = 1e-9
 RENORMALIZE_WARN = 1e-6
 
 
+# The validity rules of StateVector, DensityMatrix and BlochVector. Each
+# takes one item or a stack of them along the leading axes, and a single
+# failing or NaN item fails the whole stack.
+
+
+def _offender(values: np.ndarray, ok: np.ndarray):
+    """The first value that failed its check, as a Python number."""
+    return np.asarray(values)[~np.asarray(ok)].flat[0].item()
+
+
+def check_unit_norm(amplitudes: np.ndarray) -> None:
+    """Raise ValueError unless every state (last axis) has sum |amp|^2 = 1."""
+    norm_sq = (np.abs(amplitudes) ** 2).sum(axis=-1)
+    ok = np.abs(norm_sq - 1.0) <= ROUNDOFF_TOL
+    if not ok.all():
+        raise ValueError(f"state is not normalized: sum |amp|^2 = {_offender(norm_sq, ok)!r}")
+
+
+def check_density(entries: np.ndarray) -> None:
+    """Raise ValueError unless every matrix (last two axes) is a density matrix.
+
+    That is Hermitian, of unit trace and with no eigenvalue below
+    -ACCUMULATED_TOL, checked in this order.
+    """
+    skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).max(axis=(-2, -1))
+    if not (skew <= ROUNDOFF_TOL).all():
+        raise ValueError("density matrix is not Hermitian")
+    trace = entries.trace(axis1=-2, axis2=-1)
+    ok = np.abs(trace - 1.0) <= ROUNDOFF_TOL
+    if not ok.all():
+        raise ValueError(f"density matrix trace is {_offender(trace, ok)!r}, expected 1")
+    if not (np.linalg.eigvalsh(entries) >= -ACCUMULATED_TOL).all():
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def check_bloch_length(vectors: np.ndarray) -> None:
+    """Raise ValueError unless every Bloch vector (last axis) has |m|^2 <= 1 + ACCUMULATED_TOL."""
+    norm_sq = (vectors**2).sum(axis=-1)
+    ok = norm_sq <= 1.0 + ACCUMULATED_TOL
+    if not ok.all():
+        raise ValueError(f"Bloch vector leaves the unit ball: |m|^2 = {_offender(norm_sq, ok)!r}")
+
+
 class _Register:
     """Label addressing shared by StateVector and DensityMatrix."""
 
@@ -79,9 +122,7 @@ class StateVector(_Register):
                 f"{len(labels)}-qubit register needs {2 ** len(labels)} amplitudes, "
                 f"got {amps.shape[0]}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= ROUNDOFF_TOL:
-            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
+        check_unit_norm(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "labels", labels)
@@ -102,13 +143,7 @@ class DensityMatrix(_Register):
             raise ValueError(
                 f"{len(labels)}-qubit density matrix must be {dim}x{dim}, got {mat.shape}"
             )
-        if not np.max(np.abs(mat - mat.conj().T)) <= ROUNDOFF_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        trace = complex(np.trace(mat))
-        if not abs(trace - 1.0) <= ROUNDOFF_TOL:
-            raise ValueError(f"density matrix trace is {trace!r}, expected 1")
-        if not float(np.min(np.linalg.eigvalsh(mat))) >= -ACCUMULATED_TOL:
-            raise ValueError("density matrix has a negative eigenvalue")
+        check_density(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "labels", labels)
@@ -123,9 +158,7 @@ class BlochVector:
     mz: float
 
     def __post_init__(self):
-        norm_sq = self.mx**2 + self.my**2 + self.mz**2
-        if not norm_sq <= 1.0 + ACCUMULATED_TOL:
-            raise ValueError(f"Bloch vector leaves the unit ball: |m|^2 = {norm_sq!r}")
+        check_bloch_length(np.array([self.mx, self.my, self.mz]))
 
     def norm(self) -> float:
         return float(np.sqrt(self.mx**2 + self.my**2 + self.mz**2))

@@ -307,6 +307,7 @@ def test_verify_rejects_nonpositive_trials():
     for argv, message in (
         (("verify", "--trials", "0"), "at least 1"),
         (("verify", "--seed", "-1", "--trials", "1"), "verify: seed must be non-negative\n"),
+        (("verify", "--trials", "100001"), "verify: trials must be at most 100000\n"),
     ):
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, ""), argv
@@ -328,6 +329,14 @@ def test_stdout_is_byte_identical_to_the_reference():
         ("sweep", "--step", "1/10"): "18574f6685fca2853cde195ff5f18b91ca025ea19b6eab6d69f03df731924116",
         ("verify", "--seed", "42", "--trials", "200"): (
             "04850bdf5f5794dcc8e92ce5d4b7609f80dbbd86b9138297425373ab064442e7"
+        ),
+        # generic inputs print round-off noise that axis probes alone miss
+        ("sweep", "--step", "0.05"): "24d216ab8a2130ddf9cc8fcee2582f579b569a10c83eac442f3c02160ee8f4f0",
+        ("clone", "--state=1,0.5,-0.3,0.2", "--s0", "0.3", "--s1", "0.5"): (
+            "ecd0a51001a4154023d9df7318749374de41d2ee7a24c06ee54bdae9ab85a101"
+        ),
+        ("clone", "--state=0.7,2.1", "--s0", "0.9", "--s1", "0.2"): (
+            "e73d2c90efb81d70e66f490f3ffef8959cdb63c96caab2563b625ce0e2ab7524"
         ),
     }
     for argv, digest in expected.items():

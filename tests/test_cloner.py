@@ -7,6 +7,7 @@ from asymclone.cloner import (
     InfeasibleScalingError,
     PrepState,
     ScalingPair,
+    clone_batch,
     cloning_network,
     feasibility,
     probe_states,
@@ -17,9 +18,13 @@ from asymclone.cloner import (
 from asymclone.qstate import (
     ROUNDOFF_TOL,
     StateVector,
+    bloch_vector,
+    fidelity_pure,
     named_state,
+    partial_trace,
     random_state,
     single_qubit,
+    tensor,
     to_density,
 )
 
@@ -241,6 +246,82 @@ class TestRunCloner:
             run_cloner(two, prep)
         with pytest.raises(ValueError, match="two qubits"):
             run_cloner(named_state("0", "a0"), random_state(("a1",), np.random.default_rng(1)))
+
+
+def _per_object_clone(input_amplitudes, prep_amplitudes):
+    """clone_batch's numbers for one input, from the validated per-object API."""
+    original = StateVector(input_amplitudes, ("a0",))
+    joint = cloning_network(tensor(original, StateVector(prep_amplitudes, ("a1", "b1"))))
+    rho_joint = to_density(joint)
+    reduced = [partial_trace(rho_joint, [label]) for label in ("a0", "a1")]
+    rho_in = to_density(original)
+    m_in = bloch_vector(rho_in).as_array()
+    fields = {"joint": joint.amplitudes, "rho": [rho.entries for rho in reduced]}
+    fields.update({key: [] for key in ("s_est", "residual", "isotropy", "fidelity")})
+    for rho in reduced:
+        m_out = bloch_vector(rho).as_array()
+        s_est = float(m_out @ m_in) / float(m_in @ m_in)
+        expected = s_est * rho_in.entries + 0.5 * (1.0 - s_est) * np.eye(2)
+        fields["s_est"].append(s_est)
+        fields["residual"].append(float(abs(rho.entries - expected).max()))
+        fields["isotropy"].append(float(abs(m_out - s_est * m_in).max()))
+        fields["fidelity"].append(fidelity_pure(original, rho))
+    return fields
+
+
+def _reference_preparations():
+    # all four phase-sign branches of a generic pair, the three corner pairs
+    # and a raw preparation outside the solved form (nonzero |10> amplitude)
+    preps = [
+        solve_prep(feasibility(0.4, 0.7), b2, b4).as_amplitudes
+        for b2 in ("minus", "plus")
+        for b4 in ("minus", "plus")
+    ]
+    preps += [solve_prep(feasibility(s0, s1)).as_amplitudes for s0, s1 in ((1, 0), (0, 1), (2 / 3, 2 / 3))]
+    injected = solve_prep(feasibility(0.5, 0.5)).as_amplitudes.copy()
+    injected[2] = 0.5
+    return preps + [injected / np.linalg.norm(injected)]
+
+
+class TestCloneBatch:
+    @pytest.mark.parametrize("prep", _reference_preparations())
+    def test_bit_identical_to_the_per_object_path(self, prep):
+        rng = np.random.default_rng(29)
+        inputs = [random_state(("a0",), rng).amplitudes for _ in range(200)]
+        inputs += [probe.amplitudes for probe in probe_states()]
+        batch = clone_batch(np.array(inputs), prep)
+        for k, psi in enumerate(inputs):
+            for key, want in _per_object_clone(psi, prep).items():
+                assert np.array_equal(getattr(batch, key)[k], want), (k, key)
+
+    def test_run_cloner_wraps_the_kernel(self):
+        prep = solve_prep(feasibility(0.3, 0.5))
+        psi = random_state(("a0",), np.random.default_rng(30))
+        out = run_cloner(psi, prep)
+        batch = clone_batch(psi.amplitudes[None, :], prep.as_amplitudes)
+        assert np.array_equal(out.joint.amplitudes, batch.joint[0])
+        assert np.array_equal(out.rho_a0.entries, batch.rho[0, 0])
+        assert np.array_equal(out.rho_a1.entries, batch.rho[0, 1])
+        assert [out.s0_est, out.s1_est] == batch.s_est[0].tolist()
+        assert [out.residual0, out.residual1] == batch.residual[0].tolist()
+        assert [out.isotropy0, out.isotropy1] == batch.isotropy[0].tolist()
+        assert [out.fidelity0, out.fidelity1] == batch.fidelity[0].tolist()
+
+    @pytest.mark.parametrize("bad_row", [[1.0, 0.1], [np.nan, 0.0], [np.inf, 0.0]])
+    def test_one_bad_input_row_fails_the_stack(self, bad_row):
+        inputs = np.array([probe.amplitudes for probe in probe_states()])
+        inputs[3] = bad_row
+        with pytest.raises(ValueError, match="not normalized"):
+            clone_batch(inputs, solve_prep(feasibility(0.5, 0.5)).as_amplitudes)
+
+    def test_rejects_bad_preparation_and_shapes(self):
+        inputs = np.array([probe.amplitudes for probe in probe_states()])
+        with pytest.raises(ValueError, match="not normalized"):
+            clone_batch(inputs, [1.0, 0.0, 0.0, np.nan])
+        with pytest.raises(ValueError, match="4 amplitudes"):
+            clone_batch(inputs, [1.0, 0.0])
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            clone_batch(inputs[0], [1.0, 0.0, 0.0, 0.0])
 
 
 class TestVerifyScaling:

@@ -7,6 +7,9 @@ from asymclone.qstate import (
     StateVector,
     basis_state,
     bloch_vector,
+    check_bloch_length,
+    check_density,
+    check_unit_norm,
     fidelity_pure,
     from_bloch,
     named_state,
@@ -82,6 +85,24 @@ class TestDensityMatrix:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="must be 4x4"):
             DensityMatrix(np.eye(2), ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "check, good, bad, match",
+    [
+        (check_unit_norm, [INV_SQRT2, 1j * INV_SQRT2], [1.0, 1.0], "not normalized"),
+        (check_unit_norm, [INV_SQRT2, 1j * INV_SQRT2], [np.nan, 0.0], "not normalized"),
+        (check_density, 0.5 * np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], "Hermitian"),
+        (check_density, 0.5 * np.eye(2), np.eye(2), "trace"),
+        (check_density, 0.5 * np.eye(2), np.diag([1.5, -0.5]), "negative eigenvalue"),
+        (check_bloch_length, [0.0, 0.6, 0.8], [0.8, 0.8, 0.0], "unit ball"),
+        (check_bloch_length, [0.0, 0.6, 0.8], [np.nan, 0.0, 0.0], "unit ball"),
+    ],
+)
+def test_stack_checks_fail_on_one_bad_item(check, good, bad, match):
+    check(np.array([good] * 5))
+    with pytest.raises(ValueError, match=match):
+        check(np.array([good] * 3 + [bad, good]))
 
 
 def test_tensor_orders_high_bits_first():
