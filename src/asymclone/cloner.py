@@ -98,8 +98,7 @@ class PrepState:
                 raise ValueError(f"modulus {name} = {c!r} outside [0, 1]")
         if not np.isfinite([self.theta1, self.theta2, self.theta4]).all():
             raise ValueError("phases must be finite")
-        # the state it becomes checks the norm
-        self.as_state()
+        check_unit_norm(self.as_amplitudes)
 
     @property
     def as_amplitudes(self) -> np.ndarray:
@@ -248,9 +247,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
-    """Clone each row of an (N, 2) input stack with one preparation in one pass.
+    """Clone each row of an (N, 2) input stack in one pass.
 
-    prep_amplitudes are the four over |00>, |01>, |10>, |11> of (a1, b1).
+    prep_amplitudes are the four over |00>, |01>, |10>, |11> of (a1, b1):
+    shape (4,) for one preparation shared by every row, or (N, 4) for one
+    preparation per row.
     Every number is bit for bit what the per-object path (tensor, the four
     CNOTs, to_density, partial_trace, bloch_vector, fidelity_pure) gives
     for that row: the kernel repeats its arithmetic step for step, with
@@ -262,13 +263,15 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     prep = np.asarray(prep_amplitudes, dtype=complex)
     if inputs.ndim != 2 or inputs.shape[1] != 2:
         raise ValueError(f"inputs must be an (N, 2) stack of one-qubit states, got shape {inputs.shape}")
-    if prep.shape != (4,):
-        raise ValueError(f"preparation must be 4 amplitudes, got shape {prep.shape}")
+    n = inputs.shape[0]
+    if prep.shape not in ((4,), (n, 4)):
+        raise ValueError(
+            f"preparation must be 4 amplitudes or ({n}, 4), one row per input, got shape {prep.shape}"
+        )
     check_unit_norm(inputs)
     check_unit_norm(prep)
-    n = inputs.shape[0]
 
-    joint = (inputs[:, :, None] * prep).reshape(n, 8)[:, _NETWORK_PERMUTATION]
+    joint = (inputs[:, :, None] * prep[..., None, :]).reshape(n, 8)[:, _NETWORK_PERMUTATION]
     check_unit_norm(joint)
     rho_joint = _outer(joint)
     check_density(rho_joint)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cloner import cloning_network
 from .qstate import ACCUMULATED_TOL as BELL_DIAGONAL_TOL
-from .qstate import StateVector, reorder, tensor
+from .qstate import StateVector, check_unit_norm, reorder, tensor
 
 BELL_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
@@ -42,8 +42,7 @@ class BellCoefficients:
     x4: complex
 
     def __post_init__(self):
-        # the state it expands to checks the norm
-        bell_expand(self)
+        check_unit_norm(_BELL_MATRIX @ self.as_array())
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3, self.x4], dtype=complex)

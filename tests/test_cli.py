@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,7 +9,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from asymclone import cli
 from asymclone.cli import CSV_HEADER, main
+from asymclone.cloner import clone_batch, feasibility, probe_states, solve_prep
 
 
 def run_cli(*argv):
@@ -478,3 +481,73 @@ def test_sweep_and_verify_arguments_always_end_cleanly():
             assert out.startswith(CSV_HEADER + "\n")
 
     check()
+
+
+def _sweep_rows_one_call_per_row(step):
+    """sweep_rows with one clone_batch call on the six probes per feasible row."""
+    probes = np.array([p.amplitudes for p in probe_states()])
+    num = cli._csv_num
+    rows = []
+    for s0 in cli._sweep_values(step):
+        for s1 in cli._sweep_values(step):
+            pair = feasibility(s0, s1)
+            lead = [num(s0), num(s1), "true" if pair.feasible else "false", num(pair.margin)]
+            if not pair.feasible:
+                rows.append(",".join(lead + [""] * 8))
+                continue
+            prep = solve_prep(pair)
+            batch = clone_batch(probes, prep.as_amplitudes)
+            fidelity0, fidelity1 = batch.fidelity[0]
+            columns = (prep.c1, prep.c2, prep.c4, prep.theta2, prep.theta4, fidelity0, fidelity1)
+            rows.append(",".join(lead + [num(x) for x in columns] + [num(batch.residual.max())]))
+    return rows
+
+
+@pytest.mark.parametrize("block", [1, 7, 157, 256, 314, 1000])
+def test_sweep_blocks_match_one_kernel_call_per_row(monkeypatch, block):
+    # step 0.05 has 314 feasible rows: blocks of 157 and 314 leave no partial
+    # block, 7 and 256 leave one, and 1000 is never filled
+    reference = _sweep_rows_one_call_per_row(0.05)
+    assert sum(",true," in row for row in reference) == 314
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
+    assert cli.sweep_rows(0.05) == reference
+
+
+def _run_on_a_fresh_parser(argv):
+    """run_cli's (exit code, stdout, stderr) with a newly built parser."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = cli.build_parser().parse_args(list(argv))
+            code = args.func(args)
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_kept_parser_answers_like_a_fresh_one():
+    rng = random.Random(6)
+
+    def number():
+        return rng.choice([f"{rng.random():.4f}", f"{rng.randint(0, 3)}/3", "-0.5", "2", "x", "nan", "1/0"])
+
+    def state():
+        return rng.choice(["0", "+i", "-", "1,2", "0.3,0.1,-0.2,0.4", "0,0,0,0", "zz", "nan,1"])
+
+    makers = [
+        lambda: ["solve", number(), number()],
+        lambda: ["solve", number(), number(), "--format", rng.choice(["text", "json", "xml"])],
+        lambda: ["clone", f"--state={state()}", "--s0", number(), "--s1", number()],
+        lambda: ["clone", "--s0", number(), "--s1", number()],
+        lambda: ["pauli", "--"] + [rng.choice(["1", "0", "0.5,0.5", "2,-1", "x", "nan"]) for _ in range(4)],
+        lambda: ["sweep", "--step", rng.choice(["0.5", "1/3", "0.25", "0.0001", "x"])],
+        lambda: ["verify", "--trials", rng.choice(["1", "2", "0", "x"]), "--seed", rng.choice(["3", "-1"])],
+        lambda: rng.choice([["-h"], ["solve", "-h"], ["sweep", "--help"], [], ["bogus"], ["solve", "1"]]),
+    ]
+    codes = set()
+    for _ in range(300):
+        argv = rng.choice(makers)()
+        kept = run_cli(*argv)
+        assert kept == _run_on_a_fresh_parser(argv), argv
+        codes.add(kept[0])
+    assert codes == {0, 1, 2}

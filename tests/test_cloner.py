@@ -323,6 +323,36 @@ class TestCloneBatch:
         with pytest.raises(ValueError, match=r"\(N, 2\)"):
             clone_batch(inputs[0], [1.0, 0.0, 0.0, 0.0])
 
+    def test_one_preparation_per_row_matches_one_call_per_row(self):
+        rng = np.random.default_rng(31)
+        pairs = [(0.4, 0.7), (0.5, 0.5), (0.9, 0.05), (0.2, 0.8)]
+        preps = _reference_preparations() + [solve_prep(feasibility(*pair)).as_amplitudes for pair in pairs]
+        preps = np.array([preps[k] for k in rng.permutation(60) % len(preps)])
+        inputs = np.array([random_state(("a0",), rng).amplitudes for _ in range(len(preps))])
+        batch = clone_batch(inputs, preps)
+        for k in range(len(preps)):
+            single = clone_batch(inputs[k : k + 1], preps[k])
+            for key in ("joint", "rho", "s_est", "residual", "isotropy", "fidelity"):
+                assert np.array_equal(getattr(batch, key)[k], getattr(single, key)[0]), (k, key)
+
+    @pytest.mark.parametrize("bad_row", ["nan", "off-norm"])
+    def test_one_bad_preparation_row_fails_the_stack(self, bad_row):
+        inputs = np.array([probe.amplitudes for probe in probe_states()])
+        preps = np.tile(solve_prep(feasibility(0.5, 0.5)).as_amplitudes, (len(inputs), 1))
+        if bad_row == "nan":
+            preps[4, 1] = np.nan
+        else:
+            preps[4] *= 1.001
+        with pytest.raises(ValueError, match="not normalized"):
+            clone_batch(inputs, preps)
+
+    @pytest.mark.parametrize("rows", [1, 5, 7])
+    def test_preparation_rows_must_match_the_input_rows(self, rows):
+        inputs = np.array([probe.amplitudes for probe in probe_states()])
+        preps = np.tile(solve_prep(feasibility(0.5, 0.5)).as_amplitudes, (rows, 1))
+        with pytest.raises(ValueError, match=r"\(6, 4\), one row per input"):
+            clone_batch(inputs, preps)
+
 
 class TestVerifyScaling:
     def test_valid_cloner_passes(self):
