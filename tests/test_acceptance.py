@@ -37,8 +37,8 @@ def test_criterion_2_identity_channel():
     for _ in range(100):
         psi = random_state(("a0",), rng)
         out = run_cloner(psi, prep)
-        worst0 = max(worst0, float(np.max(np.abs(out.rho_a0.entries - to_density(psi).entries))))
-        worst1 = max(worst1, float(np.max(np.abs(out.rho_a1.entries - 0.5 * np.eye(2)))))
+        worst0 = max(worst0, float(np.max(np.abs(out.rho_a0 - to_density(psi).entries))))
+        worst1 = max(worst1, float(np.max(np.abs(out.rho_a1 - 0.5 * np.eye(2)))))
     ok = worst0 < 1e-12 and worst1 < 1e-12
     _report(2, ok, f"(s0,s1)=(1,0): original deviation {worst0:.2e}, copy from 1/2 {worst1:.2e}")
 
@@ -50,7 +50,7 @@ def test_criterion_3_swap_channel():
     for _ in range(100):
         psi = random_state(("a0",), rng)
         out = run_cloner(psi, prep)
-        worst = max(worst, float(np.max(np.abs(out.rho_a1.entries - to_density(psi).entries))))
+        worst = max(worst, float(np.max(np.abs(out.rho_a1 - to_density(psi).entries))))
     _report(3, worst < 1e-12, f"(s0,s1)=(0,1): copy deviation from input {worst:.2e}")
 
 

@@ -341,6 +341,17 @@ def test_stdout_is_byte_identical_to_the_reference():
         ("clone", "--state=0.7,2.1", "--s0", "0.9", "--s1", "0.2"): (
             "e73d2c90efb81d70e66f490f3ffef8959cdb63c96caab2563b625ce0e2ab7524"
         ),
+        # complex Bell coefficients print the network's off-diagonal round-off
+        ("pauli", "0.3", "0.4", "0.1,0.5", "0.2"): (
+            "ca9e8e21ff78c60b3bca917b2c5ff5566f76a24b0ca11087c78c86e30803deff"
+        ),
+        ("pauli", "0.3", "0.4,0.1", "0.5", "0.2"): (
+            "98984a1bf0614417499e939affff12be8fbd9dc66eb3b3d6bc6bce200f6c2ecd"
+        ),
+        ("solve", "0.8", "0.4"): "121d0cd79a45924425386b50cb7b8623c6a3f562583b2ad9a7894bb915013ad3",
+        ("solve", "0.8", "0.4", "--format", "json"): (
+            "bfd6d84019c26155deb6d5c9a5e8e8c339e5210a375197c19638ef644f074f35"
+        ),
     }
     for argv, digest in expected.items():
         code, out, _ = run_cli(*argv)

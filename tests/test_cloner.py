@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from asymclone.cloner import (
+    NETWORK_LABELS,
     InfeasibleScalingError,
     PrepState,
     ScalingPair,
+    _outer,
     clone_batch,
     cloning_network,
     feasibility,
@@ -19,6 +21,7 @@ from asymclone.qstate import (
     ROUNDOFF_TOL,
     StateVector,
     bloch_vector,
+    check_density,
     fidelity_pure,
     named_state,
     partial_trace,
@@ -29,6 +32,15 @@ from asymclone.qstate import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def _branches(prep):
+    """prep under each sign of theta2 and theta4, solve_prep's minus signs first."""
+    return [
+        replace(prep, theta2=sign2 * prep.theta2, theta4=sign4 * prep.theta4)
+        for sign2 in (1.0, -1.0)
+        for sign4 in (1.0, -1.0)
+    ]
 
 
 def _boundary_point(t):
@@ -123,14 +135,9 @@ class TestSolvePrep:
         with pytest.raises(InfeasibleScalingError, match="infeasible"):
             solve_prep(feasibility(0.9, 0.9))
 
-    def test_rejects_bad_branch_name(self):
-        with pytest.raises(ValueError, match="branch"):
-            solve_prep(feasibility(0.5, 0.5), branch2="up")
-
     def test_explicit_branches_set_phase_signs(self):
-        pair = feasibility(0.5, 0.5)
-        minus = solve_prep(pair, "minus", "minus")
-        plus = solve_prep(pair, "plus", "plus")
+        minus = solve_prep(feasibility(0.5, 0.5))
+        plus = replace(minus, theta2=-minus.theta2, theta4=-minus.theta4)
         assert minus.theta2 < 0 < plus.theta2
         assert minus.theta4 < 0 < plus.theta4
         assert plus.theta2 == pytest.approx(-minus.theta2)
@@ -138,20 +145,10 @@ class TestSolvePrep:
     def test_all_four_branches_are_valid_cloners(self):
         # the reduced outputs depend on phases only through cosines, so every
         # sign combination reproduces the scaled form
-        pair = feasibility(0.4, 0.7)
-        for b2 in ("minus", "plus"):
-            for b4 in ("minus", "plus"):
-                prep = solve_prep(pair, b2, b4)
-                for probe in probe_states():
-                    out = run_cloner(probe, prep)
-                    assert max(out.residual0, out.residual1) < 1e-8
-
-    def test_default_branch_is_minus_minus(self):
-        pair = feasibility(0.5, 0.5)
-        auto = solve_prep(pair)
-        explicit = solve_prep(pair, "minus", "minus")
-        assert auto.theta2 == explicit.theta2
-        assert auto.theta4 == explicit.theta4
+        for prep in _branches(solve_prep(feasibility(0.4, 0.7))):
+            for probe in probe_states():
+                out = run_cloner(probe, prep)
+                assert max(out.residual0, out.residual1) < 1e-8
 
     def test_prep_state_validation(self):
         with pytest.raises(ValueError, match="outside"):
@@ -170,7 +167,7 @@ class TestSolvePrep:
         with pytest.raises(ValueError, match="not normalized"):
             PrepState(c1=np.sqrt(0.5 + 2.5e-11), c2=0.5, c4=0.5, theta1=0.0, theta2=0.0, theta4=0.0)
         prep = PrepState(c1=np.sqrt(0.5 + 2.5e-13), c2=0.5, c4=0.5, theta1=0.0, theta2=0.0, theta4=0.0)
-        assert run_cloner(named_state("0", "a0"), prep).joint.n_qubits == 3
+        assert run_cloner(named_state("0", "a0"), prep).joint.shape == (8,)
 
     def test_as_state_labels(self):
         prep = solve_prep(feasibility(0.5, 0.5))
@@ -183,8 +180,8 @@ class TestRunCloner:
         prep = solve_prep(feasibility(1, 0))
         psi = single_qubit(0.6, 0.8, "a0")
         out = run_cloner(psi, prep)
-        assert np.max(np.abs(out.rho_a0.entries - to_density(psi).entries)) < 1e-12
-        assert np.max(np.abs(out.rho_a1.entries - 0.5 * np.eye(2))) < 1e-12
+        assert np.max(np.abs(out.rho_a0 - to_density(psi).entries)) < 1e-12
+        assert np.max(np.abs(out.rho_a1 - 0.5 * np.eye(2))) < 1e-12
         assert out.s0_est == pytest.approx(1.0, abs=1e-12)
         assert out.s1_est == pytest.approx(0.0, abs=1e-12)
 
@@ -194,16 +191,16 @@ class TestRunCloner:
         for _ in range(20):
             psi = random_state(("a0",), rng)
             out = run_cloner(psi, prep)
-            assert np.max(np.abs(out.rho_a1.entries - to_density(psi).entries)) < 1e-12
-            assert np.max(np.abs(out.rho_a0.entries - 0.5 * np.eye(2))) < 1e-12
+            assert np.max(np.abs(out.rho_a1 - to_density(psi).entries)) < 1e-12
+            assert np.max(np.abs(out.rho_a0 - 0.5 * np.eye(2))) < 1e-12
             assert out.s1_est == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_cloner_on_basis_input(self):
         prep = solve_prep(feasibility(2 / 3, 2 / 3))
         out = run_cloner(named_state("0", "a0"), prep)
         expected = np.diag([5.0 / 6.0, 1.0 / 6.0])
-        assert np.max(np.abs(out.rho_a0.entries - expected)) < 1e-10
-        assert np.max(np.abs(out.rho_a1.entries - expected)) < 1e-10
+        assert np.max(np.abs(out.rho_a0 - expected)) < 1e-10
+        assert np.max(np.abs(out.rho_a1 - expected)) < 1e-10
 
     def test_universality_of_estimates(self):
         pair = feasibility(0.55, 0.6)
@@ -228,8 +225,9 @@ class TestRunCloner:
 
     def test_joint_register_and_norm(self):
         out = run_cloner(named_state("+i", "a0"), solve_prep(feasibility(0.5, 0.5)))
-        assert out.joint.labels == ("a0", "a1", "b1")
-        assert np.linalg.norm(out.joint.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        assert NETWORK_LABELS == ("a0", "a1", "b1")
+        assert out.joint.shape == (2 ** len(NETWORK_LABELS),)
+        assert np.linalg.norm(out.joint) == pytest.approx(1.0, abs=1e-12)
 
     def test_accepts_raw_two_qubit_prep(self):
         prep = solve_prep(feasibility(1, 0))
@@ -237,7 +235,7 @@ class TestRunCloner:
         psi = named_state("+", "a0")
         direct = run_cloner(psi, prep)
         via_raw = run_cloner(psi, raw)
-        assert np.allclose(direct.joint.amplitudes, via_raw.joint.amplitudes, atol=1e-15)
+        assert np.allclose(direct.joint, via_raw.joint, atol=1e-15)
 
     def test_input_validation(self):
         prep = solve_prep(feasibility(0.5, 0.5))
@@ -272,11 +270,7 @@ def _per_object_clone(input_amplitudes, prep_amplitudes):
 def _reference_preparations():
     # all four phase-sign branches of a generic pair, the three corner pairs
     # and a raw preparation outside the solved form (nonzero |10> amplitude)
-    preps = [
-        solve_prep(feasibility(0.4, 0.7), b2, b4).as_amplitudes
-        for b2 in ("minus", "plus")
-        for b4 in ("minus", "plus")
-    ]
+    preps = [prep.as_amplitudes for prep in _branches(solve_prep(feasibility(0.4, 0.7)))]
     preps += [solve_prep(feasibility(s0, s1)).as_amplitudes for s0, s1 in ((1, 0), (0, 1), (2 / 3, 2 / 3))]
     injected = solve_prep(feasibility(0.5, 0.5)).as_amplitudes.copy()
     injected[2] = 0.5
@@ -299,9 +293,9 @@ class TestCloneBatch:
         psi = random_state(("a0",), np.random.default_rng(30))
         out = run_cloner(psi, prep)
         batch = clone_batch(psi.amplitudes[None, :], prep.as_amplitudes)
-        assert np.array_equal(out.joint.amplitudes, batch.joint[0])
-        assert np.array_equal(out.rho_a0.entries, batch.rho[0, 0])
-        assert np.array_equal(out.rho_a1.entries, batch.rho[0, 1])
+        assert np.array_equal(out.joint, batch.joint[0])
+        assert np.array_equal(out.rho_a0, batch.rho[0, 0])
+        assert np.array_equal(out.rho_a1, batch.rho[0, 1])
         assert [out.s0_est, out.s1_est] == batch.s_est[0].tolist()
         assert [out.residual0, out.residual1] == batch.residual[0].tolist()
         assert [out.isotropy0, out.isotropy1] == batch.isotropy[0].tolist()
@@ -352,6 +346,30 @@ class TestCloneBatch:
         preps = np.tile(solve_prep(feasibility(0.5, 0.5)).as_amplitudes, (rows, 1))
         with pytest.raises(ValueError, match=r"\(6, 4\), one row per input"):
             clone_batch(inputs, preps)
+
+
+def test_projector_of_a_norm_checked_state_is_a_density_matrix():
+    # clone_batch checks the joint state's norm and not its projector: every
+    # stack within half the norm tolerance must give valid density matrices
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    part = st.floats(-1.0, 1.0)
+    stacks = st.integers(1, 8).flatmap(
+        lambda dim: st.lists(st.lists(st.tuples(part, part), min_size=dim, max_size=dim), min_size=1, max_size=4)
+    )
+    pulls = st.floats(-ROUNDOFF_TOL / 2, ROUNDOFF_TOL / 2)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(stacks, pulls)
+    def check(rows, pull):
+        amps = np.array([[complex(re, im) for re, im in row] for row in rows])
+        with np.errstate(all="ignore"):
+            amps = amps / np.linalg.norm(amps, axis=-1, keepdims=True) * np.sqrt(1.0 + pull)
+        norm_error = np.abs((np.abs(amps) ** 2).sum(axis=-1) - 1.0)
+        hypothesis.assume((norm_error <= ROUNDOFF_TOL / 2).all())
+        check_density(_outer(amps))
+
+    check()
 
 
 class TestVerifyScaling:
