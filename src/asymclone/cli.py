@@ -9,26 +9,35 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import cloner, pauli, qstate
-from .gates import apply_circuit, apply_cnot, apply_hadamard, apply_ry, apply_rz, prepare_two_qubit
+from .gates import _H, cnot_rows, gate_rows, ry_matrix, rz_matrix, synthesis_rows, synthesized_rows
 from .qstate import (
     _NAMED_AMPLITUDES,
     StateVector,
-    basis_state,
-    bloch_vector,
-    from_bloch,
+    bloch_rows,
+    check_bloch_length,
+    check_density,
+    check_unit_norm,
+    from_bloch_rows,
+    kept_labels,
     named_state,
-    overlap,
-    partial_trace,
-    random_state,
-    reorder,
-    tensor,
-    to_density,
+    norm_rows,
+    overlap_rows,
+    partial_trace_rows,
+    projector_rows,
+    random_rows,
+    reorder_rows,
+    tensor_rows,
 )
+
+# bench/test_bench.py checks that tracing rebinds these names in this module
+from .gates import apply_cnot  # noqa: F401
+from .qstate import partial_trace, reorder, tensor, to_density  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,11 +46,14 @@ EXIT_INFEASIBLE = 2
 CSV_HEADER = "s0,s1,feasible,margin,c1,c2,c4,theta2,theta4,fidelity0,fidelity1,residual_max"
 # bounds the sweep grid at 1001 x 1001 points
 MIN_STEP = 0.001
-# bounds a verify run at a few minutes
+# bounds a verify run at about ten seconds of work
 MAX_TRIALS = 100_000
 # feasible sweep rows per clone_batch call: enough to spread the kernel's
 # fixed cost thin, few enough that its 8x8 stack (6 probes a row) stays 1.5 MB
 _SWEEP_BLOCK = 256
+# verify trials per stacked pass: enough to spread numpy's per-call cost
+# thin, few enough that a suite's largest stack (8x8 per trial) stays 1 MB
+_VERIFY_CHUNK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -245,11 +257,12 @@ def _fill_rows(rows: list[str], queued: list[tuple[int, str, np.ndarray]], probe
     queued.clear()
 
 
-def sweep_rows(step: float) -> list[str]:
-    """CSV rows for the full grid, s0 outer and s1 inner, ascending.
+def _sweep_blocks(step: float):
+    """The sweep's CSV rows in order, in lists complete up to each kernel call.
 
     Feasible rows queue up and go through the kernel _SWEEP_BLOCK at a time,
-    so the kernel's fixed cost is paid once per block, not once per row.
+    so the kernel's fixed cost is paid once per block, not once per row, and
+    no more than a block's rows are held at once.
     """
     probes = np.array([p.amplitudes for p in cloner.probe_states()])
     rows: list[str] = []
@@ -267,21 +280,33 @@ def sweep_rows(step: float) -> list[str]:
             rows.append("")
             if len(queued) == _SWEEP_BLOCK:
                 _fill_rows(rows, queued, probes)
+                yield rows
+                rows = []
     _fill_rows(rows, queued, probes)
-    return rows
+    yield rows
+
+
+def sweep_rows(step: float) -> list[str]:
+    """CSV rows for the full grid, s0 outer and s1 inner, ascending."""
+    return [row for block in _sweep_blocks(step) for row in block]
+
+
+def _write_sweep(handle, step: float) -> None:
+    handle.write(CSV_HEADER + "\n")
+    for block in _sweep_blocks(step):
+        handle.write("".join(row + "\n" for row in block))
 
 
 def _cmd_sweep(args) -> int:
     if not MIN_STEP <= args.step <= 0.5:
         print(f"sweep: step must lie in [{MIN_STEP}, 0.5]", file=sys.stderr)
         return EXIT_USAGE
-    text = "\n".join([CSV_HEADER] + sweep_rows(args.step)) + "\n"
     if args.out == "-":
-        sys.stdout.write(text)
+        _write_sweep(sys.stdout, args.step)
         return EXIT_OK
     try:
         with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+            _write_sweep(handle, args.step)
     except OSError as exc:
         print(f"sweep: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -312,71 +337,139 @@ def _cmd_pauli(args) -> int:
     return EXIT_OK
 
 
-# Each suite runs one trial and yields (error, tolerance) per check; a check
-# fails unless error <= tolerance, so a NaN error is a failure.
+# Each suite is a pair of functions over a chunk of n trials. draw makes the
+# rng calls one trial at a time would make, in the same order, and returns
+# the trials' inputs as stacks; check runs the suite on those stacks and
+# yields (errors, tolerance) per check, one error per trial. A check fails
+# unless error <= tolerance, so a NaN error is a failure. The validity rules
+# the object functions apply (unit norm, density, Bloch length) run on every
+# stack a check reads, so an invalid state raises ValueError as before.
 
 
-def _suite_state_algebra(rng: np.random.Generator):
-    single = random_state(("q0",), rng)
-    double = random_state(("q1", "q2"), rng)
-    joint = tensor(single, double)
-    yield abs(float(np.linalg.norm(joint.amplitudes)) - 1.0), qstate.ROUNDOFF_TOL
-    back = reorder(reorder(joint, ("q2", "q0", "q1")), joint.labels)
-    yield float(np.max(np.abs(back.amplitudes - joint.amplitudes))), qstate.ROUNDOFF_TOL
-    yield abs(abs(overlap(joint, back)) - 1.0), qstate.ROUNDOFF_TOL
-    rho = to_density(single)
-    rebuilt = from_bloch(bloch_vector(rho), "q0")
-    yield float(np.max(np.abs(rebuilt.entries - rho.entries))), qstate.ROUNDOFF_TOL
-    reduced = partial_trace(to_density(joint), ["q0", "q2"])
-    yield float(reduced.labels != ("q0", "q2")), 0.0
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z|, as abs() of a Python complex gives it (np.abs differs in the last bit)."""
+    return np.hypot(z.real, z.imag)
 
 
-def _suite_gates(rng: np.random.Generator):
-    psi = random_state(("x", "y", "z"), rng)
-    twice = apply_cnot(apply_cnot(psi, "x", "z"), "x", "z")
-    yield float(np.max(np.abs(twice.amplitudes - psi.amplitudes))), qstate.ROUNDOFF_TOL
-    squared = apply_hadamard(apply_hadamard(psi, "y"), "y")
-    yield float(np.max(np.abs(squared.amplitudes - psi.amplitudes))), qstate.ROUNDOFF_TOL
-    rotated = apply_ry(psi, "x", float(rng.uniform(-np.pi, np.pi)))
-    rotated = apply_rz(rotated, "z", float(rng.uniform(-np.pi, np.pi)))
-    yield abs(float(np.linalg.norm(rotated.amplitudes)) - 1.0), qstate.ROUNDOFF_TOL
-    raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    target, circuit = prepare_two_qubit(raw / np.linalg.norm(raw))
-    built = apply_circuit(basis_state("00", ("a1", "b1")), circuit)
-    yield abs(abs(overlap(target, built)) - 1.0), qstate.ACCUMULATED_TOL
+def _draw_state_algebra(rng: np.random.Generator, n: int):
+    """random_state on q0, then on (q1, q2): 12 normals a trial, drawn in one call."""
+    normals = rng.standard_normal((n, 12))
+    return random_rows(normals[:, :4]), random_rows(normals[:, 4:])
 
 
-def _suite_cloner(rng: np.random.Generator):
-    while True:
-        s0, s1 = rng.uniform(0.0, 1.0, size=2)
-        pair = cloner.feasibility(float(s0), float(s1))
-        if pair.feasible:
-            break
-    prep = cloner.solve_prep(pair)
-    inputs = [random_state(("a0",), rng).amplitudes for _ in range(2)]
-    batch = cloner.clone_batch(np.array(inputs), prep.as_amplitudes)
-    target = np.array([pair.s0, pair.s1])
+def _check_state_algebra(single: np.ndarray, double: np.ndarray):
+    check_unit_norm(single)
+    check_unit_norm(double)
+    labels = ("q0", "q1", "q2")
+    joint = tensor_rows(single, double)
+    check_unit_norm(joint)
+    yield np.abs(norm_rows(joint) - 1.0), qstate.ROUNDOFF_TOL
+    # to (q2, q0, q1) and back
+    shuffled = reorder_rows(joint, (2, 0, 1))
+    check_unit_norm(shuffled)
+    back = reorder_rows(shuffled, (1, 2, 0))
+    check_unit_norm(back)
+    yield np.abs(back - joint).max(axis=-1), qstate.ROUNDOFF_TOL
+    yield np.abs(_modulus(overlap_rows(joint, back)) - 1.0), qstate.ROUNDOFF_TOL
+    rho = projector_rows(single)
+    check_density(rho)
+    m = bloch_rows(rho)
+    check_bloch_length(m)
+    rebuilt = from_bloch_rows(m)
+    check_density(rebuilt)
+    yield np.abs(rebuilt - rho).max(axis=(-2, -1)), qstate.ROUNDOFF_TOL
+    rho_joint = projector_rows(joint)
+    check_density(rho_joint)
+    kept = kept_labels(labels, ["q0", "q2"])
+    check_density(partial_trace_rows(rho_joint, [labels.index(label) for label in kept]))
+    yield np.full(len(joint), float(kept != ("q0", "q2"))), 0.0
+
+
+def _draw_gates(rng: np.random.Generator, n: int):
+    """Per trial: random_state on (x, y, z), two uniform angles, four complex normals."""
+    states, angles, raw = np.empty((n, 16)), np.empty((n, 2)), np.empty((n, 8))
+    for t in range(n):
+        states[t] = rng.standard_normal(16)
+        angles[t] = rng.uniform(-np.pi, np.pi, size=2)
+        raw[t] = rng.standard_normal(8)
+    return random_rows(states), angles, random_rows(raw)
+
+
+def _check_gates(psi: np.ndarray, angles: np.ndarray, raw: np.ndarray):
+    # x, y, z are axes 0, 1, 2
+    check_unit_norm(psi)
+    twice = cnot_rows(cnot_rows(psi, 0, 2), 0, 2)
+    check_unit_norm(twice)
+    yield np.abs(twice - psi).max(axis=-1), qstate.ROUNDOFF_TOL
+    squared = gate_rows(gate_rows(psi, 1, _H), 1, _H)
+    check_unit_norm(squared)
+    yield np.abs(squared - psi).max(axis=-1), qstate.ROUNDOFF_TOL
+    rotated = gate_rows(gate_rows(psi, 0, ry_matrix(angles[:, 0])), 2, rz_matrix(angles[:, 1]))
+    check_unit_norm(rotated)
+    yield np.abs(norm_rows(rotated) - 1.0), qstate.ROUNDOFF_TOL
+    target, circuit = synthesis_rows(raw)
+    check_unit_norm(target)
+    built = synthesized_rows(circuit)
+    check_unit_norm(built)
+    yield np.abs(_modulus(overlap_rows(target, built)) - 1.0), qstate.ACCUMULATED_TOL
+
+
+def _draw_cloner(rng: np.random.Generator, n: int):
+    """Per trial: uniform pairs until one is feasible, then random_state on a0 twice."""
+    pairs, normals = [], np.empty((n, 2, 4))
+    for t in range(n):
+        while True:
+            s0, s1 = rng.uniform(0.0, 1.0, size=2)
+            pair = cloner.feasibility(float(s0), float(s1))
+            if pair.feasible:
+                break
+        pairs.append(pair)
+        normals[t] = rng.standard_normal(8).reshape(2, 4)
+    return pairs, random_rows(normals)
+
+
+def _check_cloner(pairs: list[cloner.ScalingPair], inputs: np.ndarray):
+    n = len(pairs)
+    preps = np.array([cloner.solve_prep(pair).as_amplitudes for pair in pairs])
+    batch = cloner.clone_batch(inputs.reshape(2 * n, 2), np.repeat(preps, 2, axis=0))
+    # axes: trial, input, clone
+    s_est = batch.s_est.reshape(n, 2, 2)
+    target = np.array([[pair.s0, pair.s1] for pair in pairs])[:, None, :]
+    # the scaled-output form: every residual and isotropy error in tolerance
+    scaled = np.maximum(batch.residual, batch.isotropy).reshape(n, 2, 2).max(axis=-1)
+    shrink = np.abs(s_est - target).max(axis=-1)
+    fidelity = np.abs(batch.fidelity.reshape(n, 2, 2) - 0.5 * (1.0 + s_est)).max(axis=-1)
     for k in range(2):
-        # the scaled-output form: every residual and isotropy error in tolerance
-        yield float(np.max([batch.residual[k], batch.isotropy[k]])), qstate.ESTIMATE_TOL
-        yield float(np.max(np.abs(batch.s_est[k] - target))), qstate.ESTIMATE_TOL
-        yield float(np.max(np.abs(batch.fidelity[k] - 0.5 * (1.0 + batch.s_est[k])))), qstate.ESTIMATE_TOL
+        yield scaled[:, k], qstate.ESTIMATE_TOL
+        yield shrink[:, k], qstate.ESTIMATE_TOL
+        yield fidelity[:, k], qstate.ESTIMATE_TOL
 
 
-def _suite_pauli(rng: np.random.Generator):
-    raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    raw = raw / np.linalg.norm(raw)
-    matrix, max_off = pauli.bell_output(pauli.BellCoefficients(*raw))
+def _draw_pauli(rng: np.random.Generator, n: int):
+    """Per trial: four complex normals, normalized; 8 normals a trial, drawn in one call."""
+    return (random_rows(rng.standard_normal((n, 8))),)
+
+
+def _check_pauli(raw: np.ndarray):
+    # BellCoefficients' rule
+    check_unit_norm(pauli.expand_rows(raw))
+    matrix, max_off = pauli.bell_output_rows(raw)
     yield max_off, pauli.BELL_DIAGONAL_TOL
-    yield float(np.max(np.abs(np.diag(matrix) - raw))), qstate.ACCUMULATED_TOL
+    yield np.abs(np.diagonal(matrix, axis1=-2, axis2=-1) - raw).max(axis=-1), qstate.ACCUMULATED_TOL
 
 
 _SUITES = (
-    ("state-algebra", _suite_state_algebra),
-    ("gates", _suite_gates),
-    ("cloner", _suite_cloner),
-    ("pauli", _suite_pauli),
+    ("state-algebra", _draw_state_algebra, _check_state_algebra),
+    ("gates", _draw_gates, _check_gates),
+    ("cloner", _draw_cloner, _check_cloner),
+    ("pauli", _draw_pauli, _check_pauli),
 )
+
+
+def _suite_errors(rng: np.random.Generator, trials: int, draw, check):
+    """(errors, tolerance) per check of each chunk of at most _VERIFY_CHUNK trials."""
+    for start in range(0, trials, _VERIFY_CHUNK):
+        yield from check(*draw(rng, min(_VERIFY_CHUNK, trials - start)))
 
 
 def _cmd_verify(args) -> int:
@@ -391,11 +484,14 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     total_checks = total_failures = 0
-    for name, suite in _SUITES:
-        failed = [not err <= tol for _ in range(args.trials) for err, tol in suite(rng)]
-        total_checks += len(failed)
-        total_failures += sum(failed)
-        print(f"suite {name}: {len(failed)} checks, {sum(failed)} failures")
+    for name, draw, check in _SUITES:
+        checks = failures = 0
+        for errors, tol in _suite_errors(rng, args.trials, draw, check):
+            checks += errors.size
+            failures += int(np.count_nonzero(~(errors <= tol)))
+        total_checks += checks
+        total_failures += failures
+        print(f"suite {name}: {checks} checks, {failures} failures")
     print(
         f"verify: {total_checks} checks, {total_failures} failures "
         f"(seed {args.seed}, trials {args.trials})"
@@ -450,7 +546,17 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # a closed pipe raises here, where it can be handled, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point stdout at devnull so the flush
+        # at interpreter exit cannot raise again (Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("asymclone: stdout closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -26,15 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import apply_cnot
+from .gates import apply_cnot, cnot_rows
 from .qstate import (
     _NAMED_AMPLITUDES,
     ROUNDOFF_TOL,
     StateVector,
+    _dot,
+    bloch_rows,
     check_bloch_length,
     check_density,
     check_unit_norm,
+    fidelity_rows,
     named_state,
+    partial_trace_rows,
+    projector_rows,
+    tensor_rows,
 )
 
 # the per-object steps clone_batch reproduces; bench/test_bench.py checks
@@ -48,15 +54,13 @@ NETWORK_LABELS = ("a0", "a1", "b1")
 def _network_permutation() -> np.ndarray:
     """perm with joint = amplitudes[perm] for the four CNOTs on (a0, a1, b1).
 
-    Each CNOT flips the target bit of every basis index whose control bit is
-    set (bit k, most significant first, belongs to NETWORK_LABELS[k]); the
-    amplitude of index i ends up at image[i].
+    cnot_rows only moves entries, so running the gates on the basis indices
+    themselves leaves each index where its amplitude ends up.
     """
-    bit = {label: 1 << (len(NETWORK_LABELS) - 1 - k) for k, label in enumerate(NETWORK_LABELS)}
-    image = np.arange(2 ** len(NETWORK_LABELS))
+    perm = np.arange(2 ** len(NETWORK_LABELS))
     for control, target in NETWORK_ORDER:
-        image = np.where(image & bit[control], image ^ bit[target], image)
-    return np.argsort(image)
+        perm = cnot_rows(perm, NETWORK_LABELS.index(control), NETWORK_LABELS.index(target))
+    return perm
 
 
 _NETWORK_PERMUTATION = _network_permutation()
@@ -228,16 +232,6 @@ class CloneBatch:
     fidelity: np.ndarray  # (N, 2)
 
 
-def _outer(amplitudes: np.ndarray) -> np.ndarray:
-    """|psi><psi| for each row, the product np.outer forms."""
-    return amplitudes[:, :, None] * amplitudes.conj()[:, None, :]
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product over the last axis, one 1-D @ per row."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     """Clone each row of an (N, 2) input stack in one pass.
 
@@ -246,11 +240,11 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     preparation per row.
     Every number is bit for bit what the per-object path (tensor, the four
     CNOTs, to_density, partial_trace, bloch_vector, fidelity_pure) gives
-    for that row: the kernel repeats its arithmetic step for step, with
-    np.trace in partial_trace's order and every dot product as a 1-D @ on
-    contiguous rows. Each rule runs on the whole stack, so one bad row raises
-    ValueError: unit norm of inputs, preparation and joint state; the density
-    rules on each input's projector and both clones; their Bloch lengths.
+    for that row: both run the same qstate stack functions, and the
+    kernel's one permutation moves the amplitudes where the CNOTs do. Each
+    rule runs on the whole stack, so one bad row raises ValueError: unit
+    norm of inputs, preparation and joint state; the density rules on each
+    input's projector and both clones; their Bloch lengths.
     The joint projector needs no density check: it is Hermitian and rank one
     by construction, with the joint's checked squared norm as its trace.
     """
@@ -266,23 +260,19 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     check_unit_norm(inputs)
     check_unit_norm(prep)
 
-    joint = (inputs[:, :, None] * prep[..., None, :]).reshape(n, 8)[:, _NETWORK_PERMUTATION]
+    joint = tensor_rows(inputs, prep)[:, _NETWORK_PERMUTATION]
     check_unit_norm(joint)
-    rho_joint = _outer(joint)
-    # partial_trace traces b1 first, then a1 (keeping a0) or a0 (keeping a1).
+    # partial_trace traces b1 first, then a1 (keeping a0) or a0 (keeping a1),
+    # so tracing out b1 once and the other clone from that gives its bits
+    pair = partial_trace_rows(projector_rows(joint), [0, 1])
     # np.stack keeps the traces' strided layout; @ below needs C order, since
     # on strided operands it takes another path whose last bits differ
-    work = np.trace(rho_joint.reshape((n,) + (2,) * 6), axis1=3, axis2=6)
-    rho = np.ascontiguousarray(
-        np.stack([np.trace(work, axis1=2, axis2=4), np.trace(work, axis1=1, axis2=3)], axis=1)
-    )
-    rho_in = _outer(inputs)
+    rho = np.ascontiguousarray(np.stack([partial_trace_rows(pair, [k]) for k in range(2)], axis=1))
+    rho_in = projector_rows(inputs)
     states = np.concatenate([rho_in[:, None], rho], axis=1)
     check_density(states)
 
-    # bloch_vector of rho_in, rho_a0 and rho_a1
-    lower = states[..., 1, 0]
-    m = np.stack([2.0 * lower.real, 2.0 * lower.imag, (states[..., 0, 0] - states[..., 1, 1]).real], axis=-1)
+    m = bloch_rows(states)
     check_bloch_length(m)
     m_in, m_out = m[:, :1], m[:, 1:]
     # never near 0: a valid pure input has |m_in|^2 = (|a|^2 + |b|^2)^2
@@ -290,9 +280,7 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     expected = s_est[..., None, None] * rho_in[:, None] + (0.5 * (1.0 - s_est))[..., None, None] * np.eye(2)
     residual = np.abs(rho - expected).max(axis=(-2, -1))
     isotropy = np.abs(m_out - s_est[..., None] * m_in).max(axis=-1)
-    # fidelity_pure: <psi| (rho @ |psi>)
-    psi = inputs[:, None, :]
-    fidelity = _dot(psi.conj(), (rho @ psi[..., None])[..., 0]).real
+    fidelity = fidelity_rows(inputs[:, None, :], rho)
     return CloneBatch(joint, rho, s_est, residual, isotropy, fidelity)
 
 

@@ -1,8 +1,8 @@
 """Gates on named qubits and synthesis of arbitrary two-qubit states.
 
-Gates act on labels, not indices, and never build a 2^n x 2^n matrix: the
-amplitude vector is reshaped to one axis per qubit and the 2x2 (or the
-CNOT slice flip) is applied along the relevant axis.
+Gates act on labels, not indices, and never build a 2^n x 2^n matrix: a
+CNOT is a permutation of the basis indices, and a one-qubit gate combines
+the two halves of the amplitude vector split along its qubit's bit.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import ACCUMULATED_TOL, ROUNDOFF_TOL, StateVector
+from .qstate import ACCUMULATED_TOL, ROUNDOFF_TOL, StateVector, _offender, norm_rows
 
 CNOT = "cnot"
 HADAMARD = "hadamard"
@@ -48,42 +48,67 @@ class GateApplication:
                 raise ValueError(f"{self.kind} takes no angle")
 
 
-def _apply_single(state: StateVector, target: str, matrix: np.ndarray) -> StateVector:
-    ax = state.axis(target)
-    work = state.amplitudes.reshape((2,) * state.n_qubits)
-    work = np.moveaxis(np.tensordot(matrix, np.moveaxis(work, ax, 0), axes=(1, 0)), 0, ax)
-    return StateVector(work.reshape(-1), state.labels)
+# The gates on (..., 2^n) amplitude stacks, qubits addressed by axis (0 is
+# the most significant index bit); the functions on named qubits below them
+# are validated wrappers calling them on one row.
+
+
+def cnot_rows(amplitudes: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Flip the target bit of every basis index whose control bit is 1.
+
+    A CNOT only moves entries along the last axis, so any array works: on
+    np.arange(2^n) it returns the index permutation itself.
+    """
+    n = amplitudes.shape[-1].bit_length() - 1
+    index = np.arange(2**n)
+    flip = np.where(index & (1 << (n - 1 - control)), index ^ (1 << (n - 1 - target)), index)
+    return amplitudes[..., flip]
+
+
+def gate_rows(amplitudes: np.ndarray, target: int, matrices: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 matrix to the target qubit of each row.
+
+    matrices is one (2, 2) matrix shared by every row or a (..., 2, 2)
+    stack, one per row.
+    """
+    work = amplitudes.reshape(amplitudes.shape[:-1] + (2**target, 1, 2, -1))
+    m = np.asarray(matrices)[..., None, :, :, None]
+    out = m[..., 0, :] * work[..., 0, :] + m[..., 1, :] * work[..., 1, :]
+    return out.reshape(out.shape[:-3] + (-1,))
+
+
+def ry_matrix(angle) -> np.ndarray:
+    """RY(angle) as a 2x2 matrix, or a (..., 2, 2) stack for an array of angles."""
+    half = 0.5 * np.asarray(angle, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    return np.stack([c, -s, s, c], axis=-1).reshape(half.shape + (2, 2)).astype(complex)
+
+
+def rz_matrix(angle) -> np.ndarray:
+    """RZ(angle) as a 2x2 matrix, or a (..., 2, 2) stack for an array of angles."""
+    half = 0.5 * np.asarray(angle, dtype=float)
+    lower, upper = np.exp(-1j * half), np.exp(1j * half)
+    zero = np.zeros_like(lower)
+    return np.stack([lower, zero, zero, upper], axis=-1).reshape(half.shape + (2, 2))
+
+
+_ROTATIONS = {RY: ry_matrix, RZ: rz_matrix}
 
 
 def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     """Flip the target qubit on every basis vector where the control is 1."""
     if control == target:
         raise ValueError("cnot needs distinct control and target labels")
-    c_ax = state.axis(control)
-    t_ax = state.axis(target)
-    work = state.amplitudes.reshape((2,) * state.n_qubits).copy()
-    picker: list[object] = [slice(None)] * state.n_qubits
-    picker[c_ax] = 1
-    # inside the control=1 slice one axis is gone, so the target axis shifts
-    sub_ax = t_ax - 1 if t_ax > c_ax else t_ax
-    work[tuple(picker)] = np.flip(work[tuple(picker)], axis=sub_ax)
-    return StateVector(work.reshape(-1), state.labels)
+    return StateVector(cnot_rows(state.amplitudes, state.axis(control), state.axis(target)), state.labels)
+
+
+def _apply_single(state: StateVector, target: str, matrix: np.ndarray) -> StateVector:
+    return StateVector(gate_rows(state.amplitudes, state.axis(target), matrix), state.labels)
 
 
 def apply_hadamard(state: StateVector, target: str) -> StateVector:
     """|0> -> (|0>+|1>)/sqrt2 and |1> -> (|0>-|1>)/sqrt2 on the target."""
     return _apply_single(state, target, _H)
-
-
-def ry_matrix(angle: float) -> np.ndarray:
-    half = 0.5 * angle
-    c, s = np.cos(half), np.sin(half)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rz_matrix(angle: float) -> np.ndarray:
-    half = 0.5 * angle
-    return np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]], dtype=complex)
 
 
 def apply_ry(state: StateVector, target: str, angle: float) -> StateVector:
@@ -110,29 +135,74 @@ def apply_circuit(state: StateVector, gates: Sequence[GateApplication]) -> State
     return state
 
 
-def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Angles (alpha, beta, gamma) with RZ(alpha) RY(beta) RZ(gamma) = u up to phase."""
+def zyz_angles(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles (alpha, beta, gamma) with RZ(alpha) RY(beta) RZ(gamma) = u up to phase.
+
+    u is one 2x2 unitary or a (..., 2, 2) stack; each angle has u's leading shape.
+    """
     u = np.asarray(u, dtype=complex)
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    v = u * np.exp(-0.5j * np.angle(det))
-    beta = 2.0 * np.arctan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[1, 0]) < ROUNDOFF_TOL:
-        alpha, gamma = 2.0 * np.angle(v[1, 1]), 0.0
-    elif abs(v[0, 0]) < ROUNDOFF_TOL:
-        alpha, gamma = 2.0 * np.angle(v[1, 0]), 0.0
-    else:
-        alpha = np.angle(v[1, 1]) + np.angle(v[1, 0])
-        gamma = np.angle(v[1, 1]) - np.angle(v[1, 0])
-    return float(alpha), float(beta), float(gamma)
+    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
+    v = u * np.exp(-0.5j * np.angle(det))[..., None, None]
+    upper, lower = np.abs(v[..., 0, 0]), np.abs(v[..., 1, 0])
+    beta = 2.0 * np.arctan2(lower, upper)
+    phase11, phase10 = np.angle(v[..., 1, 1]), np.angle(v[..., 1, 0])
+    diagonal, antidiagonal = lower < ROUNDOFF_TOL, upper < ROUNDOFF_TOL
+    alpha = np.where(diagonal, 2.0 * phase11, np.where(antidiagonal, 2.0 * phase10, phase11 + phase10))
+    gamma = np.where(diagonal | antidiagonal, 0.0, phase11 - phase10)
+    return alpha, beta, gamma
 
 
-def _rotation_gates(u: np.ndarray, label: str) -> list[GateApplication]:
-    alpha, beta, gamma = zyz_angles(u)
-    gates = []
-    for kind, angle in ((RZ, gamma), (RY, beta), (RZ, alpha)):
-        if abs(angle) > ROUNDOFF_TOL:
-            gates.append(GateApplication(kind, label, angle=angle))
-    return gates
+# prepare_two_qubit's circuit on the pair (qubit 0, qubit 1), one step per
+# column of synthesis_rows' angles: (kind, target, control, column). The
+# CNOT runs when the RY before it does.
+_SYNTHESIS = (
+    (RY, 0, None, 0),
+    (CNOT, 1, 0, 0),
+    (RZ, 0, None, 1),
+    (RY, 0, None, 2),
+    (RZ, 0, None, 3),
+    (RZ, 1, None, 4),
+    (RY, 1, None, 5),
+    (RZ, 1, None, 6),
+)
+
+
+def synthesis_rows(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of an (..., 4) stack renormalized, and its synthesis circuit's angles.
+
+    The circuit comes from the Schmidt form of the amplitude matrix: one RY
+    sets the Schmidt weights, at most one CNOT entangles, and ZYZ rotations
+    rotate each qubit into its Schmidt basis. The (..., 7) angles follow
+    _SYNTHESIS; an angle within ROUNDOFF_TOL of 0 is 0, and its gate is left
+    out. Raises ValueError if a row's norm is further than ACCUMULATED_TOL
+    from 1.
+    """
+    norm = norm_rows(amplitudes)
+    ok = np.abs(norm - 1.0) <= ACCUMULATED_TOL
+    if not ok.all():
+        raise ValueError(f"amplitudes are not normalized: norm = {_offender(norm, ok)!r}")
+    target = amplitudes / norm[..., None]
+    u, schmidt, vh = np.linalg.svd(target.reshape(target.shape[:-1] + (2, 2)))
+    xi = 2.0 * np.arctan2(schmidt[..., 1], schmidt[..., 0])
+    first, second = zyz_angles(u), zyz_angles(np.swapaxes(vh, -1, -2))
+    angles = np.stack([xi, *first[::-1], *second[::-1]], axis=-1)
+    return target, np.where(np.abs(angles) > ROUNDOFF_TOL, angles, 0.0)
+
+
+def synthesized_rows(angles: np.ndarray) -> np.ndarray:
+    """|00> run through the synthesis circuit of each row of an (..., 7) angle stack.
+
+    A gate whose angle is 0 acts as the identity, exactly, so each row
+    equals the circuit prepare_two_qubit lists for it.
+    """
+    amplitudes = np.zeros(angles.shape[:-1] + (4,), dtype=complex)
+    amplitudes[..., 0] = 1.0
+    for kind, target, control, column in _SYNTHESIS:
+        if kind == CNOT:
+            amplitudes = cnot_rows(amplitudes, control, target)
+        else:
+            amplitudes = gate_rows(amplitudes, target, _ROTATIONS[kind](angles[..., column]))
+    return amplitudes
 
 
 def prepare_two_qubit(
@@ -140,28 +210,21 @@ def prepare_two_qubit(
 ) -> tuple[StateVector, list[GateApplication]]:
     """Target two-qubit state plus a circuit building it from |00> up to phase.
 
-    The circuit comes from the Schmidt form of the amplitude matrix: one RY
-    sets the Schmidt weights, at most one CNOT entangles, and ZYZ rotations
-    rotate each qubit into its Schmidt basis.
+    The circuit is synthesis_rows' for this one row, with the gates of zero
+    angle left out.
     """
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.shape != (4,):
         raise ValueError(f"need exactly 4 amplitudes, got {amps.shape[0]}")
-    norm = float(np.linalg.norm(amps))
-    if not abs(norm - 1.0) <= ACCUMULATED_TOL:
-        raise ValueError(f"amplitudes are not normalized: norm = {norm!r}")
-    amps = amps / norm
-
-    target = StateVector(amps, labels)
-    first, second = labels
-
-    u, schmidt, vh = np.linalg.svd(amps.reshape(2, 2))
-    xi = 2.0 * np.arctan2(schmidt[1], schmidt[0])
-
-    gates: list[GateApplication] = []
-    if xi > ROUNDOFF_TOL:
-        gates.append(GateApplication(RY, first, angle=float(xi)))
-        gates.append(GateApplication(CNOT, second, control=first))
-    gates.extend(_rotation_gates(u, first))
-    gates.extend(_rotation_gates(vh.T, second))
-    return target, gates
+    target, angles = synthesis_rows(amps)
+    gates = [
+        GateApplication(
+            kind,
+            labels[qubit],
+            control=None if control is None else labels[control],
+            angle=None if kind == CNOT else float(angles[column]),
+        )
+        for kind, qubit, control, column in _SYNTHESIS
+        if angles[column] != 0.0
+    ]
+    return StateVector(target, labels), gates

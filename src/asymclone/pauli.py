@@ -8,7 +8,8 @@ input amplitudes on the diagonal.
 
 run_pauli_cloner runs the network as the kernel's basis permutation with r
 as the spectator high bit; a CNOT only moves amplitudes, so this matches
-cloning_network bit for bit.
+cloning_network bit for bit. Each step also has a function on (..., 4) or
+(..., 16) stacks, which the object functions call on one row.
 
 Bell order is fixed everywhere as (Phi+, Phi-, Psi+, Psi-).
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cloner import _NETWORK_PERMUTATION, NETWORK_LABELS
 from .qstate import ACCUMULATED_TOL as BELL_DIAGONAL_TOL
-from .qstate import StateVector, check_unit_norm, reorder
+from .qstate import StateVector, check_unit_norm, reorder, tensor_rows
 
 # the per-object path run_pauli_cloner reproduces; bench/test_bench.py checks
 # that tracing rebinds these names in this module
@@ -51,10 +52,36 @@ class BellCoefficients:
     x4: complex
 
     def __post_init__(self):
-        check_unit_norm(_BELL_MATRIX @ self.as_array())
+        check_unit_norm(expand_rows(self.as_array()))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3, self.x4], dtype=complex)
+
+
+def expand_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Computational-basis amplitudes of each row of Bell amplitudes."""
+    return (_BELL_MATRIX @ coeffs[..., None])[..., 0]
+
+
+def network_rows(coeffs: np.ndarray) -> np.ndarray:
+    """The network's output on (r, a0, a1, b1) for each row of Bell amplitudes of the preparation."""
+    amps = tensor_rows(_BELL_MATRIX[:, 0], expand_rows(coeffs))
+    return amps.reshape(amps.shape[:-1] + (2, 8))[..., _NETWORK_PERMUTATION].reshape(amps.shape)
+
+
+def decompose_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Bell x Bell coefficients of each (..., 16) row, its first two qubits forming the first pair."""
+    amps = amplitudes.reshape(amplitudes.shape[:-1] + (4, 4))
+    return _BELL_MATRIX.conj().T @ amps @ _BELL_MATRIX.conj()
+
+
+def bell_output_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """bell_output for each row of an (..., 4) stack of Bell amplitudes."""
+    joint = network_rows(coeffs)
+    check_unit_norm(joint)
+    matrix = decompose_rows(joint)
+    diagonal = np.eye(4, dtype=bool)
+    return matrix, np.abs(np.where(diagonal, 0.0, matrix)).max(axis=(-2, -1))
 
 
 def bell_basis(labels: tuple[str, str] = ("a1", "b1")) -> tuple[StateVector, ...]:
@@ -64,7 +91,7 @@ def bell_basis(labels: tuple[str, str] = ("a1", "b1")) -> tuple[StateVector, ...
 
 def bell_expand(coeffs: BellCoefficients, labels: tuple[str, str] = ("a1", "b1")) -> StateVector:
     """Computational-basis state with the given Bell amplitudes."""
-    return StateVector(_BELL_MATRIX @ coeffs.as_array(), labels)
+    return StateVector(expand_rows(coeffs.as_array()), labels)
 
 
 def bell_components(state: StateVector) -> np.ndarray:
@@ -76,9 +103,7 @@ def bell_components(state: StateVector) -> np.ndarray:
 
 def run_pauli_cloner(prep: BellCoefficients) -> StateVector:
     """Run the network on |Phi+>_{r a0} tensored with the Bell-expanded prep."""
-    amps = np.kron(_BELL_MATRIX[:, 0], _BELL_MATRIX @ prep.as_array())
-    joint = amps.reshape(2, 8)[:, _NETWORK_PERMUTATION].reshape(-1)
-    return StateVector(joint, ("r",) + NETWORK_LABELS)
+    return StateVector(network_rows(prep.as_array()), ("r",) + NETWORK_LABELS)
 
 
 def bell_decompose(
@@ -95,8 +120,7 @@ def bell_decompose(
     order = pairing[0] + pairing[1]
     if sorted(order) != sorted(state.labels):
         raise ValueError(f"pairing {pairing} does not cover the register {state.labels}")
-    amps = reorder(state, order).amplitudes.reshape(4, 4)
-    return _BELL_MATRIX.conj().T @ amps @ _BELL_MATRIX.conj()
+    return decompose_rows(reorder(state, order).amplitudes)
 
 
 def bell_output(coeffs: BellCoefficients) -> tuple[np.ndarray, float]:
@@ -105,5 +129,5 @@ def bell_output(coeffs: BellCoefficients) -> tuple[np.ndarray, float]:
     The output is Bell-diagonal, with coeffs on the diagonal, when that
     modulus is at most BELL_DIAGONAL_TOL.
     """
-    matrix = bell_decompose(run_pauli_cloner(coeffs))
-    return matrix, float(np.max(np.abs(matrix - np.diag(np.diag(matrix)))))
+    matrix, max_off = bell_output_rows(coeffs.as_array())
+    return matrix, float(max_off)

@@ -167,6 +167,92 @@ class BlochVector:
         return np.array([self.mx, self.my, self.mz])
 
 
+# The algebra on (..., 2^n) stacks of amplitudes or (..., 2^n, 2^n) stacks
+# of matrices: one implementation per operation, qubits addressed by axis (0
+# is the most significant index bit). Each row comes out bit for bit as it
+# would alone, so the functions on named registers below them are validated
+# wrappers calling them on one row.
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis as one 1-D @ per row: np.vdot's and np.linalg.norm's bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def norm_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, with np.linalg.norm's arithmetic on one vector."""
+    re, im = amplitudes.real, amplitudes.imag
+    return np.sqrt(_dot(re, re) + _dot(im, im))
+
+
+def random_rows(normals: np.ndarray) -> np.ndarray:
+    """Unit rows from (..., 2d) standard normals, the d real parts first."""
+    d = normals.shape[-1] // 2
+    amps = normals[..., :d] + 1j * normals[..., d:]
+    return amps / norm_rows(amps)[..., None]
+
+
+def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of each row pair; a's qubits become the high bits."""
+    product = a[..., :, None] * b[..., None, :]
+    return product.reshape(product.shape[:-2] + (-1,))
+
+
+def reorder_rows(amplitudes: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Permute the qubits of each row: qubit k of the result is qubit axes[k]."""
+    lead = amplitudes.shape[:-1]
+    work = amplitudes.reshape(lead + (2,) * len(axes))
+    order = tuple(range(len(lead))) + tuple(len(lead) + ax for ax in axes)
+    return work.transpose(order).reshape(lead + (-1,))
+
+
+def overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product <a|b> of each row pair."""
+    return _dot(a.conj(), b)
+
+
+def projector_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """|psi><psi| for each row, the product np.outer forms."""
+    return amplitudes[..., :, None] * amplitudes.conj()[..., None, :]
+
+
+def partial_trace_rows(entries: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Reduce each matrix to the qubits at the axes in keep, in register order.
+
+    The other qubits are traced out one at a time, the highest axis first,
+    each as the sum of its two diagonal blocks: np.trace's arithmetic,
+    without its cost on large stacks.
+    """
+    lead = entries.shape[:-2]
+    n = entries.shape[-1].bit_length() - 1
+    work = entries.reshape(lead + (2,) * (2 * n))
+    remaining = n
+    for ax in reversed([ax for ax in range(n) if ax not in keep]):
+        blocks = work.diagonal(axis1=len(lead) + ax, axis2=len(lead) + ax + remaining)
+        work = blocks[..., 0] + blocks[..., 1]
+        remaining -= 1
+    return work.reshape(lead + (2**remaining, 2**remaining))
+
+
+def fidelity_rows(psi: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """<psi|rho|psi> for each row pair, real part."""
+    return overlap_rows(psi, (entries @ psi[..., None])[..., 0]).real
+
+
+def bloch_rows(entries: np.ndarray) -> np.ndarray:
+    """(mx, my, mz) of each one-qubit matrix, rho = (1 + m.sigma)/2."""
+    lower = entries[..., 1, 0]
+    mz = (entries[..., 0, 0] - entries[..., 1, 1]).real
+    return np.stack([2.0 * lower.real, 2.0 * lower.imag, mz], axis=-1)
+
+
+def from_bloch_rows(m: np.ndarray) -> np.ndarray:
+    """The one-qubit matrix (1 + m.sigma)/2 of each Bloch vector."""
+    mx, my, mz = m[..., 0], m[..., 1], m[..., 2]
+    entries = np.stack([1.0 + mz, mx - 1j * my, mx + 1j * my, 1.0 - mz], axis=-1)
+    return 0.5 * entries.reshape(m.shape[:-1] + (2, 2))
+
+
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of two registers; a's qubits become the high bits."""
     if set(a.labels) & set(b.labels):
@@ -177,12 +263,23 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
             f"tensor product would need {a.n_qubits + b.n_qubits} qubits, "
             f"register cap is {MAX_QUBITS}"
         )
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.labels + b.labels)
+    return StateVector(tensor_rows(a.amplitudes, b.amplitudes), a.labels + b.labels)
 
 
 def to_density(psi: StateVector) -> DensityMatrix:
     """Projector |psi><psi| as a density matrix."""
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.labels)
+    return DensityMatrix(projector_rows(psi.amplitudes), psi.labels)
+
+
+def kept_labels(labels: Sequence[str], keep: Iterable[str]) -> tuple[str, ...]:
+    """The labels a partial trace keeps, in register order regardless of keep's order."""
+    keep_set = set(keep)
+    if not keep_set:
+        raise ValueError("partial trace must keep at least one qubit")
+    unknown = keep_set - set(labels)
+    if unknown:
+        raise ValueError(f"unknown qubit labels {sorted(unknown)}; register has {tuple(labels)}")
+    return tuple(lab for lab in labels if lab in keep_set)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -191,24 +288,8 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     Kept qubits stay in their register order regardless of the order in
     which ``keep`` lists them.
     """
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("partial trace must keep at least one qubit")
-    unknown = keep_set - set(rho.labels)
-    if unknown:
-        raise ValueError(f"unknown qubit labels {sorted(unknown)}; register has {rho.labels}")
-
-    kept_labels = tuple(lab for lab in rho.labels if lab in keep_set)
-    traced_axes = [i for i, lab in enumerate(rho.labels) if lab not in keep_set]
-
-    n = rho.n_qubits
-    work = rho.entries.reshape((2,) * (2 * n))
-    remaining = n
-    for ax in sorted(traced_axes, reverse=True):
-        work = np.trace(work, axis1=ax, axis2=ax + remaining)
-        remaining -= 1
-    dim = 2 ** len(kept_labels)
-    return DensityMatrix(work.reshape(dim, dim), kept_labels)
+    kept = kept_labels(rho.labels, keep)
+    return DensityMatrix(partial_trace_rows(rho.entries, [rho.axis(lab) for lab in kept]), kept)
 
 
 def fidelity_pure(psi: StateVector, rho: DensityMatrix) -> float:
@@ -222,32 +303,19 @@ def fidelity_pure(psi: StateVector, rho: DensityMatrix) -> float:
             f"dimension mismatch: state has {psi.amplitudes.shape[0]}, "
             f"density matrix has {rho.entries.shape[0]}"
         )
-    value = np.vdot(psi.amplitudes, rho.entries @ psi.amplitudes)
-    return float(value.real)
+    return float(fidelity_rows(psi.amplitudes, rho.entries))
 
 
 def bloch_vector(rho: DensityMatrix) -> BlochVector:
     """Bloch vector of a single-qubit density matrix, rho = (1 + m.sigma)/2."""
     if rho.n_qubits != 1:
         raise ValueError("Bloch vector is defined for single-qubit operators only")
-    m = rho.entries
-    return BlochVector(
-        mx=float(2.0 * m[1, 0].real),
-        my=float(2.0 * m[1, 0].imag),
-        mz=float((m[0, 0] - m[1, 1]).real),
-    )
+    return BlochVector(*bloch_rows(rho.entries).tolist())
 
 
 def from_bloch(m: BlochVector, label: str = "q") -> DensityMatrix:
     """Reconstruct the single-qubit density matrix (1 + m.sigma)/2."""
-    entries = 0.5 * np.array(
-        [
-            [1.0 + m.mz, m.mx - 1j * m.my],
-            [m.mx + 1j * m.my, 1.0 - m.mz],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix(entries, (label,))
+    return DensityMatrix(from_bloch_rows(m.as_array()), (label,))
 
 
 def reorder(psi: StateVector, labels: Sequence[str]) -> StateVector:
@@ -257,16 +325,14 @@ def reorder(psi: StateVector, labels: Sequence[str]) -> StateVector:
         raise ValueError(f"{new_labels} is not a permutation of {psi.labels}")
     if new_labels == psi.labels:
         return psi
-    perm = [psi.axis(lab) for lab in new_labels]
-    amps = psi.amplitudes.reshape((2,) * psi.n_qubits).transpose(perm).reshape(-1)
-    return StateVector(amps, new_labels)
+    return StateVector(reorder_rows(psi.amplitudes, [psi.axis(lab) for lab in new_labels]), new_labels)
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
     """Inner product <a|b>; b is permuted to a's qubit order first."""
     if sorted(a.labels) != sorted(b.labels):
         raise ValueError(f"registers differ: {a.labels} vs {b.labels}")
-    return complex(np.vdot(a.amplitudes, reorder(b, a.labels).amplitudes))
+    return complex(overlap_rows(a.amplitudes, reorder(b, a.labels).amplitudes))
 
 
 def basis_state(bits: str | Sequence[int], labels: Sequence[str]) -> StateVector:
@@ -315,5 +381,4 @@ def random_state(labels: Sequence[str], rng: np.random.Generator | None = None) 
     if rng is None:
         rng = np.random.default_rng()
     dim = 2 ** len(tuple(labels))
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(amps / np.linalg.norm(amps), tuple(labels))
+    return StateVector(random_rows(rng.standard_normal(2 * dim)), tuple(labels))

@@ -1,17 +1,32 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from asymclone import cli
+from asymclone import cli, cloner, pauli, qstate
 from asymclone.cli import CSV_HEADER, main
 from asymclone.cloner import clone_batch, feasibility, probe_states, solve_prep
+from asymclone.gates import apply_circuit, apply_cnot, apply_hadamard, apply_ry, apply_rz, prepare_two_qubit
+from asymclone.qstate import (
+    basis_state,
+    bloch_vector,
+    from_bloch,
+    overlap,
+    partial_trace,
+    random_state,
+    reorder,
+    tensor,
+    to_density,
+)
 
 
 def run_cli(*argv):
@@ -333,6 +348,9 @@ def test_stdout_is_byte_identical_to_the_reference():
         ("verify", "--seed", "42", "--trials", "200"): (
             "04850bdf5f5794dcc8e92ce5d4b7609f80dbbd86b9138297425373ab064442e7"
         ),
+        ("verify", "--seed", "42", "--trials", "1000"): (
+            "8fd991a47a4fbefe28a4a90e6e5fa00bfb23d54c95133d7fe0585cfcc76dd655"
+        ),
         # generic inputs print round-off noise that axis probes alone miss
         ("sweep", "--step", "0.05"): "24d216ab8a2130ddf9cc8fcee2582f579b569a10c83eac442f3c02160ee8f4f0",
         ("clone", "--state=1,0.5,-0.3,0.2", "--s0", "0.3", "--s1", "0.5"): (
@@ -367,7 +385,10 @@ def _strict_json(text):
 
 
 def test_verify_counts_nan_errors_as_failures(monkeypatch):
-    monkeypatch.setattr("asymclone.cli.overlap", lambda a, b: complex("nan"))
+    monkeypatch.setattr(
+        "asymclone.cli.overlap_rows",
+        lambda a, b: np.full(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), complex("nan")),
+    )
     code, out, _ = run_cli("verify", "--trials", "3")
     assert code == 1
     assert "suite state-algebra: 15 checks, 3 failures" in out
@@ -562,3 +583,178 @@ def test_kept_parser_answers_like_a_fresh_one():
         assert kept == _run_on_a_fresh_parser(argv), argv
         codes.add(kept[0])
     assert codes == {0, 1, 2}
+
+
+# verify's suites one trial at a time on the object API, as they ran before
+# the stacked passes: the reference for their draws and their errors
+
+
+def _trial_state_algebra(rng):
+    single = random_state(("q0",), rng)
+    double = random_state(("q1", "q2"), rng)
+    joint = tensor(single, double)
+    yield abs(float(np.linalg.norm(joint.amplitudes)) - 1.0), qstate.ROUNDOFF_TOL
+    back = reorder(reorder(joint, ("q2", "q0", "q1")), joint.labels)
+    yield float(np.max(np.abs(back.amplitudes - joint.amplitudes))), qstate.ROUNDOFF_TOL
+    yield abs(abs(overlap(joint, back)) - 1.0), qstate.ROUNDOFF_TOL
+    rho = to_density(single)
+    rebuilt = from_bloch(bloch_vector(rho), "q0")
+    yield float(np.max(np.abs(rebuilt.entries - rho.entries))), qstate.ROUNDOFF_TOL
+    reduced = partial_trace(to_density(joint), ["q0", "q2"])
+    yield float(reduced.labels != ("q0", "q2")), 0.0
+
+
+def _trial_gates(rng):
+    psi = random_state(("x", "y", "z"), rng)
+    twice = apply_cnot(apply_cnot(psi, "x", "z"), "x", "z")
+    yield float(np.max(np.abs(twice.amplitudes - psi.amplitudes))), qstate.ROUNDOFF_TOL
+    squared = apply_hadamard(apply_hadamard(psi, "y"), "y")
+    yield float(np.max(np.abs(squared.amplitudes - psi.amplitudes))), qstate.ROUNDOFF_TOL
+    rotated = apply_ry(psi, "x", float(rng.uniform(-np.pi, np.pi)))
+    rotated = apply_rz(rotated, "z", float(rng.uniform(-np.pi, np.pi)))
+    yield abs(float(np.linalg.norm(rotated.amplitudes)) - 1.0), qstate.ROUNDOFF_TOL
+    raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    target, circuit = prepare_two_qubit(raw / np.linalg.norm(raw))
+    built = apply_circuit(basis_state("00", ("a1", "b1")), circuit)
+    yield abs(abs(overlap(target, built)) - 1.0), qstate.ACCUMULATED_TOL
+
+
+def _trial_cloner(rng):
+    while True:
+        s0, s1 = rng.uniform(0.0, 1.0, size=2)
+        pair = cloner.feasibility(float(s0), float(s1))
+        if pair.feasible:
+            break
+    prep = cloner.solve_prep(pair)
+    inputs = [random_state(("a0",), rng).amplitudes for _ in range(2)]
+    batch = cloner.clone_batch(np.array(inputs), prep.as_amplitudes)
+    target = np.array([pair.s0, pair.s1])
+    for k in range(2):
+        yield float(np.max([batch.residual[k], batch.isotropy[k]])), qstate.ESTIMATE_TOL
+        yield float(np.max(np.abs(batch.s_est[k] - target))), qstate.ESTIMATE_TOL
+        yield float(np.max(np.abs(batch.fidelity[k] - 0.5 * (1.0 + batch.s_est[k])))), qstate.ESTIMATE_TOL
+
+
+def _trial_pauli(rng):
+    raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    raw = raw / np.linalg.norm(raw)
+    matrix, max_off = pauli.bell_output(pauli.BellCoefficients(*raw))
+    yield max_off, pauli.BELL_DIAGONAL_TOL
+    yield float(np.max(np.abs(np.diag(matrix) - raw))), qstate.ACCUMULATED_TOL
+
+
+_TRIALS = {
+    "state-algebra": _trial_state_algebra,
+    "gates": _trial_gates,
+    "cloner": _trial_cloner,
+    "pauli": _trial_pauli,
+}
+
+
+def _replayed_draws(name, rng, n):
+    """The random inputs of n trials, drawn with the per-trial calls the reference makes."""
+    if name == "state-algebra":
+        draws = [
+            (random_state(("q0",), rng).amplitudes, random_state(("q1", "q2"), rng).amplitudes) for _ in range(n)
+        ]
+    elif name == "gates":
+        draws = []
+        for _ in range(n):
+            psi = random_state(("x", "y", "z"), rng).amplitudes
+            angles = [float(rng.uniform(-np.pi, np.pi)) for _ in range(2)]
+            raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            draws.append((psi, angles, raw / np.linalg.norm(raw)))
+    elif name == "cloner":
+        draws = []
+        for _ in range(n):
+            while True:
+                s0, s1 = rng.uniform(0.0, 1.0, size=2)
+                if feasibility(float(s0), float(s1)).feasible:
+                    break
+            draws.append(([s0, s1], [random_state(("a0",), rng).amplitudes for _ in range(2)]))
+    else:
+        draws = []
+        for _ in range(n):
+            raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            draws.append((raw / np.linalg.norm(raw),))
+    return [np.array(column) for column in zip(*draws)]
+
+
+@pytest.mark.parametrize("name, draw", [(name, draw) for name, draw, _ in cli._SUITES])
+def test_stacked_draws_replay_the_per_trial_calls(name, draw):
+    rng, replay = np.random.default_rng(47), np.random.default_rng(47)
+    for n in (1, 5, 30):
+        stacked = draw(rng, n)
+        if name == "cloner":
+            stacked = ([[pair.s0, pair.s1] for pair in stacked[0]], stacked[1])
+        for got, want in zip(stacked, _replayed_draws(name, replay, n), strict=True):
+            assert np.array_equal(got, want), name
+    # the generators end in the same state
+    assert rng.standard_normal() == replay.standard_normal()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 64])
+def test_verify_chunks_match_one_trial_at_a_time(monkeypatch, chunk):
+    # 40 trials: chunks of 1 and 40 leave no partial chunk, 7 leaves one,
+    # and 64 is never filled
+    trials, seed = 40, 48
+    whole = run_cli("verify", "--seed", str(seed), "--trials", str(trials))
+    monkeypatch.setattr(cli, "_VERIFY_CHUNK", chunk)
+    assert run_cli("verify", "--seed", str(seed), "--trials", str(trials)) == whole
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for name, draw, check in cli._SUITES:
+        want = [list(_TRIALS[name](reference)) for _ in range(trials)]
+        per_check = len(want[0])
+        pieces = list(cli._suite_errors(rng, trials, draw, check))
+        assert len(pieces) == per_check * -(-trials // chunk), name
+        got = [
+            np.stack([errors for errors, _ in pieces[start : start + per_check]], axis=1)
+            for start in range(0, len(pieces), per_check)
+        ]
+        assert np.array_equal(np.concatenate(got), [[err for err, _ in trial] for trial in want]), name
+        assert [tol for _, tol in pieces[:per_check]] == [tol for _, tol in want[0]], name
+
+
+def test_sweep_writes_each_block_as_the_kernel_completes_it(monkeypatch):
+    kernel_calls, writes = [], []
+    real = cloner.clone_batch
+    monkeypatch.setattr(cloner, "clone_batch", lambda *args: kernel_calls.append(1) or real(*args))
+    # step 0.05 has 314 feasible rows: 45 blocks of 7, the last one partial
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 7)
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(len(kernel_calls))
+            return super().write(text)
+
+    sink = Sink()
+    with redirect_stdout(sink):
+        assert main(["sweep", "--step", "0.05"]) == 0
+    assert writes == list(range(46))
+    assert sink.getvalue() == "\n".join([CSV_HEADER] + cli.sweep_rows(0.05)) + "\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(["sweep", "--step", "0.01"], 1), (["pauli", "1", "0", "0", "0"], 0)],
+)
+def test_a_reader_closing_early_gets_no_traceback(argv, lines, unbuffered):
+    # the sweep writes ~1 MB, far past any pipe buffer, after the reader
+    # left; pauli's reader closes before the child has imported numpy, and
+    # with stdout buffered its output reaches the pipe only at the flush
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "asymclone.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    for _ in range(lines):
+        child.stdout.readline()
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    text = err.decode()
+    assert child.returncode == 1, text
+    assert "Traceback" not in text and "Exception ignored" not in text
+    assert text.count("\n") <= 1

@@ -8,7 +8,6 @@ from asymclone.cloner import (
     InfeasibleScalingError,
     PrepState,
     ScalingPair,
-    _outer,
     clone_batch,
     cloning_network,
     feasibility,
@@ -25,6 +24,7 @@ from asymclone.qstate import (
     fidelity_pure,
     named_state,
     partial_trace,
+    projector_rows,
     random_state,
     single_qubit,
     tensor,
@@ -367,7 +367,7 @@ def test_projector_of_a_norm_checked_state_is_a_density_matrix():
             amps = amps / np.linalg.norm(amps, axis=-1, keepdims=True) * np.sqrt(1.0 + pull)
         norm_error = np.abs((np.abs(amps) ** 2).sum(axis=-1) - 1.0)
         hypothesis.assume((norm_error <= ROUNDOFF_TOL / 2).all())
-        check_density(_outer(amps))
+        check_density(projector_rows(amps))
 
     check()
 

@@ -7,18 +7,23 @@ from asymclone.gates import (
     RY,
     RZ,
     GateApplication,
+    _H,
     apply_circuit,
     apply_cnot,
     apply_gate,
     apply_hadamard,
     apply_ry,
     apply_rz,
+    cnot_rows,
+    gate_rows,
     prepare_two_qubit,
     ry_matrix,
     rz_matrix,
+    synthesis_rows,
+    synthesized_rows,
     zyz_angles,
 )
-from asymclone.qstate import basis_state, named_state, overlap, random_state, tensor
+from asymclone.qstate import StateVector, basis_state, named_state, overlap, random_rows, random_state, tensor
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -225,3 +230,68 @@ def test_prepare_rejects_bad_input():
 def test_prepare_rejects_nan_amplitudes():
     with pytest.raises(ValueError, match="not normalized"):
         prepare_two_qubit([np.nan, 0, 0, 0])
+
+
+# Each stack function against its object wrapper, row by row and bit for bit,
+# on stacks of N rows: a row's result must not depend on the stack around it.
+STACK_SIZES = [1, 2, 7, 64]
+LABELS = ("a", "b", "c", "d")
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_gate_rows_match_the_wrappers(n):
+    rng = np.random.default_rng(43)
+    for qubits in (1, 2, 3, 4):
+        labels = LABELS[:qubits]
+        stack = random_rows(rng.standard_normal((n, 2 ** (qubits + 1))))
+        angles = rng.uniform(-np.pi, np.pi, size=n)
+        states = [StateVector(row, labels) for row in stack]
+        for target in range(qubits):
+            rows = {
+                "h": gate_rows(stack, target, _H),
+                "ry": gate_rows(stack, target, ry_matrix(angles)),
+                "rz": gate_rows(stack, target, rz_matrix(angles)),
+            }
+            for k, state in enumerate(states):
+                label = labels[target]
+                assert np.array_equal(rows["h"][k], apply_hadamard(state, label).amplitudes)
+                assert np.array_equal(rows["ry"][k], apply_ry(state, label, angles[k]).amplitudes)
+                assert np.array_equal(rows["rz"][k], apply_rz(state, label, angles[k]).amplitudes)
+            for control in range(qubits):
+                if control == target:
+                    continue
+                flipped = cnot_rows(stack, control, target)
+                for k, state in enumerate(states):
+                    want = apply_cnot(state, labels[control], labels[target]).amplitudes
+                    assert np.array_equal(flipped[k], want)
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_zyz_angles_of_a_stack_match_one_matrix_at_a_time(n):
+    rng = np.random.default_rng(44)
+    stack = np.array([_random_unitary(rng) for _ in range(n)])
+    # the diagonal and antidiagonal branches
+    stack[0] = np.diag([1, 1j])
+    if n > 1:
+        stack[1] = [[0, -1j], [1j, 0]]
+    angles = zyz_angles(stack)
+    for k in range(n):
+        assert [a[k] for a in angles] == [float(a) for a in zyz_angles(stack[k])]
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_synthesis_rows_match_prepare_two_qubit(n):
+    rng = np.random.default_rng(45)
+    raw = random_rows(rng.standard_normal((n, 8)))
+    # a product state and |00>, whose circuits leave gates out
+    raw[0] = tensor(random_state(("a",), rng), random_state(("b",), rng)).amplitudes
+    if n > 1:
+        raw[1] = [1, 0, 0, 0]
+    targets, angles = synthesis_rows(raw)
+    built = synthesized_rows(angles)
+    for k in range(n):
+        target, circuit = prepare_two_qubit(raw[k])
+        assert np.array_equal(targets[k], target.amplitudes)
+        assert [g.angle for g in circuit if g.kind != CNOT] == [a for a in angles[k] if a != 0]
+        assert any(g.kind == CNOT for g in circuit) == (angles[k, 0] != 0)
+        assert np.array_equal(built[k], apply_circuit(basis_state("00", ("a1", "b1")), circuit).amplitudes)

@@ -11,9 +11,11 @@ from asymclone.pauli import (
     bell_decompose,
     bell_expand,
     bell_output,
+    bell_output_rows,
+    expand_rows,
     run_pauli_cloner,
 )
-from asymclone.qstate import random_state, tensor
+from asymclone.qstate import random_rows, random_state, tensor
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -165,3 +167,17 @@ def test_bell_output_is_diagonal_with_the_input_on_it():
     assert max_off <= BELL_DIAGONAL_TOL
     assert np.max(np.abs(np.diag(matrix) - coeffs.as_array())) < 1e-12
     assert np.array_equal(matrix, bell_decompose(run_pauli_cloner(coeffs)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_bell_output_rows_match_one_call_per_row(n):
+    # a row's numbers must not depend on the stack around it
+    raw = random_rows(np.random.default_rng(46).standard_normal((n, 8)))
+    expanded = expand_rows(raw)
+    matrices, max_off = bell_output_rows(raw)
+    for k in range(n):
+        coeffs = BellCoefficients(*raw[k])
+        assert np.array_equal(expanded[k], bell_expand(coeffs).amplitudes)
+        matrix, off = bell_output(coeffs)
+        assert np.array_equal(matrices[k], matrix)
+        assert max_off[k] == off

@@ -6,19 +6,29 @@ from asymclone.qstate import (
     DensityMatrix,
     StateVector,
     basis_state,
+    bloch_rows,
     bloch_vector,
     check_bloch_length,
     check_density,
     check_unit_norm,
     fidelity_pure,
+    fidelity_rows,
     from_bloch,
+    from_bloch_rows,
     named_state,
+    norm_rows,
     overlap,
+    overlap_rows,
     partial_trace,
+    partial_trace_rows,
+    projector_rows,
+    random_rows,
     random_state,
     reorder,
+    reorder_rows,
     single_qubit,
     tensor,
+    tensor_rows,
     to_density,
 )
 
@@ -268,3 +278,70 @@ def test_random_state_is_normalized():
     for _ in range(25):
         psi = random_state(("a", "b"), rng)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+# Each stack function against its object wrapper, row by row and bit for bit,
+# on stacks of N rows: a row's result must not depend on the stack around it.
+STACK_SIZES = [1, 2, 7, 64]
+LABELS = ("a", "b", "c", "d")
+
+
+def _random_stack(rng, n, qubits):
+    return random_rows(rng.standard_normal((n, 2 ** (qubits + 1))))
+
+
+def _states(stack, labels):
+    return [StateVector(row, labels) for row in stack]
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_random_rows_replay_random_state(n):
+    normals = np.random.default_rng(40).standard_normal((n, 8))
+    replay = np.random.default_rng(40)
+    stack = random_rows(normals)
+    for row in stack:
+        assert np.array_equal(row, random_state(("a", "b"), replay).amplitudes)
+    assert np.array_equal(norm_rows(stack), [np.linalg.norm(row) for row in stack])
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_tensor_reorder_and_overlap_rows_match_the_wrappers(n):
+    rng = np.random.default_rng(41)
+    for high, low in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3)):
+        a, b = _random_stack(rng, n, high), _random_stack(rng, n, low)
+        joint = tensor_rows(a, b)
+        labels = LABELS[: high + low]
+        axes = rng.permutation(high + low)
+        shuffled = reorder_rows(joint, axes)
+        phases = overlap_rows(joint, shuffled)
+        for k in range(n):
+            obj = tensor(StateVector(a[k], labels[:high]), StateVector(b[k], labels[high:]))
+            assert np.array_equal(joint[k], obj.amplitudes)
+            moved = reorder(obj, [labels[ax] for ax in axes])
+            assert np.array_equal(shuffled[k], moved.amplitudes)
+            assert phases[k] == overlap(obj, StateVector(shuffled[k], labels))
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_density_rows_match_the_wrappers(n):
+    rng = np.random.default_rng(42)
+    for qubits in (1, 2, 3, 4):
+        stack = _random_stack(rng, n, qubits)
+        labels = LABELS[:qubits]
+        rho = projector_rows(stack)
+        keeps = sorted({(0,), (qubits - 1,), tuple(sorted({0, qubits - 1})), tuple(range(1, qubits))} - {()})
+        reduced = [partial_trace_rows(rho, keep) for keep in keeps]
+        one = rho if qubits == 1 else partial_trace_rows(rho, [qubits - 1])
+        fidelity = fidelity_rows(stack, rho)
+        for k in range(n):
+            obj = to_density(StateVector(stack[k], labels))
+            assert np.array_equal(rho[k], obj.entries)
+            for keep, rows in zip(keeps, reduced):
+                assert np.array_equal(rows[k], partial_trace(obj, [labels[ax] for ax in keep]).entries)
+            assert fidelity[k] == fidelity_pure(StateVector(stack[k], labels), obj)
+        m = bloch_rows(one)
+        rebuilt = from_bloch_rows(m)
+        for k in range(n):
+            vector = bloch_vector(DensityMatrix(one[k], ("q",)))
+            assert np.array_equal(m[k], vector.as_array())
+            assert np.array_equal(rebuilt[k], from_bloch(vector).entries)
