@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _finite(values: list[float]) -> list[float]:
     """The values unchanged; ValueError if any is NaN or infinite."""
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ValueError("non-finite number")
     return values
 
@@ -135,22 +135,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _json_num(x: float) -> float:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return float(f"{x:.12g}")
-
-
-def _json_complex(z: complex) -> list[float]:
-    return [_json_num(z.real), _json_num(z.imag)]
-
-
-def _json_vector(values) -> list[list[float]]:
-    return [_json_complex(complex(z)) for z in np.asarray(values).reshape(-1)]
-
-
-def _json_matrix(matrix) -> list[list[list[float]]]:
-    return [[_json_complex(complex(z)) for z in row] for row in np.asarray(matrix)]
+    # + 0.0 turns -0.0 into 0.0 and leaves the bits of every other value alone
+    return float(format(float(x) + 0.0, ".12g"))
 
 
 def _csv_num(x: float) -> str:
@@ -160,14 +146,63 @@ def _csv_num(x: float) -> str:
     return format(x, ".9g")
 
 
+def _json_numbers(values: list) -> list[str]:
+    """Each value as _json_num and then float.__repr__ give it; ValueError if any is NaN or infinite."""
+    return list(map(repr, _finite([_json_num(x) for x in values])))
+
+
+@functools.cache
+def _array_layout(shape: tuple[int, ...], depth: int) -> str:
+    """%-template of a complex array of this shape laid out by json.dumps(indent=2) at this depth.
+
+    Each complex number is a [re, im] list; the template takes the parts in
+    C order, one %s each.
+    """
+    items = [_array_layout(shape[1:], depth + 1)] * shape[0] if shape else ["%s", "%s"]
+    return _json_list(items, depth)
+
+
+def _json_list(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Items already laid out at depth + 1, joined as json.dumps(indent=2) joins them."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it, with numbers as _json_num gives them.
+
+    value is a dict with str keys, a list, a str, a bool, None, a real
+    number or a numpy array of complex numbers, each written as [re, im].
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, np.ndarray):
+        parts = np.ascontiguousarray(value, dtype=complex).view(float).reshape(-1).tolist()
+        return _array_layout(value.shape, depth) % tuple(_json_numbers(parts))
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(v, depth + 1)}" for key, v in value.items()]
+        return _json_list(items, depth, "{}")
+    if isinstance(value, list):
+        return _json_list([_json_text(v, depth + 1) for v in value], depth)
+    return _json_numbers([value])[0]
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    print(_json_text(payload))
 
 
 def _pair_json(pair: cloner.ScalingPair) -> dict:
     # the margin of an out-of-range pair can overflow to inf or NaN
-    margin = _json_num(pair.margin) if math.isfinite(pair.margin) else None
-    return {"s0": _json_num(pair.s0), "s1": _json_num(pair.s1), "feasible": pair.feasible, "margin": margin}
+    margin = pair.margin if math.isfinite(pair.margin) else None
+    return {"s0": pair.s0, "s1": pair.s1, "feasible": pair.feasible, "margin": margin}
 
 
 def _emit_infeasible(pair: cloner.ScalingPair, fmt: str) -> int:
@@ -175,8 +210,10 @@ def _emit_infeasible(pair: cloner.ScalingPair, fmt: str) -> int:
     if fmt == "json":
         _print_json({**head, "reason": pair.reason})
     else:
-        margin = "null" if head["margin"] is None else head["margin"]
-        print(f"infeasible: s0 = {head['s0']}, s1 = {head['s1']}, margin = {margin} ({pair.reason})")
+        margin = "null" if head["margin"] is None else _json_num(head["margin"])
+        print(
+            f"infeasible: s0 = {_json_num(pair.s0)}, s1 = {_json_num(pair.s1)}, margin = {margin} ({pair.reason})"
+        )
     return EXIT_INFEASIBLE
 
 
@@ -188,13 +225,13 @@ def _cmd_solve(args) -> int:
     if args.format == "json":
         payload = {
             **_pair_json(pair),
-            "c1": _json_num(prep.c1),
-            "c2": _json_num(prep.c2),
-            "c4": _json_num(prep.c4),
-            "theta1": _json_num(prep.theta1),
-            "theta2": _json_num(prep.theta2),
-            "theta4": _json_num(prep.theta4),
-            "amplitudes": _json_vector(prep.as_amplitudes),
+            "c1": prep.c1,
+            "c2": prep.c2,
+            "c4": prep.c4,
+            "theta1": prep.theta1,
+            "theta2": prep.theta2,
+            "theta4": prep.theta4,
+            "amplitudes": prep.as_amplitudes,
         }
         _print_json(payload)
     else:
@@ -216,20 +253,20 @@ def _cmd_clone(args) -> int:
     prep = cloner.solve_prep(pair)
     out = cloner.run_cloner(args.state, prep)
     payload = {
-        "input": _json_vector(args.state.amplitudes),
-        "s0_target": _json_num(pair.s0),
-        "s1_target": _json_num(pair.s1),
-        "margin": _json_num(pair.margin),
+        "input": args.state.amplitudes,
+        "s0_target": pair.s0,
+        "s1_target": pair.s1,
+        "margin": pair.margin,
         "joint_labels": list(cloner.NETWORK_LABELS),
-        "joint": _json_vector(out.joint),
-        "rho_a0": _json_matrix(out.rho_a0),
-        "rho_a1": _json_matrix(out.rho_a1),
-        "s0_est": _json_num(out.s0_est),
-        "s1_est": _json_num(out.s1_est),
-        "residual0": _json_num(out.residual0),
-        "residual1": _json_num(out.residual1),
-        "fidelity0": _json_num(out.fidelity0),
-        "fidelity1": _json_num(out.fidelity1),
+        "joint": out.joint,
+        "rho_a0": out.rho_a0,
+        "rho_a1": out.rho_a1,
+        "s0_est": out.s0_est,
+        "s1_est": out.s1_est,
+        "residual0": out.residual0,
+        "residual1": out.residual1,
+        "fidelity0": out.fidelity0,
+        "fidelity1": out.fidelity1,
     }
     _print_json(payload)
     return EXIT_OK
@@ -327,11 +364,11 @@ def _cmd_pauli(args) -> int:
         print(f"pauli: output is not Bell-diagonal (max off-diagonal {max_off:.3g})", file=sys.stderr)
         return EXIT_USAGE
     payload = {
-        "input": _json_vector(coeffs.as_array()),
+        "input": coeffs.as_array(),
         "bell_order": list(pauli.BELL_NAMES),
-        "coefficients": _json_matrix(matrix),
-        "diagonal": _json_vector(np.diag(matrix)),
-        "max_offdiagonal": _json_num(max_off),
+        "coefficients": matrix,
+        "diagonal": np.diag(matrix),
+        "max_offdiagonal": max_off,
     }
     _print_json(payload)
     return EXIT_OK

@@ -22,6 +22,7 @@ fixed permutation, which clone_batch applies to a whole stack of inputs.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +101,13 @@ class PrepState:
             raise ValueError("phases must be finite")
         check_unit_norm(self.as_amplitudes)
 
-    @property
+    @functools.cached_property
     def as_amplitudes(self) -> np.ndarray:
-        """The four complex amplitudes over |00>, |01>, |10>, |11>."""
-        return np.array(
+        """The four complex amplitudes over |00>, |01>, |10>, |11>, read-only.
+
+        Computed once, by __post_init__'s norm check, and shared by every caller.
+        """
+        amplitudes = np.array(
             [
                 self.c1 * np.exp(1j * self.theta1),
                 self.c2 * np.exp(1j * self.theta2),
@@ -111,6 +115,8 @@ class PrepState:
                 self.c4 * np.exp(1j * self.theta4),
             ]
         )
+        amplitudes.flags.writeable = False
+        return amplitudes
 
     def as_state(self, labels: tuple[str, str] = ("a1", "b1")) -> StateVector:
         return StateVector(self.as_amplitudes, labels)

@@ -370,10 +370,26 @@ def test_stdout_is_byte_identical_to_the_reference():
         ("solve", "0.8", "0.4", "--format", "json"): (
             "bfd6d84019c26155deb6d5c9a5e8e8c339e5210a375197c19638ef644f074f35"
         ),
+        # the infeasible JSON with its reason, from solve and from clone
+        ("solve", "0.9", "0.9", "--format", "json"): (
+            "1d49e362c294a3933e61e91d786158b54c85422c206f2276bbf08ea71f5c95cb"
+        ),
+        ("clone", "--state=0", "--s0", "0.9", "--s1", "0.9"): (
+            "1d49e362c294a3933e61e91d786158b54c85422c206f2276bbf08ea71f5c95cb"
+        ),
+        # renormalized from coefficients near the float range
+        ("pauli", "1e300", "1e300", "0", "0"): (
+            "bdc3e5e645e3b8a917d487969088048c1cede1354ce4a96a850b979d8559973c"
+        ),
+        # a boundary pair on an input with an imaginary amplitude
+        ("clone", "--state=+i", "--s0", "1", "--s1", "0"): (
+            "24b3bb5f8eee342e66217b7f23b273a6b953e03555b913024265661b210f2971"
+        ),
     }
+    infeasible = {("solve", "0.9", "0.9", "--format", "json"), ("clone", "--state=0", "--s0", "0.9", "--s1", "0.9")}
     for argv, digest in expected.items():
         code, out, _ = run_cli(*argv)
-        assert code == 0
+        assert code == (2 if argv in infeasible else 0), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 

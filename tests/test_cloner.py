@@ -169,6 +169,21 @@ class TestSolvePrep:
         prep = PrepState(c1=np.sqrt(0.5 + 2.5e-13), c2=0.5, c4=0.5, theta1=0.0, theta2=0.0, theta4=0.0)
         assert run_cloner(named_state("0", "a0"), prep).joint.shape == (8,)
 
+    def test_amplitudes_are_built_once_and_read_only(self):
+        prep = solve_prep(feasibility(0.4, 0.7))
+        assert prep.as_amplitudes is prep.as_amplitudes
+        expected = np.array(
+            [
+                prep.c1 * np.exp(1j * prep.theta1),
+                prep.c2 * np.exp(1j * prep.theta2),
+                0.0,
+                prep.c4 * np.exp(1j * prep.theta4),
+            ]
+        )
+        assert prep.as_amplitudes.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            prep.as_amplitudes[0] = 0.0
+
     def test_as_state_labels(self):
         prep = solve_prep(feasibility(0.5, 0.5))
         assert prep.as_state().labels == ("a1", "b1")

@@ -1,0 +1,87 @@
+"""The CLI's JSON writer against json.dumps(indent=2, allow_nan=False)."""
+import json
+import math
+
+import numpy as np
+import pytest
+
+from asymclone.cli import _json_num, _json_text
+
+# edges of the float range, signed zeros, subnormals and 12-digit rounding ties
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 0.5, -1.0, 1e16,
+    1e-5, 1e-4, 0.1 + 0.2, 123456789012.5, 9.999999999995e-3, 2 / 3,
+]
+EDGE_STRINGS = ['say "no"', "back\\slash", "café", " \u0000\x7f", "\U0001d54a", "margin 0.63 exceeds 0"]
+
+
+def _reference(value):
+    """value as the CLI handed it to json.dumps before the direct writer.
+
+    Every number goes through _json_num and every complex number becomes a
+    [re, im] list, as the removed _json_vector/_json_matrix builders did.
+    """
+    if isinstance(value, dict):
+        return {key: _reference(v) for key, v in value.items()}
+    if isinstance(value, (list, np.ndarray)):
+        return [_reference(v) for v in value]
+    if isinstance(value, complex):
+        return [_json_num(value.real), _json_num(value.imag)]
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    return _json_num(value)
+
+
+def _payloads():
+    st = pytest.importorskip("hypothesis").strategies
+    real = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    text = st.one_of(st.sampled_from(EDGE_STRINGS), st.text())
+
+    @st.composite
+    def complex_array(draw):
+        shape = draw(st.sampled_from([(1,), (2,), (4,), (8,), (2, 2), (4, 4)]))
+        size = 2 * math.prod(shape)
+        parts = np.array(draw(st.lists(real, min_size=size, max_size=size)))
+        array = parts.view(complex).reshape(shape)
+        # strided views, as np.diag and a transpose hand them over
+        view = draw(st.sampled_from(["contiguous", "diagonal", "transpose", "every other"]))
+        if view == "diagonal" and array.ndim == 2:
+            return np.diag(array)
+        if view == "transpose":
+            return array.T
+        if view == "every other" and len(array) > 1:
+            return array[::2]
+        return array
+
+    leaf = st.one_of(st.none(), st.booleans(), real, text, st.lists(text, max_size=4), complex_array())
+    return st.dictionaries(text, leaf, min_size=1, max_size=8)
+
+
+def test_writer_matches_json_dumps_on_every_payload_shape():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(_payloads())
+    def check(payload):
+        reference = _reference(payload)
+        text = _json_text(payload)
+        assert text == json.dumps(reference, indent=2, allow_nan=False)
+        # and a second, independent reading: the parser gives the numbers back
+        assert json.loads(text) == reference
+
+    check()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_raise_value_error(bad):
+    for payload in ({"x": bad}, {"x": np.array([1.0, complex(0.0, bad)])}, {"x": np.full((2, 2), bad)}):
+        with pytest.raises(ValueError):
+            json.dumps(_reference(payload), indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            _json_text(payload)
+
+
+def test_negative_zero_prints_as_zero():
+    assert _json_text({"x": -0.0}) == '{\n  "x": 0.0\n}'
+    assert _json_text({"z": np.array([complex(-0.0, -0.0)])}) == '{\n  "z": [\n    [\n      0.0,\n      0.0\n    ]\n  ]\n}'
