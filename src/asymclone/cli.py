@@ -297,23 +297,31 @@ def _fill_rows(rows: list[str], queued: list[tuple[int, str, np.ndarray]], probe
 def _sweep_blocks(step: float):
     """The sweep's CSV rows in order, in lists complete up to each kernel call.
 
-    Feasible rows queue up and go through the kernel _SWEEP_BLOCK at a time,
-    so the kernel's fixed cost is paid once per block, not once per row, and
-    no more than a block's rows are held at once.
+    Each s0 row of the grid takes one pass of the feasibility rule and one
+    solve_rows call on its feasible points. Feasible rows queue up and go
+    through the kernel _SWEEP_BLOCK at a time, so the kernel's fixed cost is
+    paid once per block, not once per row, and no more than a block's rows
+    are held at once.
     """
     probes = np.array([p.amplitudes for p in cloner.probe_states()])
+    values = _sweep_values(step)
+    grid = np.array(values)
+    s1_text = [_csv_num(s1) for s1 in values]
     rows: list[str] = []
     queued: list[tuple[int, str, np.ndarray]] = []
-    for s0 in _sweep_values(step):
-        for s1 in _sweep_values(step):
-            pair = cloner.feasibility(s0, s1)
-            lead = [_csv_num(s0), _csv_num(s1), "true" if pair.feasible else "false", _csv_num(pair.margin)]
-            if not pair.feasible:
+    for s0 in values:
+        margin, in_range, over = cloner.feasibility_rule(s0, grid)
+        feasible = in_range & ~over
+        columns, preps = cloner.solve_rows(np.full(np.count_nonzero(feasible), s0), grid[feasible])
+        solved = iter(zip(columns.tolist(), preps))
+        s0_text = _csv_num(s0)
+        for s1, ok, m in zip(s1_text, feasible.tolist(), margin.tolist()):
+            lead = [s0_text, s1, "true" if ok else "false", _csv_num(m)]
+            if not ok:
                 rows.append(",".join(lead + [""] * 8))
                 continue
-            prep = cloner.solve_prep(pair)
-            columns = (prep.c1, prep.c2, prep.c4, prep.theta2, prep.theta4)
-            queued.append((len(rows), ",".join(lead + [_csv_num(x) for x in columns]), prep.as_amplitudes))
+            solution, prep = next(solved)
+            queued.append((len(rows), ",".join(lead + [_csv_num(x) for x in solution]), prep))
             rows.append("")
             if len(queued) == _SWEEP_BLOCK:
                 _fill_rows(rows, queued, probes)
@@ -467,11 +475,12 @@ def _draw_cloner(rng: np.random.Generator, n: int):
 
 def _check_cloner(pairs: list[cloner.ScalingPair], inputs: np.ndarray):
     n = len(pairs)
-    preps = np.array([cloner.solve_prep(pair).as_amplitudes for pair in pairs])
+    target = np.array([[pair.s0, pair.s1] for pair in pairs])
+    _, preps = cloner.solve_rows(target[:, 0], target[:, 1])
     batch = cloner.clone_batch(inputs.reshape(2 * n, 2), np.repeat(preps, 2, axis=0))
     # axes: trial, input, clone
     s_est = batch.s_est.reshape(n, 2, 2)
-    target = np.array([[pair.s0, pair.s1] for pair in pairs])[:, None, :]
+    target = target[:, None, :]
     # the scaled-output form: every residual and isotropy error in tolerance
     scaled = np.maximum(batch.residual, batch.isotropy).reshape(n, 2, 2).max(axis=-1)
     shrink = np.abs(s_est - target).max(axis=-1)

@@ -385,6 +385,11 @@ def test_stdout_is_byte_identical_to_the_reference():
         ("clone", "--state=+i", "--s0", "1", "--s1", "0"): (
             "24b3bb5f8eee342e66217b7f23b273a6b953e03555b913024265661b210f2971"
         ),
+        # grids solved one s0 row per solve_rows call: 4 rows at step 1/3 (the
+        # corners and (2/3, 2/3) on the margin's zero), 15 at 1/14, 77 at 0.013
+        ("sweep", "--step", "1/14"): "5bd8394a0b905efd77b9c34ace26e968caef60b090dd4d3b993cc2da57ec8881",
+        ("sweep", "--step", "1/3"): "2fa85fa9d8065b07811fabe34988a602462c16084cb2d2f6ee5cc24ae0d9bf1a",
+        ("sweep", "--step", "0.013"): "de2accfd0621b744ba14d56596d4305eb5a43838d8a982b47090b6aa00558cdd",
     }
     infeasible = {("solve", "0.9", "0.9", "--format", "json"), ("clone", "--state=0", "--s0", "0.9", "--s1", "0.9")}
     for argv, digest in expected.items():
@@ -559,6 +564,15 @@ def test_sweep_blocks_match_one_kernel_call_per_row(monkeypatch, block):
     assert sum(",true," in row for row in reference) == 314
     monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
     assert cli.sweep_rows(0.05) == reference
+
+
+def test_sweep_at_step_one_third_matches_one_kernel_call_per_row():
+    # the grid's corners and the symmetric point (2/3, 2/3) on the margin's
+    # zero through the stacked row pass and through the scalar solver
+    reference = _sweep_rows_one_call_per_row(1 / 3)
+    feasible = {tuple(row.split(",")[:2]) for row in reference if ",true," in row}
+    assert {("0", "0"), ("1", "0"), ("0", "1"), ("0.666666667", "0.666666667")} <= feasible
+    assert cli.sweep_rows(1 / 3) == reference
 
 
 def _run_on_a_fresh_parser(argv):
