@@ -48,9 +48,13 @@ CSV_HEADER = "s0,s1,feasible,margin,c1,c2,c4,theta2,theta4,fidelity0,fidelity1,r
 MIN_STEP = 0.001
 # bounds a verify run at about ten seconds of work
 MAX_TRIALS = 100_000
-# feasible sweep rows per clone_batch call: enough to spread the kernel's
-# fixed cost thin, few enough that its 8x8 stack (6 probes a row) stays 1.5 MB
-_SWEEP_BLOCK = 256
+# sweep grid points per block of whole s0 rows (one block up to step 1/21):
+# enough to spread numpy's per-call cost thin, few enough that the kernel's
+# 8x8 stacks (6 probes a feasible point) stay within a few MB
+_SWEEP_POINTS = 512
+# a sweep row from its s0 and s1 text and its nine numbers, or its margin alone
+_FEASIBLE_ROW = "%s,%s,true," + ",".join(["%.9g"] * 9)
+_INFEASIBLE_ROW = "%s,%s,false,%.9g" + "," * 8
 # verify trials per stacked pass: enough to spread numpy's per-call cost
 # thin, few enough that a suite's largest stack (8x8 per trial) stays 1 MB
 _VERIFY_CHUNK = 1024
@@ -277,58 +281,45 @@ def _sweep_values(step: float) -> list[float]:
     return [k * step for k in range(count + 1)]
 
 
-def _fill_rows(rows: list[str], queued: list[tuple[int, str, np.ndarray]], probes: np.ndarray) -> None:
-    """Complete the queued feasible rows from one clone_batch call, then empty the queue.
+def _block_rows(
+    s0_text: list[str], s1_text: list[str], margin: np.ndarray, feasible: np.ndarray, solved: np.ndarray
+) -> list[str]:
+    """The CSV rows of a block of s0 grid rows, each filled from one %-template.
 
-    Each entry is (slot in rows, the row's first nine columns, the preparation's
-    amplitudes); the kernel runs every probe under every preparation.
+    margin and feasible are (rows, points); solved holds the eight columns
+    after the margin of each feasible point, in grid order. + 0.0 on each
+    array turns -0.0 into 0, the rule _csv_num applies number by number.
     """
-    if not queued:
-        return
-    slots, heads, preps = zip(*queued)
-    n, k = len(queued), len(probes)
-    batch = cloner.clone_batch(np.tile(probes, (n, 1)), np.repeat(np.array(preps), k, axis=0))
-    residual_max = batch.residual.reshape(n, -1).max(axis=1)
-    for slot, head, (fidelity0, fidelity1), residual in zip(slots, heads, batch.fidelity[::k], residual_max):
-        rows[slot] = ",".join([head, _csv_num(fidelity0), _csv_num(fidelity1), _csv_num(residual)])
-    queued.clear()
+    numbers = iter((np.column_stack([margin[feasible], solved]) + 0.0).tolist())
+    return [
+        _FEASIBLE_ROW % (s0, s1, *next(numbers)) if ok else _INFEASIBLE_ROW % (s0, s1, m)
+        for s0, flags, margins in zip(s0_text, feasible.tolist(), (margin + 0.0).tolist())
+        for s1, ok, m in zip(s1_text, flags, margins)
+    ]
 
 
 def _sweep_blocks(step: float):
     """The sweep's CSV rows in order, in lists complete up to each kernel call.
 
-    Each s0 row of the grid takes one pass of the feasibility rule and one
-    solve_rows call on its feasible points. Feasible rows queue up and go
-    through the kernel _SWEEP_BLOCK at a time, so the kernel's fixed cost is
-    paid once per block, not once per row, and no more than a block's rows
-    are held at once.
+    The grid goes in blocks of whole s0 rows, about _SWEEP_POINTS points a
+    block: one pass of the feasibility rule, one solve_rows call on the
+    block's feasible points and one clone_batch call on their six probes.
     """
     probes = np.array([p.amplitudes for p in cloner.probe_states()])
+    k = len(probes)
     values = _sweep_values(step)
     grid = np.array(values)
-    s1_text = [_csv_num(s1) for s1 in values]
-    rows: list[str] = []
-    queued: list[tuple[int, str, np.ndarray]] = []
-    for s0 in values:
-        margin, in_range, over = cloner.feasibility_rule(s0, grid)
+    text = [_csv_num(s) for s in values]
+    per_block = max(1, _SWEEP_POINTS // len(values))
+    for start in range(0, len(values), per_block):
+        margin, in_range, over = cloner.feasibility_rule(grid[start : start + per_block, None], grid)
         feasible = in_range & ~over
-        columns, preps = cloner.solve_rows(np.full(np.count_nonzero(feasible), s0), grid[feasible])
-        solved = iter(zip(columns.tolist(), preps))
-        s0_text = _csv_num(s0)
-        for s1, ok, m in zip(s1_text, feasible.tolist(), margin.tolist()):
-            lead = [s0_text, s1, "true" if ok else "false", _csv_num(m)]
-            if not ok:
-                rows.append(",".join(lead + [""] * 8))
-                continue
-            solution, prep = next(solved)
-            queued.append((len(rows), ",".join(lead + [_csv_num(x) for x in solution]), prep))
-            rows.append("")
-            if len(queued) == _SWEEP_BLOCK:
-                _fill_rows(rows, queued, probes)
-                yield rows
-                rows = []
-    _fill_rows(rows, queued, probes)
-    yield rows
+        i, j = np.nonzero(feasible)
+        columns, preps = cloner.solve_rows(grid[start + i], grid[j])
+        m = len(preps)
+        batch = cloner.clone_batch(np.tile(probes, (m, 1)), np.repeat(preps, k, axis=0))
+        solved = np.column_stack([columns, batch.fidelity[::k], batch.residual.reshape(m, 2 * k).max(axis=1)])
+        yield _block_rows(text[start : start + per_block], text, margin, feasible, solved)
 
 
 def sweep_rows(step: float) -> list[str]:
@@ -339,7 +330,7 @@ def sweep_rows(step: float) -> list[str]:
 def _write_sweep(handle, step: float) -> None:
     handle.write(CSV_HEADER + "\n")
     for block in _sweep_blocks(step):
-        handle.write("".join(row + "\n" for row in block))
+        handle.write("\n".join(block) + "\n")
 
 
 def _cmd_sweep(args) -> int:
@@ -460,22 +451,21 @@ def _check_gates(psi: np.ndarray, angles: np.ndarray, raw: np.ndarray):
 
 
 def _draw_cloner(rng: np.random.Generator, n: int):
-    """Per trial: uniform pairs until one is feasible, then random_state on a0 twice."""
-    pairs, normals = [], np.empty((n, 2, 4))
+    """Per trial: uniform pairs until one is feasible, then random_state on a0 twice; pairs as (n, 2)."""
+    pairs, normals = np.empty((n, 2)), np.empty((n, 2, 4))
     for t in range(n):
         while True:
-            s0, s1 = rng.uniform(0.0, 1.0, size=2)
-            pair = cloner.feasibility(float(s0), float(s1))
-            if pair.feasible:
+            s0, s1 = rng.uniform(0.0, 1.0, size=2).tolist()
+            _, in_range, over = cloner.feasibility_rule(s0, s1)
+            if in_range and not over:
                 break
-        pairs.append(pair)
+        pairs[t] = s0, s1
         normals[t] = rng.standard_normal(8).reshape(2, 4)
     return pairs, random_rows(normals)
 
 
-def _check_cloner(pairs: list[cloner.ScalingPair], inputs: np.ndarray):
-    n = len(pairs)
-    target = np.array([[pair.s0, pair.s1] for pair in pairs])
+def _check_cloner(target: np.ndarray, inputs: np.ndarray):
+    n = len(target)
     _, preps = cloner.solve_rows(target[:, 0], target[:, 1])
     batch = cloner.clone_batch(inputs.reshape(2 * n, 2), np.repeat(preps, 2, axis=0))
     # axes: trial, input, clone

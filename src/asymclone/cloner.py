@@ -17,7 +17,7 @@ with the |10> amplitude identically zero, and phases fixed through
     cos(theta1 - theta4) = s0 / sqrt((s0+s1)(1-s1)).
 
 Every formula here is elementwise in (s0, s1), so solve_rows solves a whole
-stack of feasible pairs in one numpy pass: sweep calls it once per grid row
+stack of feasible pairs in one numpy pass: sweep calls it once per row block
 and verify once per chunk of trials. solve_prep solves one pair with the
 same operations on floats, which costs less than a one-row stack; the
 tests hold the two bit for bit equal. The feasibility rule and the rules a
@@ -344,6 +344,8 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     input's projector and both clones; their Bloch lengths.
     The joint projector needs no density check: it is Hermitian and rank one
     by construction, with the joint's checked squared norm as its trace.
+    On the clones, check_bloch_length (|m|^2 <= 1 + 1e-10) already implies
+    the eigenvalue rule: lambda_min = (trace - |m|)/2 >= -2.5e-11.
     """
     inputs = np.ascontiguousarray(inputs, dtype=complex)
     prep = np.asarray(prep_amplitudes, dtype=complex)

@@ -56,7 +56,9 @@ def check_density(entries: np.ndarray) -> None:
     """Raise ValueError unless every matrix (last two axes) is a density matrix.
 
     That is Hermitian, of unit trace and with no eigenvalue below
-    -ACCUMULATED_TOL, checked in this order.
+    -ACCUMULATED_TOL, checked in this order. A 2x2 matrix's smallest
+    eigenvalue is taken in closed form, at a fraction of eigvalsh's cost of
+    about a microsecond a matrix; larger matrices go through eigvalsh.
     """
     skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).max(axis=(-2, -1))
     if not (skew <= ROUNDOFF_TOL).all():
@@ -65,7 +67,12 @@ def check_density(entries: np.ndarray) -> None:
     ok = np.abs(trace - 1.0) <= ROUNDOFF_TOL
     if not ok.all():
         raise ValueError(f"density matrix trace is {_offender(trace, ok)!r}, expected 1")
-    if not (np.linalg.eigvalsh(entries) >= -ACCUMULATED_TOL).all():
+    if entries.shape[-2:] == (2, 2):
+        a, d = entries[..., 0, 0].real, entries[..., 1, 1].real
+        lowest = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(entries[..., 1, 0]))
+    else:
+        lowest = np.linalg.eigvalsh(entries)
+    if not (lowest >= -ACCUMULATED_TOL).all():
         raise ValueError("density matrix has a negative eigenvalue")
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -385,11 +386,14 @@ def test_stdout_is_byte_identical_to_the_reference():
         ("clone", "--state=+i", "--s0", "1", "--s1", "0"): (
             "24b3bb5f8eee342e66217b7f23b273a6b953e03555b913024265661b210f2971"
         ),
-        # grids solved one s0 row per solve_rows call: 4 rows at step 1/3 (the
-        # corners and (2/3, 2/3) on the margin's zero), 15 at 1/14, 77 at 0.013
+        # grids solved in blocks of whole s0 rows: one block at step 1/3 (the
+        # corners and (2/3, 2/3) on the margin's zero), 1/14 and 1/21, the
+        # largest one-block grid; two blocks at 1/22; 13 blocks at 0.013
         ("sweep", "--step", "1/14"): "5bd8394a0b905efd77b9c34ace26e968caef60b090dd4d3b993cc2da57ec8881",
         ("sweep", "--step", "1/3"): "2fa85fa9d8065b07811fabe34988a602462c16084cb2d2f6ee5cc24ae0d9bf1a",
         ("sweep", "--step", "0.013"): "de2accfd0621b744ba14d56596d4305eb5a43838d8a982b47090b6aa00558cdd",
+        ("sweep", "--step", "1/21"): "1a645a05155bbb526164f3b0e13f7f3355a1d5add5c63987a8574650f64fea20",
+        ("sweep", "--step", "1/22"): "5b2c21ebcf6035ee6460b05432e75ef75ae6d09f9be198d37200a526c58f964c",
     }
     infeasible = {("solve", "0.9", "0.9", "--format", "json"), ("clone", "--state=0", "--s0", "0.9", "--s1", "0.9")}
     for argv, digest in expected.items():
@@ -536,6 +540,7 @@ def test_sweep_and_verify_arguments_always_end_cleanly():
     check()
 
 
+@functools.cache
 def _sweep_rows_one_call_per_row(step):
     """sweep_rows with one clone_batch call on the six probes per feasible row."""
     probes = np.array([p.amplitudes for p in probe_states()])
@@ -556,14 +561,57 @@ def _sweep_rows_one_call_per_row(step):
     return rows
 
 
-@pytest.mark.parametrize("block", [1, 7, 157, 256, 314, 1000])
-def test_sweep_blocks_match_one_kernel_call_per_row(monkeypatch, block):
-    # step 0.05 has 314 feasible rows: blocks of 157 and 314 leave no partial
-    # block, 7 and 256 leave one, and 1000 is never filled
-    reference = _sweep_rows_one_call_per_row(0.05)
-    assert sum(",true," in row for row in reference) == 314
-    monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
-    assert cli.sweep_rows(0.05) == reference
+@pytest.mark.parametrize("points", [1, 7, 14, 24, 157, 256, 314, 1000])
+def test_sweep_blocks_match_one_kernel_call_per_row(monkeypatch, points):
+    # a block holds max(1, points // n) whole s0 rows of n points: one row at
+    # every step for 1 and 7; at step 1/3 (n = 4) 3 rows for 14 and the whole
+    # grid from 24 on; at step 1/6 (n = 7) 2 and 3 rows for 14 and 24 and the
+    # whole grid from 157 on; at step 0.05 (n = 21) 7, 12 and 14 rows for 157,
+    # 256 and 314, the last two with a partial last block, and the whole grid
+    # for 1000
+    monkeypatch.setattr(cli, "_SWEEP_POINTS", points)
+    for step in (0.05, 1 / 3, 1 / 6):
+        n = len(cli._sweep_values(step))
+        assert len(list(cli._sweep_blocks(step))) == -(-n // max(1, points // n)), step
+        assert cli.sweep_rows(step) == _sweep_rows_one_call_per_row(step), step
+
+
+def test_template_rows_match_the_per_number_rows():
+    # _block_rows fills each row from one %-template after + 0.0 on each
+    # array; _csv_num, one number at a time, is the reference
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    num = cli._csv_num
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2 / 3, 2 / 3], [1.0 + 2**-52, 0.0]])
+    margins, _, _ = cloner.feasibility_rule(corners[:, 0], corners[:, 1])
+    columns, _ = cloner.solve_rows(corners[:, 0], corners[:, 1])
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300]
+    special += margins.tolist() + (-margins).tolist() + columns.ravel().tolist()
+    number = st.one_of(st.sampled_from(special), st.floats(allow_nan=False, allow_infinity=False))
+    text = st.sampled_from(cli._sweep_values(1 / 7) + cli._sweep_values(float(f"{1 / 6:.16g}"))).map(num)
+
+    def arrays(data, count, shape, elements):
+        return np.array(data.draw(st.lists(elements, min_size=count, max_size=count)), dtype=float).reshape(shape)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 2), st.integers(1, 3), st.data())
+    def check(rows, points, data):
+        s0_text = data.draw(st.lists(text, min_size=rows, max_size=rows))
+        s1_text = data.draw(st.lists(text, min_size=points, max_size=points))
+        feasible = arrays(data, rows * points, (rows, points), st.booleans()).astype(bool)
+        margin = arrays(data, rows * points, (rows, points), number)
+        solved = arrays(data, 8 * int(feasible.sum()), (-1, 8), number)
+        want, solutions = [], iter(solved.tolist())
+        for a, s0 in enumerate(s0_text):
+            for b, s1 in enumerate(s1_text):
+                if feasible[a, b]:
+                    tail = [num(margin[a, b])] + [num(x) for x in next(solutions)]
+                else:
+                    tail = [num(margin[a, b])] + [""] * 8
+                want.append(",".join([s0, s1, "true" if feasible[a, b] else "false"] + tail))
+        assert cli._block_rows(s0_text, s1_text, margin, feasible, solved) == want
+
+    check()
 
 
 def test_sweep_at_step_one_third_matches_one_kernel_call_per_row():
@@ -714,10 +762,7 @@ def _replayed_draws(name, rng, n):
 def test_stacked_draws_replay_the_per_trial_calls(name, draw):
     rng, replay = np.random.default_rng(47), np.random.default_rng(47)
     for n in (1, 5, 30):
-        stacked = draw(rng, n)
-        if name == "cloner":
-            stacked = ([[pair.s0, pair.s1] for pair in stacked[0]], stacked[1])
-        for got, want in zip(stacked, _replayed_draws(name, replay, n), strict=True):
+        for got, want in zip(draw(rng, n), _replayed_draws(name, replay, n), strict=True):
             assert np.array_equal(got, want), name
     # the generators end in the same state
     assert rng.standard_normal() == replay.standard_normal()
@@ -749,8 +794,8 @@ def test_sweep_writes_each_block_as_the_kernel_completes_it(monkeypatch):
     kernel_calls, writes = [], []
     real = cloner.clone_batch
     monkeypatch.setattr(cloner, "clone_batch", lambda *args: kernel_calls.append(1) or real(*args))
-    # step 0.05 has 314 feasible rows: 45 blocks of 7, the last one partial
-    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 7)
+    # step 0.05 has 21 s0 rows: 6 blocks of 4 rows, the last one partial
+    monkeypatch.setattr(cli, "_SWEEP_POINTS", 4 * 21)
 
     class Sink(io.StringIO):
         def write(self, text):
@@ -760,7 +805,7 @@ def test_sweep_writes_each_block_as_the_kernel_completes_it(monkeypatch):
     sink = Sink()
     with redirect_stdout(sink):
         assert main(["sweep", "--step", "0.05"]) == 0
-    assert writes == list(range(46))
+    assert writes == list(range(7))
     assert sink.getvalue() == "\n".join([CSV_HEADER] + cli.sweep_rows(0.05)) + "\n"
 
 

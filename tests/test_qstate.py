@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from asymclone.qstate import (
+    ACCUMULATED_TOL,
     BlochVector,
     DensityMatrix,
     StateVector,
@@ -107,12 +108,86 @@ class TestDensityMatrix:
         (check_density, 0.5 * np.eye(2), np.diag([1.5, -0.5]), "negative eigenvalue"),
         (check_bloch_length, [0.0, 0.6, 0.8], [0.8, 0.8, 0.0], "unit ball"),
         (check_bloch_length, [0.0, 0.6, 0.8], [np.nan, 0.0, 0.0], "unit ball"),
+        # a positive diagonal with an off-diagonal that drives an eigenvalue to -0.1
+        (check_density, 0.5 * np.eye(2), [[0.5, 0.6], [0.6, 0.5]], "negative eigenvalue"),
+        (check_density, 0.25 * np.eye(4), np.diag([0.5, 0.5, 0.5, -0.5]), "negative eigenvalue"),
     ],
 )
 def test_stack_checks_fail_on_one_bad_item(check, good, bad, match):
     check(np.array([good] * 5))
     with pytest.raises(ValueError, match=match):
         check(np.array([good] * 3 + [bad, good]))
+
+
+def _passes_density(entries):
+    """True if check_density accepts, False if it finds a negative eigenvalue."""
+    try:
+        check_density(entries)
+    except ValueError as exc:
+        assert "negative eigenvalue" in str(exc)
+        return False
+    return True
+
+
+def _unit_vectors(rng, n):
+    raw = rng.standard_normal((n, 3))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def test_two_by_two_eigenvalue_rule_agrees_with_eigvalsh():
+    rng = np.random.default_rng(43)
+    tol = ACCUMULATED_TOL
+    # |m| = 1 + 2 tol -+ 2e-15 puts the smallest eigenvalue (1 - |m|)/2 at -tol +- 1e-15
+    lengths = {
+        "random": rng.uniform(0.0, 1.2, 300),
+        "rank-deficient": np.ones(100),
+        "above -tol": np.full(100, 1.0 + 2.0 * tol - 2e-15),
+        "below -tol": np.full(100, 1.0 + 2.0 * tol + 2e-15),
+    }
+    stacks = {name: from_bloch_rows(r[:, None] * _unit_vectors(rng, len(r))) for name, r in lengths.items()}
+    # arbitrary Hermitian unit-trace matrices, off the Bloch form's arithmetic
+    a = rng.uniform(-0.5, 1.5, 300)
+    b = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    stacks["random entries"] = np.stack([a, b.conj(), b, 1.0 - a], axis=-1).reshape(-1, 2, 2)
+    stacks["by hand"] = np.array(
+        [
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[0.5, 0.5], [0.5, 0.5]],
+            [[0.5, -0.5j], [0.5j, 0.5]],
+            [[0.5, 0.6], [0.6, 0.5]],
+            [[0.5, -0.6], [-0.6, 0.5]],
+            [[0.5, 0.6j], [-0.6j, 0.5]],
+            np.diag([-tol + 1e-15, 1.0 + tol - 1e-15]),
+            np.diag([-tol - 1e-15, 1.0 + tol + 1e-15]),
+        ],
+        dtype=complex,
+    )
+    for name, stack in stacks.items():
+        want = np.linalg.eigvalsh(stack)[:, 0] >= -tol
+        got = [_passes_density(entries) for entries in stack]
+        assert got == want.tolist(), name
+        assert _passes_density(stack) == want.all(), name
+    # the stacks hold both verdicts, and both rules resolve 1e-15 around -tol
+    assert _passes_density(stacks["rank-deficient"]) and _passes_density(stacks["above -tol"])
+    assert not any(_passes_density(entries) for entries in stacks["below -tol"])
+    assert [_passes_density(entries) for entries in stacks["by hand"]] == [True] * 4 + [False] * 3 + [True, False]
+    assert 0 < sum(map(_passes_density, stacks["random"])) < 300
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_two_by_two_entries_fail_the_density_rule(value):
+    good = 0.5 * np.eye(2, dtype=complex)
+    for row in range(2):
+        for col in range(2):
+            z = good[row, col]
+            for entry in (complex(value, z.imag), complex(z.real, value)):
+                bad = good.copy()
+                bad[row, col] = entry
+                with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                    check_density(bad)
+                with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                    check_density(np.array([good, bad, good]))
 
 
 def test_tensor_orders_high_bits_first():
