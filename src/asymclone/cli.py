@@ -55,6 +55,9 @@ _SWEEP_POINTS = 512
 # a sweep row from its s0 and s1 text and its nine numbers, or its margin alone
 _FEASIBLE_ROW = "%s,%s,true," + ",".join(["%.9g"] * 9)
 _INFEASIBLE_ROW = "%s,%s,false,%.9g" + "," * 8
+# solve's text report: nine numbers, then the [re, im] parts of four amplitudes
+_SOLVE_TEXT = "s0 = {}  s1 = {}  margin = {}\nc1 = {}  theta1 = {}\nc2 = {}  theta2 = {}\nc4 = {}  theta4 = {}\n"
+_SOLVE_TEXT += "amplitudes: " + ", ".join(["{}{:+}j"] * 4)
 # verify trials per stacked pass: enough to spread numpy's per-call cost
 # thin, few enough that a suite's largest stack (8x8 per trial) stays 1 MB
 _VERIFY_CHUNK = 1024
@@ -150,9 +153,9 @@ def _csv_num(x: float) -> str:
     return format(x, ".9g")
 
 
-def _json_numbers(values: list) -> list[str]:
-    """Each value as _json_num and then float.__repr__ give it; ValueError if any is NaN or infinite."""
-    return list(map(repr, _finite([_json_num(x) for x in values])))
+def _rounded(values: list) -> list[float]:
+    """Each value as _json_num gives it, all formatted by one %-template."""
+    return [float(text) + 0.0 for text in (("%.12g " * len(values)) % tuple(values)).split()]
 
 
 @functools.cache
@@ -174,11 +177,11 @@ def _json_list(items: list[str], depth: int, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def _json_text(value, depth: int = 0) -> str:
-    """value as json.dumps(value, indent=2, allow_nan=False) writes it, with numbers as _json_num gives them.
+def _json_layout(value, depth: int, numbers: list[float]) -> str:
+    """%-template of value as json.dumps(indent=2) lays it out at this depth; its numbers go onto numbers.
 
-    value is a dict with str keys, a list, a str, a bool, None, a real
-    number or a numpy array of complex numbers, each written as [re, im].
+    value is a dict with str keys, a list, a str, a bool, None, a real number or a numpy
+    array of complex numbers, each written as [re, im]. A number is one %s; a % is escaped.
     """
     if value is None:
         return "null"
@@ -187,16 +190,24 @@ def _json_text(value, depth: int = 0) -> str:
     if value is False:
         return "false"
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return encode_basestring_ascii(value).replace("%", "%%")
     if isinstance(value, np.ndarray):
-        parts = np.ascontiguousarray(value, dtype=complex).view(float).reshape(-1).tolist()
-        return _array_layout(value.shape, depth) % tuple(_json_numbers(parts))
+        numbers += np.ascontiguousarray(value, dtype=complex).view(float).reshape(-1).tolist()
+        return _array_layout(value.shape, depth)
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(v, depth + 1)}" for key, v in value.items()]
+        items = [
+            f"{_json_layout(key, depth, numbers)}: {_json_layout(v, depth + 1, numbers)}" for key, v in value.items()
+        ]
         return _json_list(items, depth, "{}")
     if isinstance(value, list):
-        return _json_list([_json_text(v, depth + 1) for v in value], depth)
-    return _json_numbers([value])[0]
+        return _json_list([_json_layout(v, depth + 1, numbers) for v in value], depth)
+    numbers.append(float(value))
+    return "%s"
+
+
+def _json_text(value) -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it, with numbers as _json_num gives them."""
+    return _json_layout(value, 0, numbers := []) % tuple(_rounded(_finite(numbers)))
 
 
 def _print_json(payload: dict) -> None:
@@ -214,10 +225,9 @@ def _emit_infeasible(pair: cloner.ScalingPair, fmt: str) -> int:
     if fmt == "json":
         _print_json({**head, "reason": pair.reason})
     else:
-        margin = "null" if head["margin"] is None else _json_num(head["margin"])
-        print(
-            f"infeasible: s0 = {_json_num(pair.s0)}, s1 = {_json_num(pair.s1)}, margin = {margin} ({pair.reason})"
-        )
+        s0, s1, margin = _rounded([pair.s0, pair.s1, pair.margin])
+        margin = "null" if head["margin"] is None else margin
+        print(f"infeasible: s0 = {s0}, s1 = {s1}, margin = {margin} ({pair.reason})")
     return EXIT_INFEASIBLE
 
 
@@ -239,14 +249,8 @@ def _cmd_solve(args) -> int:
         }
         _print_json(payload)
     else:
-        print(f"s0 = {_json_num(pair.s0)}  s1 = {_json_num(pair.s1)}  margin = {_json_num(pair.margin)}")
-        print(f"c1 = {_json_num(prep.c1)}  theta1 = {_json_num(prep.theta1)}")
-        print(f"c2 = {_json_num(prep.c2)}  theta2 = {_json_num(prep.theta2)}")
-        print(f"c4 = {_json_num(prep.c4)}  theta4 = {_json_num(prep.theta4)}")
-        amps = ", ".join(
-            f"{_json_num(z.real)}{_json_num(z.imag):+}j" for z in prep.as_amplitudes
-        )
-        print(f"amplitudes: {amps}")
+        numbers = [pair.s0, pair.s1, pair.margin, prep.c1, prep.theta1, prep.c2, prep.theta2, prep.c4, prep.theta4]
+        print(_SOLVE_TEXT.format(*_rounded(numbers + prep.as_amplitudes.view(float).tolist())))
     return EXIT_OK
 
 
@@ -538,6 +542,7 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="asymclone", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser by name, for _parse
 
     p_solve = sub.add_parser("solve", help="solve the preparation state for target scalings")
     p_solve.add_argument("s0", type=_parse_real, help="scaling of the original (accepts fractions like 2/3)")
@@ -580,8 +585,18 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv by its command's own parser where that settles it alone, else by the full parser and its messages."""
+    parser = _shared_parser()
+    if argv and argv[0] in parser.commands:
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         # a closed pipe raises here, where it can be handled, not at exit

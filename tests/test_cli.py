@@ -394,6 +394,15 @@ def test_stdout_is_byte_identical_to_the_reference():
         ("sweep", "--step", "0.013"): "de2accfd0621b744ba14d56596d4305eb5a43838d8a982b47090b6aa00558cdd",
         ("sweep", "--step", "1/21"): "1a645a05155bbb526164f3b0e13f7f3355a1d5add5c63987a8574650f64fea20",
         ("sweep", "--step", "1/22"): "5b2c21ebcf6035ee6460b05432e75ef75ae6d09f9be198d37200a526c58f964c",
+        # the solve report at its edges: theta2 = theta4 carry the arccos
+        # rounding on the margin's zero; free phases with c2 = 0 and c4 = 0;
+        # a corner with c1 = 0 as JSON
+        ("solve", "2/3", "2/3"): "cf8e5dfb0653edc84c5356a8478fe92cdab9bf829ba9374b58f784cd378f611f",
+        ("solve", "1", "0"): "7e68f023209c6ef724c1ec7884ff3cf614c4eab9e42d9c664317dac87bb6aa42",
+        ("solve", "0", "1"): "bf031cb2b88a40b6b11a2543f576b522e0ec1a8972aba09d1bbe973b420388ae",
+        ("solve", "0", "0", "--format", "json"): (
+            "c8885514d63cae9ab0432cbd51e74d9d895c05d4bc0f0470dfb9adda7376207c"
+        ),
     }
     infeasible = {("solve", "0.9", "0.9", "--format", "json"), ("clone", "--state=0", "--s0", "0.9", "--s1", "0.9")}
     for argv, digest in expected.items():
@@ -635,7 +644,7 @@ def _run_on_a_fresh_parser(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_kept_parser_answers_like_a_fresh_one():
+def test_kept_parser_answers_like_a_fresh_one(monkeypatch):
     rng = random.Random(6)
 
     def number():
@@ -654,13 +663,31 @@ def test_kept_parser_answers_like_a_fresh_one():
         lambda: ["verify", "--trials", rng.choice(["1", "2", "0", "x"]), "--seed", rng.choice(["3", "-1"])],
         lambda: rng.choice([["-h"], ["solve", "-h"], ["sweep", "--help"], [], ["bogus"], ["solve", "1"]]),
     ]
+    # argv the command's own parser cannot settle alone, or settles by
+    # argparse rules the full parser also applies
+    edges = [
+        ["solve", "0.3", "0.4", "0.5"],
+        ["pauli", "1", "0", "0", "0", "0"],
+        ["solve", "--", "-0.3", "0.2"],
+        ["solve", "0.3", "0.4", "--form", "json"],
+        ["clone", "--st=+", "--s0", "0.6", "--s1", "0.5"],
+        ["-h", "solve"],
+        ["solve", "0.3", "0.4", "-h"],
+        ["clone", "--help", "--state=+"],
+        ["bogus", "0.3", "0.4"],
+        [],
+    ]
     codes = set()
-    for _ in range(300):
-        argv = rng.choice(makers)()
+    for argv in edges + [rng.choice(makers)() for _ in range(300)]:
         kept = run_cli(*argv)
         assert kept == _run_on_a_fresh_parser(argv), argv
         codes.add(kept[0])
     assert codes == {0, 1, 2}
+    assert run_cli("solve", "0.3", "0.4", "0.5")[2].endswith("asymclone: error: unrecognized arguments: 0.5\n")
+    # a call its command's parser settles never reaches the full parser
+    monkeypatch.setattr(cli._shared_parser(), "parse_args", None)
+    assert run_cli("solve", "0.3", "0.4", "--format", "json")[0] == 0
+    assert run_cli("pauli", "1", "0", "0", "0")[0] == 0
 
 
 # verify's suites one trial at a time on the object API, as they ran before

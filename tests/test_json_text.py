@@ -13,7 +13,11 @@ EDGE_FLOATS = [
     1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 0.5, -1.0, 1e16,
     1e-5, 1e-4, 0.1 + 0.2, 123456789012.5, 9.999999999995e-3, 2 / 3,
 ]
-EDGE_STRINGS = ['say "no"', "back\\slash", "café", " \u0000\x7f", "\U0001d54a", "margin 0.63 exceeds 0"]
+# the writer fills one %-template of the whole payload, so strings and keys
+# carry % signs and conversion specs too
+EDGE_STRINGS = [
+    'say "no"', "back\\slash", "café", " \u0000\x7f", "\U0001d54a", "margin 0.63 exceeds 0", "100%", "%s", "%%d",
+]
 
 
 def _reference(value):
@@ -80,6 +84,11 @@ def test_non_finite_numbers_raise_value_error(bad):
             json.dumps(_reference(payload), indent=2, allow_nan=False)
         with pytest.raises(ValueError):
             _json_text(payload)
+
+
+def test_percent_signs_neither_raise_nor_move_a_number():
+    payload = {"%s": "100%", "%%d": [0.5, "%s"], "100%": np.array([1 + 2j]), "x": -1.25}
+    assert _json_text(payload) == json.dumps(_reference(payload), indent=2, allow_nan=False)
 
 
 def test_negative_zero_prints_as_zero():
