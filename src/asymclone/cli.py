@@ -307,10 +307,9 @@ def _sweep_blocks(step: float):
 
     The grid goes in blocks of whole s0 rows, about _SWEEP_POINTS points a
     block: one pass of the feasibility rule, one solve_rows call on the
-    block's feasible points and one clone_batch call on their six probes.
+    block's feasible points and one clone_batch call: six probes a point.
     """
-    probes = np.array([p.amplitudes for p in cloner.probe_states()])
-    k = len(probes)
+    probes = np.array(list(_NAMED_AMPLITUDES.values()), dtype=complex)
     values = _sweep_values(step)
     grid = np.array(values)
     text = [_csv_num(s) for s in values]
@@ -320,9 +319,8 @@ def _sweep_blocks(step: float):
         feasible = in_range & ~over
         i, j = np.nonzero(feasible)
         columns, preps = cloner.solve_rows(grid[start + i], grid[j])
-        m = len(preps)
-        batch = cloner.clone_batch(np.tile(probes, (m, 1)), np.repeat(preps, k, axis=0))
-        solved = np.column_stack([columns, batch.fidelity[::k], batch.residual.reshape(m, 2 * k).max(axis=1)])
+        batch = cloner.clone_batch(probes, preps[:, None])
+        solved = np.column_stack([columns, batch.fidelity[:, 0], batch.residual.max(axis=(1, 2))])
         yield _block_rows(text[start : start + per_block], text, margin, feasible, solved)
 
 
@@ -418,8 +416,8 @@ def _check_state_algebra(single: np.ndarray, double: np.ndarray):
     rebuilt = from_bloch_rows(m)
     check_density(rebuilt)
     yield np.abs(rebuilt - rho).max(axis=(-2, -1)), qstate.ROUNDOFF_TOL
+    # no density check: test_projector_of_a_norm_checked_state_is_a_density_matrix
     rho_joint = projector_rows(joint)
-    check_density(rho_joint)
     kept = kept_labels(labels, ["q0", "q2"])
     check_density(partial_trace_rows(rho_joint, [labels.index(label) for label in kept]))
     yield np.full(len(joint), float(kept != ("q0", "q2"))), 0.0
@@ -469,16 +467,13 @@ def _draw_cloner(rng: np.random.Generator, n: int):
 
 
 def _check_cloner(target: np.ndarray, inputs: np.ndarray):
-    n = len(target)
     _, preps = cloner.solve_rows(target[:, 0], target[:, 1])
-    batch = cloner.clone_batch(inputs.reshape(2 * n, 2), np.repeat(preps, 2, axis=0))
     # axes: trial, input, clone
-    s_est = batch.s_est.reshape(n, 2, 2)
-    target = target[:, None, :]
+    batch = cloner.clone_batch(inputs, preps[:, None])
     # the scaled-output form: every residual and isotropy error in tolerance
-    scaled = np.maximum(batch.residual, batch.isotropy).reshape(n, 2, 2).max(axis=-1)
-    shrink = np.abs(s_est - target).max(axis=-1)
-    fidelity = np.abs(batch.fidelity.reshape(n, 2, 2) - 0.5 * (1.0 + s_est)).max(axis=-1)
+    scaled = np.maximum(batch.residual, batch.isotropy).max(axis=-1)
+    shrink = np.abs(batch.s_est - target[:, None, :]).max(axis=-1)
+    fidelity = np.abs(batch.fidelity - 0.5 * (1.0 + batch.s_est)).max(axis=-1)
     for k in range(2):
         yield scaled[:, k], qstate.ESTIMATE_TOL
         yield shrink[:, k], qstate.ESTIMATE_TOL

@@ -315,33 +315,33 @@ def cloning_network(state: StateVector) -> StateVector:
 
 @dataclass(frozen=True)
 class CloneBatch:
-    """run_cloner's numbers for a stack of N inputs, one row per input.
+    """run_cloner's numbers for each input of a clone_batch call, over its broadcast leading shape.
 
-    Column 0 of the (N, 2) arrays belongs to the original a0 and column 1 to
-    the copy a1; rho[:, 0] and rho[:, 1] are their reduced states.
+    Column 0 of the (..., 2) arrays belongs to the original a0 and column 1 to
+    the copy a1; rho[..., 0, :, :] and rho[..., 1, :, :] are their reduced states.
     """
 
-    joint: np.ndarray  # (N, 8) amplitudes over NETWORK_LABELS
-    rho: np.ndarray  # (N, 2, 2, 2)
-    s_est: np.ndarray  # (N, 2)
-    residual: np.ndarray  # (N, 2)
-    isotropy: np.ndarray  # (N, 2)
-    fidelity: np.ndarray  # (N, 2)
+    joint: np.ndarray  # (..., 8) amplitudes over NETWORK_LABELS
+    rho: np.ndarray  # (..., 2, 2, 2)
+    s_est: np.ndarray  # (..., 2)
+    residual: np.ndarray  # (..., 2)
+    isotropy: np.ndarray  # (..., 2)
+    fidelity: np.ndarray  # (..., 2)
 
 
 def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
-    """Clone each row of an (N, 2) input stack in one pass.
+    """Clone (..., 2) one-qubit inputs under (..., 4) preparations in one pass.
 
-    prep_amplitudes are the four over |00>, |01>, |10>, |11> of (a1, b1):
-    shape (4,) for one preparation shared by every row, or (N, 4) for one
-    preparation per row.
+    prep_amplitudes are the four over |00>, |01>, |10>, |11> of (a1, b1).
+    The leading axes broadcast: sweep passes (6, 2) probes with (M, 1, 4),
+    verify (n, 2, 2) with (n, 1, 4) and run_cloner (2,) with (4,).
     Every number is bit for bit what the per-object path (tensor, the four
     CNOTs, to_density, partial_trace, bloch_vector, fidelity_pure) gives
     for that row: both run the same qstate stack functions, and the
     kernel's one permutation moves the amplitudes where the CNOTs do. Each
     rule runs on the whole stack, so one bad row raises ValueError: unit
-    norm of inputs, preparation and joint state; the density rules on each
-    input's projector and both clones; their Bloch lengths.
+    norm of each distinct input, preparation and joint state; the density
+    rules on each broadcast input projector and both clones; their Bloch lengths.
     The joint projector needs no density check: it is Hermitian and rank one
     by construction, with the joint's checked squared norm as its trace.
     On the clones, check_bloch_length (|m|^2 <= 1 + 1e-10) already implies
@@ -349,37 +349,33 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     """
     inputs = np.ascontiguousarray(inputs, dtype=complex)
     prep = np.asarray(prep_amplitudes, dtype=complex)
-    if inputs.ndim != 2 or inputs.shape[1] != 2:
-        raise ValueError(f"inputs must be an (N, 2) stack of one-qubit states, got shape {inputs.shape}")
-    n = inputs.shape[0]
-    if prep.shape not in ((4,), (n, 4)):
-        raise ValueError(
-            f"preparation must be 4 amplitudes or ({n}, 4), one row per input, got shape {prep.shape}"
-        )
+    if inputs.shape[-1:] != (2,) or prep.shape[-1:] != (4,):
+        raise ValueError(f"need (..., 2) inputs, 4 amplitudes (..., 4), got {inputs.shape} and {prep.shape}")
+    lead = np.broadcast_shapes(inputs.shape[:-1], prep.shape[:-1])
     check_unit_norm(inputs)
     check_unit_norm(prep)
 
-    joint = tensor_rows(inputs, prep)[:, _NETWORK_PERMUTATION]
+    joint = tensor_rows(inputs, prep)[..., _NETWORK_PERMUTATION]
     check_unit_norm(joint)
     # partial_trace traces b1 first, then a1 (keeping a0) or a0 (keeping a1),
     # so tracing out b1 once and the other clone from that gives its bits
     pair = partial_trace_rows(projector_rows(joint), [0, 1])
     # np.stack keeps the traces' strided layout; @ below needs C order, since
     # on strided operands it takes another path whose last bits differ
-    rho = np.ascontiguousarray(np.stack([partial_trace_rows(pair, [k]) for k in range(2)], axis=1))
-    rho_in = projector_rows(inputs)
-    states = np.concatenate([rho_in[:, None], rho], axis=1)
+    rho = np.ascontiguousarray(np.stack([partial_trace_rows(pair, [k]) for k in range(2)], axis=-3))
+    rho_in = projector_rows(inputs)[..., None, :, :]
+    states = np.concatenate([np.broadcast_to(rho_in, lead + (1, 2, 2)), rho], axis=-3)
     check_density(states)
 
     m = bloch_rows(states)
     check_bloch_length(m)
-    m_in, m_out = m[:, :1], m[:, 1:]
+    m_in, m_out = m[..., :1, :], m[..., 1:, :]
     # never near 0: a valid pure input has |m_in|^2 = (|a|^2 + |b|^2)^2
     s_est = _dot(m_out, m_in) / _dot(m_in, m_in)
-    expected = s_est[..., None, None] * rho_in[:, None] + (0.5 * (1.0 - s_est))[..., None, None] * np.eye(2)
+    expected = s_est[..., None, None] * rho_in + (0.5 * (1.0 - s_est))[..., None, None] * np.eye(2)
     residual = np.abs(rho - expected).max(axis=(-2, -1))
     isotropy = np.abs(m_out - s_est[..., None] * m_in).max(axis=-1)
-    fidelity = fidelity_rows(inputs[:, None, :], rho)
+    fidelity = fidelity_rows(inputs[..., None, :], rho)
     return CloneBatch(joint, rho, s_est, residual, isotropy, fidelity)
 
 
@@ -398,10 +394,10 @@ def run_cloner(input_state: StateVector, prep: PrepState | StateVector) -> Clone
             raise ValueError(f"preparation must be two qubits, got {prep.n_qubits}")
         prep_amplitudes = prep.amplitudes
 
-    batch = clone_batch(input_state.amplitudes[None, :], prep_amplitudes)
+    batch = clone_batch(input_state.amplitudes, prep_amplitudes)
     # the float fields in CloneOutput's order, a0 before a1 in each pair
-    floats = np.concatenate([batch.s_est[0], batch.residual[0], batch.isotropy[0], batch.fidelity[0]])
-    return CloneOutput(batch.joint[0], batch.rho[0, 0], batch.rho[0, 1], *floats.tolist())
+    floats = np.concatenate([batch.s_est, batch.residual, batch.isotropy, batch.fidelity])
+    return CloneOutput(batch.joint, batch.rho[0], batch.rho[1], *floats.tolist())
 
 
 def verify_scaling(out: CloneOutput, tol: float) -> ScalingReport:
@@ -418,6 +414,6 @@ def probe_states(label: str = "a0") -> list[StateVector]:
     """The six axis states 0, 1, +, -, +i, -i on the given label.
 
     Together they span every Bloch direction, so residuals over them check
-    the scaled-output form; sweep reads its fidelity columns off the first.
+    the scaled-output form; sweep clones their amplitudes, in this order.
     """
     return [named_state(name, label) for name in _NAMED_AMPLITUDES]

@@ -202,7 +202,8 @@ def random_rows(normals: np.ndarray) -> np.ndarray:
 def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of each row pair; a's qubits become the high bits."""
     product = a[..., :, None] * b[..., None, :]
-    return product.reshape(product.shape[:-2] + (-1,))
+    # the row length spelled out: -1 cannot be inferred for an empty stack
+    return product.reshape(product.shape[:-2] + (product.shape[-2] * product.shape[-1],))
 
 
 def reorder_rows(amplitudes: np.ndarray, axes: Sequence[int]) -> np.ndarray:

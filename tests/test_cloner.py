@@ -329,8 +329,8 @@ class TestCloneBatch:
             clone_batch(inputs, [1.0, 0.0, 0.0, np.nan])
         with pytest.raises(ValueError, match="4 amplitudes"):
             clone_batch(inputs, [1.0, 0.0])
-        with pytest.raises(ValueError, match=r"\(N, 2\)"):
-            clone_batch(inputs[0], [1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2\) inputs"):
+            clone_batch(inputs[:, :1], [1.0, 0.0, 0.0, 0.0])
 
     def test_one_preparation_per_row_matches_one_call_per_row(self):
         rng = np.random.default_rng(31)
@@ -357,10 +357,49 @@ class TestCloneBatch:
 
     @pytest.mark.parametrize("rows", [1, 5, 7])
     def test_preparation_rows_must_match_the_input_rows(self, rows):
+        # one preparation row broadcasts over the six inputs; 5 or 7 rows do not
         inputs = np.array([probe.amplitudes for probe in probe_states()])
-        preps = np.tile(solve_prep(feasibility(0.5, 0.5)).as_amplitudes, (rows, 1))
-        with pytest.raises(ValueError, match=r"\(6, 4\), one row per input"):
+        prep = solve_prep(feasibility(0.5, 0.5)).as_amplitudes
+        preps = np.tile(prep, (rows, 1))
+        if rows == 1:
+            batch, shared = clone_batch(inputs, preps), clone_batch(inputs, prep)
+            for key in ("joint", "rho", "s_est", "residual", "isotropy", "fidelity"):
+                assert np.array_equal(getattr(batch, key), getattr(shared, key)), key
+            return
+        with pytest.raises(ValueError, match="cannot be broadcast"):
             clone_batch(inputs, preps)
+
+    @pytest.mark.parametrize(
+        "case", ["sweep, m = 0", "sweep, m = 1", "sweep, m = 7", "verify", "one input", "mixed"]
+    )
+    def test_broadcast_calls_equal_the_flattened_calls(self, case):
+        # the reference flattens the stack by hand, as callers did before the
+        # kernel broadcast, and unflattens each field to the broadcast shape
+        rng = np.random.default_rng(32)
+        pairs = [(0.4, 0.7), (0.5, 0.5), (0.9, 0.05), (1, 0), (0, 1), (2 / 3, 2 / 3), (0.2, 0.8)]
+        preps = np.array([solve_prep(feasibility(*pair)).as_amplitudes for pair in pairs])
+        probes = np.array([probe.amplitudes for probe in probe_states()])
+        if case.startswith("sweep"):
+            m = int(case[-1])
+            inputs, preps, lead = probes, preps[:m, None], (m, 6)
+            flat = clone_batch(np.tile(probes, (m, 1)), np.repeat(preps[:, 0], 6, axis=0))
+        elif case == "verify":
+            n = len(preps)
+            inputs = np.array([random_state(("a0",), rng).amplitudes for _ in range(2 * n)]).reshape(n, 2, 2)
+            preps, lead = preps[:, None], (n, 2)
+            flat = clone_batch(inputs.reshape(2 * n, 2), np.repeat(preps[:, 0], 2, axis=0))
+        elif case == "one input":
+            inputs, preps, lead = random_state(("a0",), rng).amplitudes, preps[0], ()
+            flat = clone_batch(inputs[None, :], preps)
+        else:
+            inputs = np.array([random_state(("a0",), rng).amplitudes for _ in range(3)]).reshape(3, 1, 2)
+            preps, lead = preps[:5].reshape(1, 5, 4), (3, 5)
+            flat = clone_batch(np.repeat(inputs, 5, axis=1).reshape(15, 2), np.tile(preps, (3, 1, 1)).reshape(15, 4))
+        batch = clone_batch(inputs, preps)
+        for key in ("joint", "rho", "s_est", "residual", "isotropy", "fidelity"):
+            want = getattr(flat, key)
+            assert getattr(batch, key).shape == lead + want.shape[1:], key
+            assert np.array_equal(getattr(batch, key), want.reshape(lead + want.shape[1:])), key
 
 
 def test_projector_of_a_norm_checked_state_is_a_density_matrix():
