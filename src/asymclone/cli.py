@@ -25,6 +25,7 @@ from .qstate import (
     check_unit_norm,
     from_bloch_rows,
     kept_labels,
+    max_rows,
     named_state,
     norm_rows,
     overlap_rows,
@@ -320,7 +321,7 @@ def _sweep_blocks(step: float):
         i, j = np.nonzero(feasible)
         columns, preps = cloner.solve_rows(grid[start + i], grid[j])
         batch = cloner.clone_batch(probes, preps[:, None])
-        solved = np.column_stack([columns, batch.fidelity[:, 0], batch.residual.max(axis=(1, 2))])
+        solved = np.column_stack([columns, batch.fidelity[:, 0], max_rows(max_rows(batch.residual))])
         yield _block_rows(text[start : start + per_block], text, margin, feasible, solved)
 
 

@@ -48,8 +48,8 @@ from .qstate import (
     check_density,
     check_unit_norm,
     fidelity_rows,
+    max_rows,
     named_state,
-    partial_trace_rows,
     projector_rows,
     tensor_rows,
 )
@@ -337,8 +337,12 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     verify (n, 2, 2) with (n, 1, 4) and run_cloner (2,) with (4,).
     Every number is bit for bit what the per-object path (tensor, the four
     CNOTs, to_density, partial_trace, bloch_vector, fidelity_pure) gives
-    for that row: both run the same qstate stack functions, and the
-    kernel's one permutation moves the amplitudes where the CNOTs do. Each
+    for that row: the kernel forms the same products and sums, in the same
+    order, without the 8x8 joint projector, and its one permutation moves
+    the amplitudes where the CNOTs do. The per-object path traces the 8x8
+    projector with partial_trace_rows, so it is an independent reference
+    for the kernel's trace arithmetic, which
+    test_bit_identical_to_the_per_object_path compares row by row. Each
     rule runs on the whole stack, so one bad row raises ValueError: unit
     norm of each distinct input, preparation and joint state; the density
     rules on each broadcast input projector and both clones; their Bloch lengths.
@@ -357,12 +361,18 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
 
     joint = tensor_rows(inputs, prep)[..., _NETWORK_PERMUTATION]
     check_unit_norm(joint)
-    # partial_trace traces b1 first, then a1 (keeping a0) or a0 (keeping a1),
-    # so tracing out b1 once and the other clone from that gives its bits
-    pair = partial_trace_rows(projector_rows(joint), [0, 1])
-    # np.stack keeps the traces' strided layout; @ below needs C order, since
-    # on strided operands it takes another path whose last bits differ
-    rho = np.ascontiguousarray(np.stack([partial_trace_rows(pair, [k]) for k in range(2)], axis=-3))
+    # b1 traced out of the joint projector: pair[i, j] sums joint[i b1] *
+    # conj(joint[j b1]) over b1, the 32 of its 64 products the clones read
+    v = joint.reshape(lead + (4, 2))
+    w = v.conj()
+    pair = v[..., :, None, 0] * w[..., None, :, 0] + v[..., :, None, 1] * w[..., None, :, 1]
+    pair = pair.reshape(lead + (2, 2, 2, 2))
+    # then a1 traced out (keeping a0) or a0 (keeping a1), as partial_trace
+    # does; @ below needs C order, since on strided operands it takes another
+    # path whose last bits differ
+    rho = np.empty(lead + (2, 2, 2), dtype=complex)
+    np.add(pair[..., :, 0, :, 0], pair[..., :, 1, :, 1], out=rho[..., 0, :, :])
+    np.add(pair[..., 0, :, 0, :], pair[..., 1, :, 1, :], out=rho[..., 1, :, :])
     rho_in = projector_rows(inputs)[..., None, :, :]
     states = np.concatenate([np.broadcast_to(rho_in, lead + (1, 2, 2)), rho], axis=-3)
     check_density(states)
@@ -373,8 +383,8 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     # never near 0: a valid pure input has |m_in|^2 = (|a|^2 + |b|^2)^2
     s_est = _dot(m_out, m_in) / _dot(m_in, m_in)
     expected = s_est[..., None, None] * rho_in + (0.5 * (1.0 - s_est))[..., None, None] * np.eye(2)
-    residual = np.abs(rho - expected).max(axis=(-2, -1))
-    isotropy = np.abs(m_out - s_est[..., None] * m_in).max(axis=-1)
+    residual = max_rows(np.abs(rho - expected).reshape(lead + (2, 4)))
+    isotropy = max_rows(np.abs(m_out - s_est[..., None] * m_in))
     fidelity = fidelity_rows(inputs[..., None, :], rho)
     return CloneBatch(joint, rho, s_est, residual, isotropy, fidelity)
 

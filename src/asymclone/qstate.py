@@ -58,18 +58,27 @@ def check_density(entries: np.ndarray) -> None:
     That is Hermitian, of unit trace and with no eigenvalue below
     -ACCUMULATED_TOL, checked in this order. A 2x2 matrix's smallest
     eigenvalue is taken in closed form, at a fraction of eigvalsh's cost of
-    about a microsecond a matrix; larger matrices go through eigvalsh.
+    about a microsecond a matrix; larger matrices go through eigvalsh. Its
+    skew and trace come from the four entries, not from reductions over the
+    2x2 axes, with the full-matrix rule's values, NaN and signed zeros
+    included.
     """
-    skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).max(axis=(-2, -1))
+    two_by_two = entries.shape[-2:] == (2, 2)
+    if two_by_two:
+        a, b, c, d = entries[..., 0, 0], entries[..., 0, 1], entries[..., 1, 0], entries[..., 1, 1]
+        # the full matrix's skew entries: its [1, 0] entry has the [0, 1] one's modulus
+        skew = np.maximum(np.maximum(np.abs(a - a.conj()), np.abs(d - d.conj())), np.abs(b - c.conj()))
+    else:
+        skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).max(axis=(-2, -1))
     if not (skew <= ROUNDOFF_TOL).all():
         raise ValueError("density matrix is not Hermitian")
-    trace = entries.trace(axis1=-2, axis2=-1)
+    # np.trace's value: its sum starts from +0, so -0 diagonals give +0
+    trace = 0.0 + a + d if two_by_two else entries.trace(axis1=-2, axis2=-1)
     ok = np.abs(trace - 1.0) <= ROUNDOFF_TOL
     if not ok.all():
         raise ValueError(f"density matrix trace is {_offender(trace, ok)!r}, expected 1")
-    if entries.shape[-2:] == (2, 2):
-        a, d = entries[..., 0, 0].real, entries[..., 1, 1].real
-        lowest = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(entries[..., 1, 0]))
+    if two_by_two:
+        lowest = 0.5 * (a.real + d.real) - np.hypot(0.5 * (a.real - d.real), np.abs(c))
     else:
         lowest = np.linalg.eigvalsh(entries)
     if not (lowest >= -ACCUMULATED_TOL).all():
@@ -186,6 +195,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def max_rows(values: np.ndarray) -> np.ndarray:
+    """values.max(axis=-1), NaN included, as np.maximum of its columns.
+
+    A numpy reduction over a short last axis pays about 100 ns of setup a
+    row; np.maximum on whole columns pays it once a call.
+    """
+    out = values[..., 0]
+    for k in range(1, values.shape[-1]):
+        out = np.maximum(out, values[..., k])
+    return out
+
+
 def norm_rows(amplitudes: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, with np.linalg.norm's arithmetic on one vector."""
     re, im = amplitudes.real, amplitudes.imag
@@ -211,7 +232,7 @@ def reorder_rows(amplitudes: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     lead = amplitudes.shape[:-1]
     work = amplitudes.reshape(lead + (2,) * len(axes))
     order = tuple(range(len(lead))) + tuple(len(lead) + ax for ax in axes)
-    return work.transpose(order).reshape(lead + (-1,))
+    return work.transpose(order).reshape(lead + (amplitudes.shape[-1],))
 
 
 def overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

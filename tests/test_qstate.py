@@ -3,9 +3,11 @@ import pytest
 
 from asymclone.qstate import (
     ACCUMULATED_TOL,
+    ROUNDOFF_TOL,
     BlochVector,
     DensityMatrix,
     StateVector,
+    _offender,
     basis_state,
     bloch_rows,
     bloch_vector,
@@ -16,6 +18,7 @@ from asymclone.qstate import (
     fidelity_rows,
     from_bloch,
     from_bloch_rows,
+    max_rows,
     named_state,
     norm_rows,
     overlap,
@@ -190,6 +193,75 @@ def test_non_finite_two_by_two_entries_fail_the_density_rule(value):
                     check_density(np.array([good, bad, good]))
 
 
+def _full_matrix_density_rule(entries):
+    """check_density on 2x2 matrices as it was before its closed-form skew and trace: the reference."""
+    skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).max(axis=(-2, -1))
+    if not (skew <= ROUNDOFF_TOL).all():
+        raise ValueError("density matrix is not Hermitian")
+    trace = entries.trace(axis1=-2, axis2=-1)
+    ok = np.abs(trace - 1.0) <= ROUNDOFF_TOL
+    if not ok.all():
+        raise ValueError(f"density matrix trace is {_offender(trace, ok)!r}, expected 1")
+    a, d = entries[..., 0, 0].real, entries[..., 1, 1].real
+    lowest = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(entries[..., 1, 0]))
+    if not (lowest >= -ACCUMULATED_TOL).all():
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def _verdict(rule, entries):
+    try:
+        with np.errstate(invalid="ignore"):
+            rule(entries)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _two_by_two_cases():
+    rng = np.random.default_rng(44)
+    good = 0.5 * np.eye(2, dtype=complex)
+    mixed = from_bloch_rows(np.array([0.3, -0.4, 0.5]))
+    cases = []
+    # a non-finite value in each of the 8 real parts, alone and inside a stack
+    for base in (good, mixed):
+        for part in range(8):
+            for value in (np.nan, np.inf, -np.inf):
+                bad = base.copy()
+                bad.view(float).reshape(8)[part] = value
+                cases += [bad, np.array([good, bad, good])]
+    # signed zeros on the diagonal: a zero trace whose sign np.trace decides
+    signs = (0.0, -0.0)
+    for ar, ai, dr, di in np.array(np.meshgrid(signs, signs, signs, signs)).reshape(4, -1).T:
+        cases.append(np.array([[complex(ar, ai), 0.0], [0.0, complex(dr, di)]]))
+    # skew at the tolerance and one ulp past it, on the diagonal and off it
+    for skew in (ROUNDOFF_TOL, np.nextafter(ROUNDOFF_TOL, 1.0)):
+        for row, col in ((0, 0), (1, 1), (0, 1), (1, 0)):
+            bad = good.copy()
+            bad[row, col] += 0.5j * skew if row == col else skew
+            cases.append(bad)
+    # random stacks, Hermitian or not, with unit trace or not
+    for n in (1, 3, 16):
+        for _ in range(40):
+            entries = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+            if rng.random() < 0.5:
+                entries = 0.5 * (entries + np.swapaxes(entries, -1, -2).conj())
+            if rng.random() < 0.5:
+                entries = entries / entries.trace(axis1=-2, axis2=-1).real[:, None, None]
+            cases.append(entries)
+    return cases
+
+
+def test_two_by_two_density_rule_matches_the_full_matrix_rule():
+    # the closed-form skew and trace must give the full-matrix rule's verdict
+    # and message on every input, signed zeros and non-finite parts included
+    kinds = set()
+    for entries in _two_by_two_cases():
+        want = _verdict(_full_matrix_density_rule, entries)
+        assert _verdict(check_density, entries) == want, entries
+        kinds.add(next((kind for kind in ("Hermitian", "trace", "negative") if kind in want), want))
+    assert kinds == {"ok", "Hermitian", "trace", "negative"}
+
+
 def test_tensor_orders_high_bits_first():
     joint = tensor(named_state("1", "a"), named_state("0", "b"))
     assert joint.labels == ("a", "b")
@@ -357,7 +429,8 @@ def test_random_state_is_normalized():
 
 # Each stack function against its object wrapper, row by row and bit for bit,
 # on stacks of N rows: a row's result must not depend on the stack around it.
-STACK_SIZES = [1, 2, 7, 64]
+# The empty stack holds the row length spelled out, which numpy cannot infer.
+STACK_SIZES = [0, 1, 2, 7, 64]
 LABELS = ("a", "b", "c", "d")
 
 
@@ -377,6 +450,15 @@ def test_random_rows_replay_random_state(n):
     for row in stack:
         assert np.array_equal(row, random_state(("a", "b"), replay).amplitudes)
     assert np.array_equal(norm_rows(stack), [np.linalg.norm(row) for row in stack])
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_max_rows_is_max_over_the_last_axis(n):
+    rng = np.random.default_rng(45)
+    for width in (1, 2, 3, 4, 12):
+        values = rng.standard_normal((n, 3, width))
+        values[rng.random(values.shape) < 0.05] = np.nan
+        assert np.array_equal(max_rows(values), values.max(axis=-1), equal_nan=True)
 
 
 @pytest.mark.parametrize("n", STACK_SIZES)
