@@ -23,6 +23,7 @@ from .qstate import (
     check_bloch_length,
     check_density,
     check_unit_norm,
+    fidelity_rows,
     from_bloch_rows,
     kept_labels,
     max_rows,
@@ -321,7 +322,9 @@ def _sweep_blocks(step: float):
         i, j = np.nonzero(feasible)
         columns, preps = cloner.solve_rows(grid[start + i], grid[j])
         batch = cloner.clone_batch(probes, preps[:, None])
-        solved = np.column_stack([columns, batch.fidelity[:, 0], max_rows(max_rows(batch.residual))])
+        # the CSV reads probe 0's fidelity alone; on a C-ordered copy, as @ on strided operands may differ
+        fidelity = fidelity_rows(probes[0], np.ascontiguousarray(batch.rho[:, 0]))
+        solved = np.column_stack([columns, fidelity, max_rows(max_rows(batch.residual))])
         yield _block_rows(text[start : start + per_block], text, margin, feasible, solved)
 
 

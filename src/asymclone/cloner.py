@@ -319,14 +319,25 @@ class CloneBatch:
 
     Column 0 of the (..., 2) arrays belongs to the original a0 and column 1 to
     the copy a1; rho[..., 0, :, :] and rho[..., 1, :, :] are their reduced states.
+    isotropy and fidelity are computed on first read, from m_in, m_out and
+    s_est and from inputs and rho, so a caller that reads neither pays for neither.
     """
 
     joint: np.ndarray  # (..., 8) amplitudes over NETWORK_LABELS
     rho: np.ndarray  # (..., 2, 2, 2)
     s_est: np.ndarray  # (..., 2)
     residual: np.ndarray  # (..., 2)
-    isotropy: np.ndarray  # (..., 2)
-    fidelity: np.ndarray  # (..., 2)
+    inputs: np.ndarray  # the inputs' own (..., 2), C-ordered
+    m_in: np.ndarray  # the inputs' own (..., 1, 3)
+    m_out: np.ndarray  # (..., 2, 3)
+
+    @functools.cached_property
+    def isotropy(self) -> np.ndarray:  # (..., 2)
+        return max_rows(np.abs(self.m_out - self.s_est[..., None] * self.m_in))
+
+    @functools.cached_property
+    def fidelity(self) -> np.ndarray:  # (..., 2)
+        return fidelity_rows(self.inputs[..., None, :], self.rho)
 
 
 def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
@@ -345,7 +356,7 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     test_bit_identical_to_the_per_object_path compares row by row. Each
     rule runs on the whole stack, so one bad row raises ValueError: unit
     norm of each distinct input, preparation and joint state; the density
-    rules on each broadcast input projector and both clones; their Bloch lengths.
+    rules on each distinct input projector and both clones; their Bloch lengths.
     The joint projector needs no density check: it is Hermitian and rank one
     by construction, with the joint's checked squared norm as its trace.
     On the clones, check_bloch_length (|m|^2 <= 1 + 1e-10) already implies
@@ -374,19 +385,17 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     np.add(pair[..., :, 0, :, 0], pair[..., :, 1, :, 1], out=rho[..., 0, :, :])
     np.add(pair[..., 0, :, 0, :], pair[..., 1, :, 1, :], out=rho[..., 1, :, :])
     rho_in = projector_rows(inputs)[..., None, :, :]
-    states = np.concatenate([np.broadcast_to(rho_in, lead + (1, 2, 2)), rho], axis=-3)
+    states = np.concatenate([rho_in.reshape(-1, 2, 2), rho.reshape(-1, 2, 2)])
     check_density(states)
 
     m = bloch_rows(states)
     check_bloch_length(m)
-    m_in, m_out = m[..., :1, :], m[..., 1:, :]
+    m_in, m_out = m[: inputs.size // 2].reshape(rho_in.shape[:-2] + (3,)), m[inputs.size // 2 :].reshape(lead + (2, 3))
     # never near 0: a valid pure input has |m_in|^2 = (|a|^2 + |b|^2)^2
     s_est = _dot(m_out, m_in) / _dot(m_in, m_in)
     expected = s_est[..., None, None] * rho_in + (0.5 * (1.0 - s_est))[..., None, None] * np.eye(2)
     residual = max_rows(np.abs(rho - expected).reshape(lead + (2, 4)))
-    isotropy = max_rows(np.abs(m_out - s_est[..., None] * m_in))
-    fidelity = fidelity_rows(inputs[..., None, :], rho)
-    return CloneBatch(joint, rho, s_est, residual, isotropy, fidelity)
+    return CloneBatch(joint, rho, s_est, residual, inputs, m_in, m_out)
 
 
 def run_cloner(input_state: StateVector, prep: PrepState | StateVector) -> CloneOutput:

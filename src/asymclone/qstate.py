@@ -87,7 +87,9 @@ def check_density(entries: np.ndarray) -> None:
 
 def check_bloch_length(vectors: np.ndarray) -> None:
     """Raise ValueError unless every Bloch vector (last axis) has |m|^2 <= 1 + ACCUMULATED_TOL."""
-    norm_sq = (vectors**2).sum(axis=-1)
+    # summed on columns: the bits of (vectors**2).sum(axis=-1), without a reduction over 3 entries
+    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
+    norm_sq = (x * x + y * y) + z * z
     ok = norm_sq <= 1.0 + ACCUMULATED_TOL
     if not ok.all():
         raise ValueError(f"Bloch vector leaves the unit ball: |m|^2 = {_offender(norm_sq, ok)!r}")

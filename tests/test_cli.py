@@ -585,6 +585,39 @@ def test_sweep_blocks_match_one_kernel_call_per_row(monkeypatch, points):
         assert cli.sweep_rows(step) == _sweep_rows_one_call_per_row(step), step
 
 
+def test_sweep_block_checks_each_probe_once_and_reads_what_it_prints(monkeypatch):
+    # one block at step 1/14: the kernel's density and Bloch-length rules see
+    # the six probe projectors once and both clones of each probe at each of
+    # the M feasible points; the CSV takes probe 0's fidelity, one row a
+    # point, and the kernel computes neither fidelity nor isotropy
+    step = 1 / 14
+    grid = np.array(cli._sweep_values(step))
+    _, in_range, over = cloner.feasibility_rule(grid[:, None], grid)
+    m = int((in_range & ~over).sum())
+    want = _sweep_rows_one_call_per_row(step)
+    seen = {}
+
+    def spy(module, name, count):
+        real = getattr(module, name)
+
+        def counted(*args):
+            result = real(*args)
+            seen.setdefault(name, []).append(count(args, result))
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(cloner, "check_density", lambda args, _: args[0].size // 4)
+    spy(cloner, "check_bloch_length", lambda args, _: args[0].size // 3)
+    spy(cli, "fidelity_rows", lambda _, result: len(result))
+    spy(cloner, "clone_batch", lambda _, batch: batch)
+    assert cli.sweep_rows(step) == want
+    assert seen["check_density"] == seen["check_bloch_length"] == [6 + 12 * m]
+    assert seen["fidelity_rows"] == [m]
+    (batch,) = seen["clone_batch"]
+    assert "isotropy" not in batch.__dict__ and "fidelity" not in batch.__dict__
+
+
 def test_template_rows_match_the_per_number_rows():
     # _block_rows fills each row from one %-template after + 0.0 on each
     # array; _csv_num, one number at a time, is the reference

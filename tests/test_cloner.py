@@ -1,8 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from asymclone import cloner
 from asymclone.cloner import (
     NETWORK_LABELS,
     InfeasibleScalingError,
@@ -19,6 +21,7 @@ from asymclone.cloner import (
 from asymclone.qstate import (
     ROUNDOFF_TOL,
     StateVector,
+    bloch_rows,
     bloch_vector,
     check_density,
     fidelity_pure,
@@ -316,6 +319,12 @@ class TestCloneBatch:
         assert [out.isotropy0, out.isotropy1] == batch.isotropy[0].tolist()
         assert [out.fidelity0, out.fidelity1] == batch.fidelity[0].tolist()
 
+    def test_fidelity_and_isotropy_are_computed_once_on_first_read(self):
+        probes = np.array([probe.amplitudes for probe in probe_states()])
+        batch = clone_batch(probes, solve_prep(feasibility(0.3, 0.5)).as_amplitudes)
+        assert "fidelity" not in batch.__dict__ and "isotropy" not in batch.__dict__
+        assert batch.fidelity is batch.fidelity and batch.isotropy is batch.isotropy
+
     @pytest.mark.parametrize("bad_row", [[1.0, 0.1], [np.nan, 0.0], [np.inf, 0.0]])
     def test_one_bad_input_row_fails_the_stack(self, bad_row):
         inputs = np.array([probe.amplitudes for probe in probe_states()])
@@ -400,6 +409,39 @@ class TestCloneBatch:
             want = getattr(flat, key)
             assert getattr(batch, key).shape == lead + want.shape[1:], key
             assert np.array_equal(getattr(batch, key), want.reshape(lead + want.shape[1:])), key
+
+    @pytest.mark.parametrize("skipped", [(), ("check_unit_norm",), ("check_unit_norm", "check_density")])
+    def test_sweep_shape_fails_on_one_bad_row_as_the_flattened_call(self, monkeypatch, skipped):
+        # the kernel checks each distinct probe once, at the inputs' own shape;
+        # with the rules before it switched off, each later rule must still
+        # see the bad probe or preparation row and raise as the tiled call does
+        for name in skipped:
+            monkeypatch.setattr(cloner, name, lambda values: None)
+        pairs = [(0.4, 0.7), (0.5, 0.5), (1, 0), (2 / 3, 2 / 3), (0.2, 0.8)]
+        good = np.array([solve_prep(feasibility(*pair)).as_amplitudes for pair in pairs])
+        probes = np.array([probe.amplitudes for probe in probe_states()])
+        bad_nan, bad_norm = good.copy(), good.copy()
+        bad_nan[3, 1] = np.nan
+        # the (1, 0) row: its a0 clone keeps the input's Bloch vector, scaled by 2.25
+        bad_norm[2] *= 1.5
+        bad_probe = probes.copy()
+        bad_probe[4] *= 1.001
+        # the bad probe's own projector fails first, with values its clones do not share
+        rho = projector_rows(bad_probe[4])
+        trace, length = complex(np.trace(rho)), float((bloch_rows(rho) ** 2).sum())
+        want = {
+            (): ["not normalized"] * 3,
+            ("check_unit_norm",): ["not Hermitian", "trace is (2.25", f"trace is {trace!r}"],
+            ("check_unit_norm", "check_density"): ["|m|^2 = nan", "unit ball", f"|m|^2 = {length!r}"],
+        }[skipped]
+        for (inputs, preps), match in zip([(probes, bad_nan), (probes, bad_norm), (bad_probe, good)], want):
+            m = len(preps)
+            messages = []
+            for args in [(inputs, preps[:, None]), (np.tile(inputs, (m, 1)), np.repeat(preps, len(inputs), axis=0))]:
+                with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=re.escape(match)) as raised:
+                    clone_batch(*args)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
 
 
 def test_projector_of_a_norm_checked_state_is_a_density_matrix():

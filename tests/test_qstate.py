@@ -262,6 +262,43 @@ def test_two_by_two_density_rule_matches_the_full_matrix_rule():
     assert kinds == {"ok", "Hermitian", "trace", "negative"}
 
 
+def _reduced_bloch_length_rule(vectors):
+    """check_bloch_length as it was before its column sum: the reference."""
+    norm_sq = (vectors**2).sum(axis=-1)
+    ok = norm_sq <= 1.0 + ACCUMULATED_TOL
+    if not ok.all():
+        raise ValueError(f"Bloch vector leaves the unit ball: |m|^2 = {_offender(norm_sq, ok)!r}")
+
+
+def test_bloch_length_column_sum_matches_the_reduction():
+    # (x*x + y*y) + z*z on the columns must keep the bits of the length-3
+    # reduction, and so the rule's verdict and message, NaN failing it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    component = st.one_of(
+        st.floats(-1.5, 1.5),
+        st.floats(-1e-300, 1e-300),  # subnormals included
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e200, np.nan, np.inf, -np.inf]),
+        st.floats(),
+    )
+    stacks = st.lists(st.tuples(component, component, component), min_size=1, max_size=6)
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(stacks)
+    def check(rows):
+        vectors = np.array(rows)
+        with np.errstate(over="ignore"):
+            x, y, z = vectors[:, 0], vectors[:, 1], vectors[:, 2]
+            assert ((x * x + y * y) + z * z).tobytes() == (vectors**2).sum(axis=-1).tobytes()
+            for stack in [vectors, vectors.reshape(1, -1, 3)] + list(vectors):
+                assert _verdict(check_bloch_length, stack) == _verdict(_reduced_bloch_length_rule, stack)
+            for row in vectors[np.isnan(vectors).any(axis=-1)]:
+                with pytest.raises(ValueError, match="unit ball"):
+                    check_bloch_length(row)
+
+    check()
+
+
 def test_tensor_orders_high_bits_first():
     joint = tensor(named_state("1", "a"), named_state("0", "b"))
     assert joint.labels == ("a", "b")
