@@ -379,13 +379,13 @@ def _cmd_pauli(args) -> int:
     return EXIT_OK
 
 
-# Each suite is a pair of functions over a chunk of n trials. draw makes the
-# rng calls one trial at a time would make, in the same order, and returns
-# the trials' inputs as stacks; check runs the suite on those stacks and
-# yields (errors, tolerance) per check, one error per trial. A check fails
-# unless error <= tolerance, so a NaN error is a failure. The validity rules
-# the object functions apply (unit norm, density, Bloch length) run on every
-# stack a check reads, so an invalid state raises ValueError as before.
+# Each suite is a pair of functions over a chunk of n trials. draw returns
+# the trials' random inputs as stacks, each kind of number drawn for the
+# whole chunk at once, so a seed's inputs depend on (seed, trials,
+# _VERIFY_CHUNK). check yields (errors, tolerance) per check, one error per
+# trial; a check fails unless error <= tolerance, so a NaN error fails. The
+# validity rules the object functions apply (unit norm, density, Bloch
+# length) run on every stack a check reads.
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -428,13 +428,10 @@ def _check_state_algebra(single: np.ndarray, double: np.ndarray):
 
 
 def _draw_gates(rng: np.random.Generator, n: int):
-    """Per trial: random_state on (x, y, z), two uniform angles, four complex normals."""
-    states, angles, raw = np.empty((n, 16)), np.empty((n, 2)), np.empty((n, 8))
-    for t in range(n):
-        states[t] = rng.standard_normal(16)
-        angles[t] = rng.uniform(-np.pi, np.pi, size=2)
-        raw[t] = rng.standard_normal(8)
-    return random_rows(states), angles, random_rows(raw)
+    """random_state on (x, y, z), two uniform angles and four complex normals a trial."""
+    states = rng.standard_normal((n, 16))
+    angles = rng.uniform(-np.pi, np.pi, size=(n, 2))
+    return random_rows(states), angles, random_rows(rng.standard_normal((n, 8)))
 
 
 def _check_gates(psi: np.ndarray, angles: np.ndarray, raw: np.ndarray):
@@ -457,17 +454,13 @@ def _check_gates(psi: np.ndarray, angles: np.ndarray, raw: np.ndarray):
 
 
 def _draw_cloner(rng: np.random.Generator, n: int):
-    """Per trial: uniform pairs until one is feasible, then random_state on a0 twice; pairs as (n, 2)."""
-    pairs, normals = np.empty((n, 2)), np.empty((n, 2, 4))
-    for t in range(n):
-        while True:
-            s0, s1 = rng.uniform(0.0, 1.0, size=2).tolist()
-            _, in_range, over = cloner.feasibility_rule(s0, s1)
-            if in_range and not over:
-                break
-        pairs[t] = s0, s1
-        normals[t] = rng.standard_normal(8).reshape(2, 4)
-    return pairs, random_rows(normals)
+    """Feasible uniform pairs as (n, 2), kept in draw order from batches of 2n; then random_state on a0 twice."""
+    pairs = np.empty((0, 2))
+    while len(pairs) < n:
+        batch = rng.uniform(0.0, 1.0, size=(2 * n, 2))
+        _, in_range, over = cloner.feasibility_rule(batch[:, 0], batch[:, 1])
+        pairs = np.concatenate([pairs, batch[in_range & ~over]])
+    return pairs[:n], random_rows(rng.standard_normal((n, 2, 4)))
 
 
 def _check_cloner(target: np.ndarray, inputs: np.ndarray):
@@ -595,16 +588,22 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:
+        # Python starts with sys.stdout None when fd 1 is closed
+        print("asymclone: stdout is closed", file=sys.stderr)
+        return EXIT_USAGE
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
-        # a closed pipe raises here, where it can be handled, not at exit
+        # a failed write raises here, where it can be handled, not at exit
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early; point stdout at devnull so the flush
-        # at interpreter exit cannot raise again (Python's SIGPIPE note)
+    except OSError as exc:
+        # devnull on fd 1, so the flush at interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("asymclone: stdout closed before the output was written", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("asymclone: stdout closed before the output was written", file=sys.stderr)
+        else:
+            print(f"asymclone: cannot write to stdout: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code
 

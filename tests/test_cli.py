@@ -18,12 +18,12 @@ from asymclone.cli import CSV_HEADER, main
 from asymclone.cloner import clone_batch, feasibility, probe_states, solve_prep
 from asymclone.gates import apply_circuit, apply_cnot, apply_hadamard, apply_ry, apply_rz, prepare_two_qubit
 from asymclone.qstate import (
+    StateVector,
     basis_state,
     bloch_vector,
     from_bloch,
     overlap,
     partial_trace,
-    random_state,
     reorder,
     tensor,
     to_density,
@@ -724,13 +724,12 @@ def test_kept_parser_answers_like_a_fresh_one(monkeypatch):
 
 
 # verify's suites one trial at a time on the object API, as they ran before
-# the stacked passes: the reference for their draws and their errors
+# the stacked passes: the reference for their errors on the same inputs
 
 
-def _trial_state_algebra(rng):
-    single = random_state(("q0",), rng)
-    double = random_state(("q1", "q2"), rng)
-    joint = tensor(single, double)
+def _trial_state_algebra(single, double):
+    single = StateVector(single, ("q0",))
+    joint = tensor(single, StateVector(double, ("q1", "q2")))
     yield abs(float(np.linalg.norm(joint.amplitudes)) - 1.0), qstate.ROUNDOFF_TOL
     back = reorder(reorder(joint, ("q2", "q0", "q1")), joint.labels)
     yield float(np.max(np.abs(back.amplitudes - joint.amplitudes))), qstate.ROUNDOFF_TOL
@@ -742,29 +741,22 @@ def _trial_state_algebra(rng):
     yield float(reduced.labels != ("q0", "q2")), 0.0
 
 
-def _trial_gates(rng):
-    psi = random_state(("x", "y", "z"), rng)
+def _trial_gates(psi, angles, raw):
+    psi = StateVector(psi, ("x", "y", "z"))
     twice = apply_cnot(apply_cnot(psi, "x", "z"), "x", "z")
     yield float(np.max(np.abs(twice.amplitudes - psi.amplitudes))), qstate.ROUNDOFF_TOL
     squared = apply_hadamard(apply_hadamard(psi, "y"), "y")
     yield float(np.max(np.abs(squared.amplitudes - psi.amplitudes))), qstate.ROUNDOFF_TOL
-    rotated = apply_ry(psi, "x", float(rng.uniform(-np.pi, np.pi)))
-    rotated = apply_rz(rotated, "z", float(rng.uniform(-np.pi, np.pi)))
+    rotated = apply_rz(apply_ry(psi, "x", float(angles[0])), "z", float(angles[1]))
     yield abs(float(np.linalg.norm(rotated.amplitudes)) - 1.0), qstate.ROUNDOFF_TOL
-    raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    target, circuit = prepare_two_qubit(raw / np.linalg.norm(raw))
+    target, circuit = prepare_two_qubit(raw)
     built = apply_circuit(basis_state("00", ("a1", "b1")), circuit)
     yield abs(abs(overlap(target, built)) - 1.0), qstate.ACCUMULATED_TOL
 
 
-def _trial_cloner(rng):
-    while True:
-        s0, s1 = rng.uniform(0.0, 1.0, size=2)
-        pair = cloner.feasibility(float(s0), float(s1))
-        if pair.feasible:
-            break
+def _trial_cloner(pair, inputs):
+    pair = cloner.feasibility(float(pair[0]), float(pair[1]))
     prep = cloner.solve_prep(pair)
-    inputs = [random_state(("a0",), rng).amplitudes for _ in range(2)]
     batch = cloner.clone_batch(np.array(inputs), prep.as_amplitudes)
     target = np.array([pair.s0, pair.s1])
     for k in range(2):
@@ -773,9 +765,7 @@ def _trial_cloner(rng):
         yield float(np.max(np.abs(batch.fidelity[k] - 0.5 * (1.0 + batch.s_est[k])))), qstate.ESTIMATE_TOL
 
 
-def _trial_pauli(rng):
-    raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    raw = raw / np.linalg.norm(raw)
+def _trial_pauli(raw):
     matrix, max_off = pauli.bell_output(pauli.BellCoefficients(*raw))
     yield max_off, pauli.BELL_DIAGONAL_TOL
     yield float(np.max(np.abs(np.diag(matrix) - raw))), qstate.ACCUMULATED_TOL
@@ -789,41 +779,46 @@ _TRIALS = {
 }
 
 
-def _replayed_draws(name, rng, n):
-    """The random inputs of n trials, drawn with the per-trial calls the reference makes."""
+def _unit(normals):
+    """random_state's amplitudes from its 2d normals, the d real parts first."""
+    half = len(normals) // 2
+    amps = normals[:half] + 1j * normals[half:]
+    return amps / np.linalg.norm(amps)
+
+
+def _bulk_draws(name, rng, n):
+    """Each of a chunk of n trials' random inputs, drawn for the whole chunk at once."""
     if name == "state-algebra":
-        draws = [
-            (random_state(("q0",), rng).amplitudes, random_state(("q1", "q2"), rng).amplitudes) for _ in range(n)
-        ]
-    elif name == "gates":
-        draws = []
-        for _ in range(n):
-            psi = random_state(("x", "y", "z"), rng).amplitudes
-            angles = [float(rng.uniform(-np.pi, np.pi)) for _ in range(2)]
-            raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            draws.append((psi, angles, raw / np.linalg.norm(raw)))
-    elif name == "cloner":
-        draws = []
-        for _ in range(n):
-            while True:
-                s0, s1 = rng.uniform(0.0, 1.0, size=2)
+        return [(_unit(row[:4]), _unit(row[4:])) for row in rng.standard_normal((n, 12))]
+    if name == "gates":
+        states = rng.standard_normal((n, 16))
+        angles = rng.uniform(-np.pi, np.pi, size=(n, 2))
+        raw = rng.standard_normal((n, 8))
+        return [(_unit(states[t]), angles[t], _unit(raw[t])) for t in range(n)]
+    if name == "cloner":
+        # rejection on whole batches of 2n uniform pairs, feasible pairs in draw order
+        pairs = []
+        while len(pairs) < n:
+            for s0, s1 in rng.uniform(0.0, 1.0, size=(2 * n, 2)):
                 if feasibility(float(s0), float(s1)).feasible:
-                    break
-            draws.append(([s0, s1], [random_state(("a0",), rng).amplitudes for _ in range(2)]))
-    else:
-        draws = []
-        for _ in range(n):
-            raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            draws.append((raw / np.linalg.norm(raw),))
-    return [np.array(column) for column in zip(*draws)]
+                    pairs.append([s0, s1])
+        normals = rng.standard_normal((n, 2, 4))
+        return [(pairs[t], [_unit(row) for row in normals[t]]) for t in range(n)]
+    return [(_unit(row),) for row in rng.standard_normal((n, 8))]
 
 
 @pytest.mark.parametrize("name, draw", [(name, draw) for name, draw, _ in cli._SUITES])
 def test_stacked_draws_replay_the_per_trial_calls(name, draw):
-    rng, replay = np.random.default_rng(47), np.random.default_rng(47)
+    # each trial's stacked inputs are the bulk reference's for that trial;
+    # seed 50's first two uniform pairs are both infeasible, so the cloner's
+    # one-trial chunk draws a second batch
+    first = np.random.default_rng(50).uniform(0.0, 1.0, size=(2, 2))
+    assert not any(feasibility(s0, s1).feasible for s0, s1 in first.tolist())
+    rng, replay = np.random.default_rng(50), np.random.default_rng(50)
     for n in (1, 5, 30):
-        for got, want in zip(draw(rng, n), _replayed_draws(name, replay, n), strict=True):
-            assert np.array_equal(got, want), name
+        want = [np.array(column) for column in zip(*_bulk_draws(name, replay, n))]
+        for got, column in zip(draw(rng, n), want, strict=True):
+            assert np.array_equal(got, column), name
     # the generators end in the same state
     assert rng.standard_normal() == replay.standard_normal()
 
@@ -838,7 +833,11 @@ def test_verify_chunks_match_one_trial_at_a_time(monkeypatch, chunk):
     assert run_cli("verify", "--seed", str(seed), "--trials", str(trials)) == whole
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     for name, draw, check in cli._SUITES:
-        want = [list(_TRIALS[name](reference)) for _ in range(trials)]
+        want = [
+            list(_TRIALS[name](*inputs))
+            for start in range(0, trials, chunk)
+            for inputs in _bulk_draws(name, reference, min(chunk, trials - start))
+        ]
         per_check = len(want[0])
         pieces = list(cli._suite_errors(rng, trials, draw, check))
         assert len(pieces) == per_check * -(-trials // chunk), name
@@ -848,6 +847,14 @@ def test_verify_chunks_match_one_trial_at_a_time(monkeypatch, chunk):
         ]
         assert np.array_equal(np.concatenate(got), [[err for err, _ in trial] for trial in want]), name
         assert [tol for _, tol in pieces[:per_check]] == [tol for _, tol in want[0]], name
+
+
+def test_verify_reports_no_failures_over_many_seeds():
+    # the bench's verify workload: --trials 50 under seeds from randrange(2**31)
+    rng = random.Random(50)
+    for seed in [rng.randrange(2**31) for _ in range(60)]:
+        code, out, _ = run_cli("verify", "--seed", str(seed), "--trials", "50")
+        assert code == 0 and out.endswith(f"0 failures (seed {seed}, trials 50)\n"), out
 
 
 def test_sweep_writes_each_block_as_the_kernel_completes_it(monkeypatch):
@@ -893,3 +900,33 @@ def test_a_reader_closing_early_gets_no_traceback(argv, lines, unbuffered):
     assert child.returncode == 1, text
     assert "Traceback" not in text and "Exception ignored" not in text
     assert text.count("\n") <= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "0.3", "0.4"],
+        ["clone", "--state=+", "--s0", "0.6", "--s1", "0.5"],
+        ["sweep", "--step", "0.5"],
+        ["pauli", "1", "0", "0", "0"],
+        ["verify", "--trials", "10"],
+    ],
+)
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed"])
+def test_a_failed_stdout_write_ends_in_one_line(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    command = [sys.executable, "-m", "asymclone.cli", *argv]
+    if stdout == "closed":
+        # Python starts with sys.stdout None when fd 1 is closed
+        closed = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+        child = subprocess.run(closed, stderr=subprocess.PIPE, env=env, timeout=60)
+    elif not os.path.exists(stdout):
+        pytest.skip(f"no {stdout} here")
+    else:
+        # every write to /dev/full fails with ENOSPC
+        with open(stdout, "w") as full:
+            child = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    text = child.stderr.decode()
+    assert child.returncode == 1, text
+    assert "Traceback" not in text and "Exception ignored" not in text
+    assert text.count("\n") == 1 and text.startswith("asymclone: "), text
