@@ -57,9 +57,9 @@ _SWEEP_POINTS = 512
 # a sweep row from its s0 and s1 text and its nine numbers, or its margin alone
 _FEASIBLE_ROW = "%s,%s,true," + ",".join(["%.9g"] * 9)
 _INFEASIBLE_ROW = "%s,%s,false,%.9g" + "," * 8
-# solve's text report: nine numbers, then the [re, im] parts of four amplitudes
+# solve's text report: nine numbers, then the [re, im] parts of four amplitudes, im signed as {:+} signs a float
 _SOLVE_TEXT = "s0 = {}  s1 = {}  margin = {}\nc1 = {}  theta1 = {}\nc2 = {}  theta2 = {}\nc4 = {}  theta4 = {}\n"
-_SOLVE_TEXT += "amplitudes: " + ", ".join(["{}{:+}j"] * 4)
+_SOLVE_TEXT += "amplitudes: " + ", ".join(["{}{}j"] * 4)
 # verify trials per stacked pass: enough to spread numpy's per-call cost
 # thin, few enough that a suite's largest stack (8x8 per trial) stays 1 MB
 _VERIFY_CHUNK = 1024
@@ -143,11 +143,6 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"bad complex literal {text!r}: use 're' or 're,im'")
 
 
-def _json_num(x: float) -> float:
-    # + 0.0 turns -0.0 into 0.0 and leaves the bits of every other value alone
-    return float(format(float(x) + 0.0, ".12g"))
-
-
 def _csv_num(x: float) -> str:
     x = float(x)
     if x == 0.0:
@@ -155,9 +150,16 @@ def _csv_num(x: float) -> str:
     return format(x, ".9g")
 
 
-def _rounded(values: list) -> list[float]:
-    """Each value as _json_num gives it, all formatted by one %-template."""
-    return [float(text) + 0.0 for text in (("%.12g " * len(values)) % tuple(values)).split()]
+def _rounded(values: list) -> list[str]:
+    """Each value's text repr(float(format(x, ".12g")) + 0.0), all from one %-template; ValueError on NaN or inf.
+
+    A token of at most 12 digits reads back as a double whose repr has its digits, so each token is its own text
+    but integral ones (repr adds .0; -0 is 0.0), e+12 to e+15 (repr is positional) and subnormals (digits change).
+    """
+    return [
+        t if ("." in t or "e" in t) and "e+1" not in t and "e-3" not in t else repr(float(t) + 0.0)
+        for t in (("%.12g " * len(values)) % tuple(_finite(values))).split()
+    ]
 
 
 @functools.cache
@@ -208,8 +210,8 @@ def _json_layout(value, depth: int, numbers: list[float]) -> str:
 
 
 def _json_text(value) -> str:
-    """value as json.dumps(value, indent=2, allow_nan=False) writes it, with numbers as _json_num gives them."""
-    return _json_layout(value, 0, numbers := []) % tuple(_rounded(_finite(numbers)))
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it, with numbers as _rounded gives them."""
+    return _json_layout(value, 0, numbers := []) % tuple(_rounded(numbers))
 
 
 def _print_json(payload: dict) -> None:
@@ -227,8 +229,8 @@ def _emit_infeasible(pair: cloner.ScalingPair, fmt: str) -> int:
     if fmt == "json":
         _print_json({**head, "reason": pair.reason})
     else:
-        s0, s1, margin = _rounded([pair.s0, pair.s1, pair.margin])
-        margin = "null" if head["margin"] is None else margin
+        # a null margin stays out of _rounded, which takes finite numbers alone
+        s0, s1, margin, *_ = _rounded([v for v in (pair.s0, pair.s1, head["margin"]) if v is not None]) + ["null"]
         print(f"infeasible: s0 = {s0}, s1 = {s1}, margin = {margin} ({pair.reason})")
     return EXIT_INFEASIBLE
 
@@ -252,7 +254,9 @@ def _cmd_solve(args) -> int:
         _print_json(payload)
     else:
         numbers = [pair.s0, pair.s1, pair.margin, prep.c1, prep.theta1, prep.c2, prep.theta2, prep.c4, prep.theta4]
-        print(_SOLVE_TEXT.format(*_rounded(numbers + prep.as_amplitudes.view(float).tolist())))
+        texts = _rounded(numbers + prep.as_amplitudes.view(float).tolist())
+        texts[10::2] = [text if text[0] == "-" else "+" + text for text in texts[10::2]]
+        print(_SOLVE_TEXT.format(*texts))
     return EXIT_OK
 
 

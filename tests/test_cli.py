@@ -2,6 +2,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -448,6 +449,38 @@ def test_non_finite_margin_is_null_in_text():
         code, out, _ = run_cli(*argv)
         assert code == 2, argv
         assert "margin = null (scaling factors must lie in [0, 1])" in out
+
+
+def _solve_text_reference(s0_text, s1_text):
+    """solve's text stdout as str.format wrote it from the rounded floats, before the CLI formatted text."""
+    pair = feasibility(cli._parse_real(s0_text), cli._parse_real(s1_text))
+    r = [float(format(x, ".12g")) + 0.0 for x in (pair.s0, pair.s1, pair.margin)]
+    if not pair.feasible:
+        margin = r[2] if math.isfinite(pair.margin) else "null"
+        return f"infeasible: s0 = {r[0]}, s1 = {r[1]}, margin = {margin} ({pair.reason})\n"
+    prep = solve_prep(pair)
+    numbers = [prep.c1, prep.theta1, prep.c2, prep.theta2, prep.c4, prep.theta4]
+    numbers += prep.as_amplitudes.view(float).tolist()
+    template = "s0 = {}  s1 = {}  margin = {}\nc1 = {}  theta1 = {}\nc2 = {}  theta2 = {}\nc4 = {}  theta4 = {}\n"
+    template += "amplitudes: " + ", ".join(["{}{:+}j"] * 4) + "\n"
+    return template.format(*r, *[float(format(x, ".12g")) + 0.0 for x in numbers])
+
+
+def test_solve_text_report_matches_the_float_format():
+    # amplitudes with +0.0 and negative imaginary parts; -0 inputs give -0.0
+    # in s0, s1, c1 and a real part; 1 -1e-13 a margin of -3e-17; then
+    # out-of-range and infeasible pairs, two of them with a null margin
+    pairs = [("2/3", "2/3"), ("0", "0"), ("1", "0"), ("-0", "-0"), ("-0", "1"), ("1", "-1e-13")]
+    pairs += [("0.9", "0.9"), ("1.5", "0"), ("1e200", "0"), ("-1e200", "1e200")]
+    rng = random.Random(1707)
+    pairs += [(repr(rng.random()), repr(rng.random())) for _ in range(60)]
+    pairs += [(f"{rng.randrange(13)}/12", f"{rng.randrange(13)}/12") for _ in range(20)]
+    for s0, s1 in pairs:
+        code, out, _ = run_cli("solve", "--", s0, s1)
+        assert out == _solve_text_reference(s0, s1), (s0, s1)
+        assert code == (0 if out.startswith("s0 = ") else 2)
+    for s0, s1 in (("1e200", "0"), ("-1e200", "1e200")):
+        assert "margin = null (scaling factors must lie in [0, 1])" in run_cli("solve", "--", s0, s1)[1]
 
 
 def test_large_coefficients_renormalize():

@@ -5,13 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from asymclone.cli import _json_num, _json_text
+from asymclone.cli import _json_text, _rounded
+
+
+def _json_num(x: float) -> float:
+    """x as the CLI prints it: 12 significant digits, read back; + 0.0 turns -0.0 into 0.0."""
+    return float(format(float(x) + 0.0, ".12g"))
+
 
 # edges of the float range, signed zeros, subnormals and 12-digit rounding ties
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300, -1e-300,
     1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 0.5, -1.0, 1e16,
     1e-5, 1e-4, 0.1 + 0.2, 123456789012.5, 9.999999999995e-3, 2 / 3,
+    # a token repr writes in other notation: e+12 to e+15, subnormal, integral
+    999999999999.5, 1e12, 123456789012345.0, 9.9999999999995e15, 1e-307, 2.2250738585072014e-308, 1e-320, 3.0,
+    -7.0,
 ]
 # the writer fills one %-template of the whole payload, so strings and keys
 # carry % signs and conversion specs too
@@ -60,6 +69,19 @@ def _payloads():
 
     leaf = st.one_of(st.none(), st.booleans(), real, text, st.lists(text, max_size=4), complex_array())
     return st.dictionaries(text, leaf, min_size=1, max_size=8)
+
+
+def test_each_token_is_the_text_of_the_rounded_value():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    real = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+    @hypothesis.settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.lists(real, min_size=1, max_size=60))
+    def check(values):
+        assert _rounded(values) == [repr(float(format(x, ".12g")) + 0.0) for x in values]
+
+    check()
 
 
 def test_writer_matches_json_dumps_on_every_payload_shape():
