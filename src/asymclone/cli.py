@@ -63,6 +63,8 @@ _SOLVE_TEXT += "amplitudes: " + ", ".join(["{}{}j"] * 4)
 # verify trials per stacked pass: enough to spread numpy's per-call cost
 # thin, few enough that a suite's largest stack (8x8 per trial) stays 1 MB
 _VERIFY_CHUNK = 1024
+# _rounded's text of the exact-zero tokens, repr(float(t) + 0.0) looked up
+_ZERO_TEXT = {"0": "0.0", "-0": "0.0"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,9 +89,11 @@ def _unit(raw: np.ndarray) -> tuple[np.ndarray, float]:
     binary exponent of its largest real or imaginary part (0 when that is
     below 1): powers of two scale exactly, and no square can overflow.
     """
-    k = max(math.frexp(float(np.max(np.abs(raw.view(float)))))[1], 0)
+    k = max(math.frexp(float(np.abs(raw.view(float)).max()))[1], 0)
+    scaled = raw * math.ldexp(1.0, -k)
+    re, im = scaled.real, scaled.imag
     try:
-        norm = math.ldexp(float(np.linalg.norm(raw * math.ldexp(1.0, -k))), k)
+        norm = math.ldexp(math.sqrt(re.dot(re) + im.dot(im)), k)
     except OverflowError:
         raise ValueError("a norm past the float range") from None
     if norm < qstate.ZERO_NORM_FLOOR:
@@ -157,7 +161,7 @@ def _rounded(values: list) -> list[str]:
     but integral ones (repr adds .0; -0 is 0.0), e+12 to e+15 (repr is positional) and subnormals (digits change).
     """
     return [
-        t if ("." in t or "e" in t) and "e+1" not in t and "e-3" not in t else repr(float(t) + 0.0)
+        t if ("." in t or "e" in t) and "e+1" not in t and "e-3" not in t else _ZERO_TEXT.get(t) or repr(float(t) + 0.0)
         for t in (("%.12g " * len(values)) % tuple(_finite(values))).split()
     ]
 
@@ -367,16 +371,17 @@ def _cmd_pauli(args) -> int:
         return EXIT_USAGE
     if abs(norm - 1.0) > qstate.RENORMALIZE_WARN:
         print(f"pauli: renormalizing input of norm {norm:.9g}", file=sys.stderr)
-    coeffs = pauli.BellCoefficients(*unit)
-    matrix, max_off = pauli.bell_output(coeffs)
+    # BellCoefficients' rule, then bell_output, on one row as _check_pauli runs them
+    check_unit_norm(pauli.expand_rows(unit))
+    matrix, max_off = pauli.bell_output_rows(unit)
     if not max_off <= pauli.BELL_DIAGONAL_TOL:
         print(f"pauli: output is not Bell-diagonal (max off-diagonal {max_off:.3g})", file=sys.stderr)
         return EXIT_USAGE
     payload = {
-        "input": coeffs.as_array(),
+        "input": unit,
         "bell_order": list(pauli.BELL_NAMES),
         "coefficients": matrix,
-        "diagonal": np.diag(matrix),
+        "diagonal": matrix.diagonal(),
         "max_offdiagonal": max_off,
     }
     _print_json(payload)

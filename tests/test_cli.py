@@ -383,6 +383,10 @@ def test_stdout_is_byte_identical_to_the_reference():
         ("pauli", "1e300", "1e300", "0", "0"): (
             "bdc3e5e645e3b8a917d487969088048c1cede1354ce4a96a850b979d8559973c"
         ),
+        # each kind of token _rounded rewrites: integral, e-3xx and -0
+        ("pauli", "1", "0", "0", "0"): "21eb5da80249e8e7c1052b61f340ce7c13986c025c6366d1633438f68d80bcc4",
+        ("pauli", "1", "1", "1", "0"): "e5481a52787259dd42557a19d8d8b5f72c290f42d3b640c1c70fea9f0cf070ec",
+        ("pauli", "0", "1e-320", "1", "0.5"): "d95aa237cec78fe6828bf9b267b4e38e1d1b878b325064f562c11fc3f1fd640e",
         # a boundary pair on an input with an imaginary amplitude
         ("clone", "--state=+i", "--s0", "1", "--s1", "0"): (
             "24b3bb5f8eee342e66217b7f23b273a6b953e03555b913024265661b210f2971"
@@ -410,6 +414,31 @@ def test_stdout_is_byte_identical_to_the_reference():
         code, out, _ = run_cli(*argv)
         assert code == (2 if argv in infeasible else 0), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_pauli_prints_the_numbers_of_the_object_path(monkeypatch):
+    # pauli runs the row functions that verify's pauli suite runs;
+    # BellCoefficients and bell_output stay the reference for its numbers
+    payloads = []
+    monkeypatch.setattr(cli, "_print_json", payloads.append)
+    rng = np.random.default_rng(18)
+    drawn = [
+        [f"{re!r},{im!r}" for re, im in (rng.standard_normal((4, 2)) * scale).tolist()]
+        for scale in rng.choice([0.5, 1.0, 2.0], 40)
+    ]
+    fixed = [["1", "0", "0", "0"], ["1", "1", "1", "0"], ["0", "1e-320", "1", "0.5"], ["1e300", "1e300", "0", "0"]]
+    for argv in fixed + drawn:
+        payloads.clear()
+        assert run_cli("pauli", "--", *argv)[0] == 0, argv
+        (payload,) = payloads
+        unit, _ = cli._unit(np.array([cli._parse_complex(text) for text in argv]))
+        coeffs = pauli.BellCoefficients(*unit)
+        matrix, max_off = pauli.bell_output(coeffs)
+        assert payload["input"].tobytes() == coeffs.as_array().tobytes(), argv
+        assert payload["bell_order"] == list(pauli.BELL_NAMES)
+        assert payload["coefficients"].tobytes() == matrix.tobytes(), argv
+        assert payload["diagonal"].tobytes() == np.diag(matrix).tobytes(), argv
+        assert float(payload["max_offdiagonal"]).hex() == max_off.hex(), argv
 
 
 def _strict_json(text):

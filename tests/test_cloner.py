@@ -19,6 +19,7 @@ from asymclone.cloner import (
     verify_scaling,
 )
 from asymclone.qstate import (
+    ESTIMATE_TOL,
     ROUNDOFF_TOL,
     StateVector,
     bloch_rows,
@@ -28,6 +29,7 @@ from asymclone.qstate import (
     named_state,
     partial_trace,
     projector_rows,
+    random_rows,
     random_state,
     single_qubit,
     tensor,
@@ -588,3 +590,73 @@ def test_cloning_network_requires_the_three_labels():
 def test_scaling_pair_is_a_plain_record():
     pair = ScalingPair(s0=0.1, s1=0.2, feasible=True, margin=-0.25)
     assert pair.reason is None
+
+
+# The paper's optimality claim: no preparation of (a1, b1) beats the ellipse.
+# Twirling a cloner (U on its input, U x U on its clones) leaves a universal
+# cloner whose shrinks are the axis averages s = tr(T)/3 of each clone's
+# transfer matrix T. A probe on +e_k reads T_kk plus the clone's shift along
+# e_k as its s_est, the probe on -e_k reads T_kk minus it, so s is the mean
+# of the six probes' s_est.
+PROBE_AMPLITUDES = np.array([probe.amplitudes for probe in probe_states()])
+
+
+def _axis_averaged_shrinks(preps):
+    """(s0, s1) of the twirled cloner of each (..., 4) preparation."""
+    return clone_batch(PROBE_AMPLITUDES, preps[..., None, :]).s_est.mean(axis=-2)
+
+
+def _ellipse_margins(preps):
+    """The margin of each preparation whose two averaged shrinks are >= 0, after the two bounds are checked."""
+    s = _axis_averaged_shrinks(preps)
+    # complete positivity of a universal qubit channel: the universal-NOT bound
+    assert (s >= -1 / 3 - ROUNDOFF_TOL).all(), s.min()
+    margin, _, _ = cloner.feasibility_rule(s[..., 0], s[..., 1])
+    margin = margin[(s >= 0).all(axis=-1)]
+    assert (margin <= ROUNDOFF_TOL).all(), margin.max()
+    return margin
+
+
+def test_no_preparation_beats_the_ellipse():
+    rng = np.random.default_rng(18)
+    normals = rng.standard_normal((20000, 8))
+    # a fifth of the amplitudes zeroed, so the faces of the sphere (the
+    # solved family's |10> = 0 among them) are drawn too
+    zero = np.tile(rng.random((20000, 4)) < 0.2, 2)
+    normals[zero] = 0.0
+    normals[(normals == 0.0).all(axis=-1), 0] = 1.0
+    margin = _ellipse_margins(random_rows(normals))
+    # inside by a clear gap: the solved family alone reaches the ellipse
+    assert margin.size > 3000 and margin.max() < -1e-3
+
+
+def test_no_preparation_beats_the_ellipse_on_drawn_amplitudes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    part = st.floats(-1.0, 1.0)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.tuples(*[part] * 8))
+    def check(parts):
+        amps = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        norm = np.linalg.norm(amps)
+        hypothesis.assume(norm > 1e-3)
+        _ellipse_margins(amps / norm)
+
+    check()
+
+
+def test_solved_preparations_clone_isotropically_at_their_targets():
+    def errors(pairs):
+        _, preps = cloner.solve_rows(pairs[:, 0], pairs[:, 1])
+        batch = clone_batch(PROBE_AMPLITUDES, preps[:, None])
+        shrink = np.abs(batch.s_est - pairs[:, None, :]).max()
+        return max(batch.isotropy.max(), shrink, np.abs(_axis_averaged_shrinks(preps) - pairs).max())
+
+    rng = np.random.default_rng(19)
+    pairs = rng.uniform(0.0, 1.0, (4000, 2))
+    _, in_range, over = cloner.feasibility_rule(pairs[:, 0], pairs[:, 1])
+    assert errors(pairs[in_range & ~over]) <= ROUNDOFF_TOL
+    # CORNER's phase cosine is clamped from 1.0000019855 to 1, which moves its shrinks by 4.9e-12
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2 / 3, 2 / 3), CORNER, CORNER[::-1]]
+    assert errors(np.array(corners)) <= ESTIMATE_TOL

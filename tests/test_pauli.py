@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from asymclone.cloner import cloning_network
+from asymclone.cloner import _NETWORK_PERMUTATION, cloning_network
 from asymclone.pauli import (
+    _BELL_MATRIX,
+    _OFF_DIAGONAL,
     BELL_DIAGONAL_TOL,
     BELL_NAMES,
     BellCoefficients,
@@ -12,10 +14,12 @@ from asymclone.pauli import (
     bell_expand,
     bell_output,
     bell_output_rows,
+    decompose_rows,
     expand_rows,
+    network_rows,
     run_pauli_cloner,
 )
-from asymclone.qstate import random_rows, random_state, tensor
+from asymclone.qstate import StateVector, random_rows, random_state, tensor, tensor_rows
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -181,3 +185,46 @@ def test_bell_output_rows_match_one_call_per_row(n):
         matrix, off = bell_output(coeffs)
         assert np.array_equal(matrices[k], matrix)
         assert max_off[k] == off
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _zeroed_diagonal_max(matrix):
+    """The off-diagonal maximum over the whole matrix with its diagonal zeroed: the reference for the mask."""
+    return np.abs(np.where(np.eye(4, dtype=bool), 0.0, matrix)).max(axis=(-2, -1))
+
+
+def test_operands_built_once_give_the_per_call_bits():
+    # the reference builds each operand from _BELL_MATRIX on the spot; the
+    # module's adjoint must stay the transposed view, or @ takes another BLAS path
+    rng = np.random.default_rng(18)
+    joint = random_rows(rng.standard_normal((64, 32)))
+    coeffs = random_rows(rng.standard_normal((64, 8)))
+    for amps, c in ((joint, coeffs), (joint[5], coeffs[5])):
+        per_call = _BELL_MATRIX.conj().T @ amps.reshape(amps.shape[:-1] + (4, 4)) @ _BELL_MATRIX.conj()
+        assert _same_bits(decompose_rows(amps), per_call)
+        network = tensor_rows(_BELL_MATRIX[:, 0], expand_rows(c))
+        network = network.reshape(network.shape[:-1] + (2, 8))[..., _NETWORK_PERMUTATION].reshape(network.shape)
+        assert _same_bits(network_rows(c), network)
+        matrix, max_off = bell_output_rows(c)
+        assert _same_bits(matrix, decompose_rows(network))
+        assert _same_bits(max_off, _zeroed_diagonal_max(matrix))
+    state = StateVector(coeffs[7], ("a1", "b1"))
+    assert _same_bits(bell_components(state), _BELL_MATRIX.conj().T @ state.amplitudes)
+
+
+def test_masked_off_diagonal_maximum_keeps_nan():
+    rng = np.random.default_rng(19)
+    matrices = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+    # a NaN real part in each of the first 150 matrices, a NaN imaginary part
+    # in the first 50, each on or off the diagonal
+    rows, cols = rng.integers(0, 4, (2, 150))
+    matrices.real[np.arange(150), rows, cols] = np.nan
+    matrices.imag[np.arange(50), cols[:50], rows[:50]] = np.nan
+    masked = np.abs(matrices[..., _OFF_DIAGONAL]).max(axis=-1)
+    np.testing.assert_array_equal(masked, _zeroed_diagonal_max(matrices))
+    assert np.isnan(masked).any() and not np.isnan(masked).all()
+    for matrix in matrices[[0, 1, 160]]:
+        np.testing.assert_array_equal(np.abs(matrix[_OFF_DIAGONAL]).max(), _zeroed_diagonal_max(matrix))
