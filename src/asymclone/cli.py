@@ -218,10 +218,6 @@ def _json_text(value) -> str:
     return _json_layout(value, 0, numbers := []) % tuple(_rounded(numbers))
 
 
-def _print_json(payload: dict) -> None:
-    print(_json_text(payload))
-
-
 def _pair_json(pair: cloner.ScalingPair) -> dict:
     # the margin of an out-of-range pair can overflow to inf or NaN
     margin = pair.margin if math.isfinite(pair.margin) else None
@@ -231,7 +227,7 @@ def _pair_json(pair: cloner.ScalingPair) -> dict:
 def _emit_infeasible(pair: cloner.ScalingPair, fmt: str) -> int:
     head = _pair_json(pair)
     if fmt == "json":
-        _print_json({**head, "reason": pair.reason})
+        print(_json_text({**head, "reason": pair.reason}))
     else:
         # a null margin stays out of _rounded, which takes finite numbers alone
         s0, s1, margin, *_ = _rounded([v for v in (pair.s0, pair.s1, head["margin"]) if v is not None]) + ["null"]
@@ -255,7 +251,7 @@ def _cmd_solve(args) -> int:
             "theta4": prep.theta4,
             "amplitudes": prep.as_amplitudes,
         }
-        _print_json(payload)
+        print(_json_text(payload))
     else:
         numbers = [pair.s0, pair.s1, pair.margin, prep.c1, prep.theta1, prep.c2, prep.theta2, prep.c4, prep.theta4]
         texts = _rounded(numbers + prep.as_amplitudes.view(float).tolist())
@@ -286,7 +282,7 @@ def _cmd_clone(args) -> int:
         "fidelity0": out.fidelity0,
         "fidelity1": out.fidelity1,
     }
-    _print_json(payload)
+    print(_json_text(payload))
     return EXIT_OK
 
 
@@ -371,8 +367,7 @@ def _cmd_pauli(args) -> int:
         return EXIT_USAGE
     if abs(norm - 1.0) > qstate.RENORMALIZE_WARN:
         print(f"pauli: renormalizing input of norm {norm:.9g}", file=sys.stderr)
-    # BellCoefficients' rule, then bell_output, on one row as _check_pauli runs them
-    check_unit_norm(pauli.expand_rows(unit))
+    # bell_output on one row, as _check_pauli runs it
     matrix, max_off = pauli.bell_output_rows(unit)
     if not max_off <= pauli.BELL_DIAGONAL_TOL:
         print(f"pauli: output is not Bell-diagonal (max off-diagonal {max_off:.3g})", file=sys.stderr)
@@ -384,7 +379,7 @@ def _cmd_pauli(args) -> int:
         "diagonal": matrix.diagonal(),
         "max_offdiagonal": max_off,
     }
-    _print_json(payload)
+    print(_json_text(payload))
     return EXIT_OK
 
 
@@ -492,8 +487,6 @@ def _draw_pauli(rng: np.random.Generator, n: int):
 
 
 def _check_pauli(raw: np.ndarray):
-    # BellCoefficients' rule
-    check_unit_norm(pauli.expand_rows(raw))
     matrix, max_off = pauli.bell_output_rows(raw)
     yield max_off, pauli.BELL_DIAGONAL_TOL
     yield np.abs(np.diagonal(matrix, axis1=-2, axis2=-1) - raw).max(axis=-1), qstate.ACCUMULATED_TOL

@@ -38,7 +38,6 @@ import numpy as np
 
 from .gates import apply_cnot, cnot_rows
 from .qstate import (
-    _NAMED_AMPLITUDES,
     ROUNDOFF_TOL,
     StateVector,
     _dot,
@@ -49,7 +48,6 @@ from .qstate import (
     check_unit_norm,
     fidelity_rows,
     max_rows,
-    named_state,
     projector_rows,
     tensor_rows,
 )
@@ -128,9 +126,6 @@ class PrepState:
         amplitudes.flags.writeable = False
         return amplitudes
 
-    def as_state(self, labels: tuple[str, str] = ("a1", "b1")) -> StateVector:
-        return StateVector(self.as_amplitudes, labels)
-
 
 @dataclass(frozen=True)
 class CloneOutput:
@@ -154,20 +149,6 @@ class CloneOutput:
     isotropy1: float
     fidelity0: float
     fidelity1: float
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Outcome of checking a CloneOutput against the scaled-output form."""
-
-    ok: bool
-    residual0: float
-    residual1: float
-    isotropy0: float
-    isotropy1: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_preparation(values: np.ndarray) -> None:
@@ -419,20 +400,10 @@ def run_cloner(input_state: StateVector, prep: PrepState | StateVector) -> Clone
     return CloneOutput(batch.joint, batch.rho[0], batch.rho[1], *floats.tolist())
 
 
-def verify_scaling(out: CloneOutput, tol: float) -> ScalingReport:
+def verify_scaling(out: CloneOutput, tol: float) -> bool:
     """Check the scaled-output form: small residuals and isotropic shrink.
 
-    Reads the four errors run_cloner already computed; ok only when each is
-    at most tol, so a NaN error fails the check.
+    Reads the four errors run_cloner already computed; True only when each
+    is at most tol, so a NaN error fails the check.
     """
-    errors = (out.residual0, out.residual1, out.isotropy0, out.isotropy1)
-    return ScalingReport(all(err <= tol for err in errors), *errors)
-
-
-def probe_states(label: str = "a0") -> list[StateVector]:
-    """The six axis states 0, 1, +, -, +i, -i on the given label.
-
-    Together they span every Bloch direction, so residuals over them check
-    the scaled-output form; sweep clones their amplitudes, in this order.
-    """
-    return [named_state(name, label) for name in _NAMED_AMPLITUDES]
+    return all(err <= tol for err in (out.residual0, out.residual1, out.isotropy0, out.isotropy1))

@@ -58,15 +58,20 @@ class BellCoefficients:
     x4: complex
 
     def __post_init__(self):
-        check_unit_norm(expand_rows(self.as_array()))
+        expand_rows(self.as_array())  # raises on the rule
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3, self.x4], dtype=complex)
 
 
 def expand_rows(coeffs: np.ndarray) -> np.ndarray:
-    """Computational-basis amplitudes of each row of Bell amplitudes."""
-    return (_BELL_MATRIX @ coeffs[..., None])[..., 0]
+    """Computational-basis amplitudes of each row of Bell amplitudes; ValueError unless each has unit norm.
+
+    That is BellCoefficients' rule, in its one home.
+    """
+    expanded = (_BELL_MATRIX @ coeffs[..., None])[..., 0]
+    check_unit_norm(expanded)
+    return expanded
 
 
 def network_rows(coeffs: np.ndarray) -> np.ndarray:
@@ -82,7 +87,7 @@ def decompose_rows(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def bell_output_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """bell_output for each row of an (..., 4) stack of Bell amplitudes."""
+    """bell_output for each row of an (..., 4) stack of Bell amplitudes; one row off BellCoefficients' rule raises."""
     joint = network_rows(coeffs)
     check_unit_norm(joint)
     matrix = decompose_rows(joint)
@@ -95,13 +100,11 @@ def bell_basis(labels: tuple[str, str] = ("a1", "b1")) -> tuple[StateVector, ...
     return tuple(StateVector(_BELL_MATRIX[:, k], labels) for k in range(4))
 
 
-def bell_expand(coeffs: BellCoefficients, labels: tuple[str, str] = ("a1", "b1")) -> StateVector:
-    """Computational-basis state with the given Bell amplitudes."""
-    return StateVector(expand_rows(coeffs.as_array()), labels)
-
-
 def bell_components(state: StateVector) -> np.ndarray:
-    """Bell amplitudes of a two-qubit state, in the fixed order."""
+    """Bell amplitudes of a two-qubit state, in the fixed order.
+
+    Kept as the Bell-weight input of a Pauli-channel view of the cloner (Cerf, PRL 84, 4497 (2000)).
+    """
     if state.n_qubits != 2:
         raise ValueError(f"need a two-qubit state, got {state.n_qubits} qubits")
     return _BELL_ADJOINT @ state.amplitudes

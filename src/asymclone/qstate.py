@@ -178,9 +178,6 @@ class BlochVector:
     def __post_init__(self):
         check_bloch_length(np.array([self.mx, self.my, self.mz]))
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.mx**2 + self.my**2 + self.mz**2))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.mx, self.my, self.mz])
 
@@ -342,11 +339,6 @@ def bloch_vector(rho: DensityMatrix) -> BlochVector:
     if rho.n_qubits != 1:
         raise ValueError("Bloch vector is defined for single-qubit operators only")
     return BlochVector(*bloch_rows(rho.entries).tolist())
-
-
-def from_bloch(m: BlochVector, label: str = "q") -> DensityMatrix:
-    """Reconstruct the single-qubit density matrix (1 + m.sigma)/2."""
-    return DensityMatrix(from_bloch_rows(m.as_array()), (label,))
 
 
 def reorder(psi: StateVector, labels: Sequence[str]) -> StateVector:

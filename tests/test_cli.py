@@ -16,13 +16,15 @@ import pytest
 
 from asymclone import cli, cloner, pauli, qstate
 from asymclone.cli import CSV_HEADER, main
-from asymclone.cloner import clone_batch, feasibility, probe_states, solve_prep
+from asymclone.cloner import clone_batch, feasibility, solve_prep
 from asymclone.gates import apply_circuit, apply_cnot, apply_hadamard, apply_ry, apply_rz, prepare_two_qubit
 from asymclone.qstate import (
+    _NAMED_AMPLITUDES,
+    DensityMatrix,
     StateVector,
     basis_state,
     bloch_vector,
-    from_bloch,
+    from_bloch_rows,
     overlap,
     partial_trace,
     reorder,
@@ -420,7 +422,7 @@ def test_pauli_prints_the_numbers_of_the_object_path(monkeypatch):
     # pauli runs the row functions that verify's pauli suite runs;
     # BellCoefficients and bell_output stay the reference for its numbers
     payloads = []
-    monkeypatch.setattr(cli, "_print_json", payloads.append)
+    monkeypatch.setattr(cli, "_json_text", lambda payload: payloads.append(payload) or "")
     rng = np.random.default_rng(18)
     drawn = [
         [f"{re!r},{im!r}" for re, im in (rng.standard_normal((4, 2)) * scale).tolist()]
@@ -439,6 +441,16 @@ def test_pauli_prints_the_numbers_of_the_object_path(monkeypatch):
         assert payload["coefficients"].tobytes() == matrix.tobytes(), argv
         assert payload["diagonal"].tobytes() == np.diag(matrix).tobytes(), argv
         assert float(payload["max_offdiagonal"]).hex() == max_off.hex(), argv
+
+
+@pytest.mark.parametrize("argv", [["1", "0", "0", "0"], ["1", "1", "0", "0.5,0.5"], ["1e200", "0", "0", "0"]])
+def test_a_pauli_call_expands_its_coefficients_once(monkeypatch, argv):
+    # BellCoefficients' rule runs inside network_rows, on the one expansion it computes
+    calls = []
+    real = pauli.expand_rows
+    monkeypatch.setattr(pauli, "expand_rows", lambda coeffs: calls.append(coeffs) or real(coeffs))
+    assert run_cli("pauli", *argv)[0] == 0
+    assert len(calls) == 1
 
 
 def _strict_json(text):
@@ -614,7 +626,7 @@ def test_sweep_and_verify_arguments_always_end_cleanly():
 @functools.cache
 def _sweep_rows_one_call_per_row(step):
     """sweep_rows with one clone_batch call on the six probes per feasible row."""
-    probes = np.array([p.amplitudes for p in probe_states()])
+    probes = np.array(list(_NAMED_AMPLITUDES.values()), dtype=complex)
     num = cli._csv_num
     rows = []
     for s0 in cli._sweep_values(step):
@@ -797,7 +809,7 @@ def _trial_state_algebra(single, double):
     yield float(np.max(np.abs(back.amplitudes - joint.amplitudes))), qstate.ROUNDOFF_TOL
     yield abs(abs(overlap(joint, back)) - 1.0), qstate.ROUNDOFF_TOL
     rho = to_density(single)
-    rebuilt = from_bloch(bloch_vector(rho), "q0")
+    rebuilt = DensityMatrix(from_bloch_rows(bloch_vector(rho).as_array()), ("q0",))
     yield float(np.max(np.abs(rebuilt.entries - rho.entries))), qstate.ROUNDOFF_TOL
     reduced = partial_trace(to_density(joint), ["q0", "q2"])
     yield float(reduced.labels != ("q0", "q2")), 0.0

@@ -11,7 +11,6 @@ from asymclone.pauli import (
     bell_basis,
     bell_components,
     bell_decompose,
-    bell_expand,
     bell_output,
     bell_output_rows,
     decompose_rows,
@@ -64,7 +63,7 @@ def test_expand_components_roundtrip():
     rng = np.random.default_rng(31)
     for _ in range(50):
         coeffs = _random_coeffs(rng)
-        state = bell_expand(coeffs)
+        state = StateVector(expand_rows(coeffs.as_array()), ("a1", "b1"))
         assert np.allclose(bell_components(state), coeffs.as_array(), atol=1e-12)
 
 
@@ -152,7 +151,7 @@ def test_network_agrees_with_cloner_module():
     for _ in range(8):
         coeffs = _random_coeffs(rng)
         via_bell = run_pauli_cloner(coeffs)
-        direct = cloning_network(tensor(phi_p, bell_expand(coeffs)))
+        direct = cloning_network(tensor(phi_p, StateVector(expand_rows(coeffs.as_array()), ("a1", "b1"))))
         assert via_bell.labels == direct.labels
         assert np.array_equal(via_bell.amplitudes, direct.amplitudes)
 
@@ -181,7 +180,7 @@ def test_bell_output_rows_match_one_call_per_row(n):
     matrices, max_off = bell_output_rows(raw)
     for k in range(n):
         coeffs = BellCoefficients(*raw[k])
-        assert np.array_equal(expanded[k], bell_expand(coeffs).amplitudes)
+        assert np.array_equal(expanded[k], expand_rows(coeffs.as_array()))
         matrix, off = bell_output(coeffs)
         assert np.array_equal(matrices[k], matrix)
         assert max_off[k] == off
