@@ -20,9 +20,9 @@ Every formula here is elementwise in (s0, s1), so solve_rows solves a whole
 stack of feasible pairs in one numpy pass: sweep calls it once per row block
 and verify once per chunk of trials. solve_prep solves one pair with the
 same operations on floats, which costs less than a one-row stack; the
-tests hold the two bit for bit equal. The feasibility rule and the rules a
-preparation obeys each have one home (feasibility_rule, check_preparation)
-that serves one pair and a stack alike.
+tests hold the two bit for bit equal. The feasibility rule, the preparation's
+construction with its rules, and the infeasibility message each have one home
+(feasibility_rule, prep_rows, _infeasible) that serves one pair and a stack alike.
 
 The network itself is four CNOTs on (a0, a1, b1), applied in the order
 a0->a1, a0->b1, a1->a0, b1->a0. On the 8 basis amplitudes that is one
@@ -106,23 +106,12 @@ class PrepState:
     theta4: float
 
     def __post_init__(self):
-        check_preparation(np.array([self.c1, self.c2, self.c4, self.theta1, self.theta2, self.theta4]))
-        check_unit_norm(self.as_amplitudes)
+        self.as_amplitudes  # built at construction, so prep_rows' rules run here
 
     @functools.cached_property
     def as_amplitudes(self) -> np.ndarray:
-        """The four complex amplitudes over |00>, |01>, |10>, |11>, read-only.
-
-        Computed once, by __post_init__'s norm check, and shared by every caller.
-        """
-        amplitudes = np.array(
-            [
-                self.c1 * np.exp(1j * self.theta1),
-                self.c2 * np.exp(1j * self.theta2),
-                0.0,
-                self.c4 * np.exp(1j * self.theta4),
-            ]
-        )
+        """The four amplitudes over |00>, |01>, |10>, |11>: prep_rows of the fields, built once, read-only."""
+        amplitudes = prep_rows(np.array([self.c1, self.c2, self.c4, self.theta1, self.theta2, self.theta4]))
         amplitudes.flags.writeable = False
         return amplitudes
 
@@ -154,10 +143,7 @@ class CloneOutput:
 def check_preparation(values: np.ndarray) -> None:
     """Raise ValueError unless every (..., 6) row (c1, c2, c4, theta1, theta2, theta4) is valid.
 
-    Each modulus lies in [0, 1 + ROUNDOFF_TOL] and each phase is finite; one
-    bad row fails the whole stack. PrepState checks its one row here and
-    solve_rows its stack; both then check the amplitudes' norm with
-    check_unit_norm.
+    Each modulus lies in [0, 1 + ROUNDOFF_TOL] and each phase is finite; one bad row fails the whole stack.
     """
     ok = (_PREP_LOW <= values) & (values <= _PREP_HIGH)
     if ok.all():
@@ -167,6 +153,20 @@ def check_preparation(values: np.ndarray) -> None:
         name = ("c1", "c2", "c4")[np.nonzero(~moduli_ok)[-1][0]]
         raise ValueError(f"modulus {name} = {_offender(moduli, moduli_ok)!r} outside [0, 1]")
     raise ValueError("phases must be finite")
+
+
+def prep_rows(values: np.ndarray) -> np.ndarray:
+    """The (..., 4) amplitudes c * exp(i theta) over |00>, |01>, |10>, |11> of (..., 6) preparation rows, |10> at 0.
+
+    The rows pass check_preparation first and the amplitudes check_unit_norm.
+    """
+    check_preparation(values)
+    phased = values[..., :3] * np.exp(1j * values[..., 3:])
+    amplitudes = np.zeros(values.shape[:-1] + (4,), dtype=complex)  # slice writes: ~1 us a row less than a fancy index
+    amplitudes[..., :2] = phased[..., :2]
+    amplitudes[..., 3] = phased[..., 2]
+    check_unit_norm(amplitudes)
+    return amplitudes
 
 
 def feasibility_rule(s0, s1):
@@ -188,11 +188,16 @@ def feasibility(s0: float, s1: float) -> ScalingPair:
     if not (math.isfinite(s0) and math.isfinite(s1)):
         raise ValueError(f"scaling factors must be finite, got ({s0!r}, {s1!r})")
     margin, in_range, over = feasibility_rule(s0, s1)
-    if not in_range:
-        return ScalingPair(s0, s1, False, margin, "scaling factors must lie in [0, 1]")
-    if over:
-        return ScalingPair(s0, s1, False, margin, f"margin {margin:.6g} exceeds 0")
-    return ScalingPair(s0, s1, True, margin)
+    feasible = in_range and not over
+    return ScalingPair(s0, s1, feasible, margin, None if feasible else _infeasible_reason(in_range, margin))
+
+
+def _infeasible_reason(in_range, margin) -> str:
+    return f"margin {margin:.6g} exceeds 0" if in_range else "scaling factors must lie in [0, 1]"
+
+
+def _infeasible(s0: float, s1: float, reason: str) -> InfeasibleScalingError:
+    return InfeasibleScalingError(f"pair (s0={s0!r}, s1={s1!r}) is infeasible: {reason}")
 
 
 def _theta(numerator: float, factor_a: float, factor_b: float) -> float:
@@ -228,10 +233,7 @@ def solve_prep(pair: ScalingPair) -> PrepState:
     np.arccos, since math.acos differs from it by an ulp on ~9% of inputs.
     """
     if not pair.feasible:
-        raise InfeasibleScalingError(
-            f"pair (s0={pair.s0!r}, s1={pair.s1!r}) is infeasible: "
-            f"{pair.reason or f'margin {pair.margin:.6g}'}"
-        )
+        raise _infeasible(pair.s0, pair.s1, pair.reason or f"margin {pair.margin:.6g}")
     s0 = min(max(pair.s0, 0.0), 1.0)
     s1 = min(max(pair.s1, 0.0), 1.0)
     return PrepState(
@@ -260,8 +262,7 @@ def solve_rows(s0: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = ~in_range | over
     if bad.any():
         k = np.flatnonzero(bad)[0]
-        reason = "scaling factors must lie in [0, 1]" if not in_range[k] else f"margin {margin[k]:.6g} exceeds 0"
-        raise InfeasibleScalingError(f"pair (s0={s0[k].item()!r}, s1={s1[k].item()!r}) is infeasible: {reason}")
+        raise _infeasible(s0[k].item(), s1[k].item(), _infeasible_reason(in_range[k], margin[k]))
     # min(max(s, 0.0), 1.0) as solve_prep takes it, -0.0 kept
     s0 = np.where(s0 > 1.0, 1.0, np.where(s0 < 0.0, 0.0, s0))
     s1 = np.where(s1 > 1.0, 1.0, np.where(s1 < 0.0, 0.0, s1))
@@ -277,11 +278,7 @@ def solve_rows(s0: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ],
         axis=-1,
     )
-    check_preparation(values)
-    amplitudes = np.zeros(values.shape[:-1] + (4,), dtype=complex)
-    amplitudes[..., [0, 1, 3]] = values[..., :3] * np.exp(1j * values[..., 3:])
-    check_unit_norm(amplitudes)
-    return values[..., [0, 1, 2, 4, 5]], amplitudes
+    return values[..., [0, 1, 2, 4, 5]], prep_rows(values)
 
 
 def cloning_network(state: StateVector) -> StateVector:

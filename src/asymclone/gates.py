@@ -18,6 +18,7 @@ HADAMARD = "hadamard"
 RY = "ry"
 RZ = "rz"
 
+_TAKES = {CNOT: (True, False), HADAMARD: (False, False), RY: (False, True), RZ: (False, True)}
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
@@ -31,21 +32,17 @@ class GateApplication:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (CNOT, HADAMARD, RY, RZ):
+        if self.kind not in tuple(_TAKES):  # by ==, so an unhashable kind is unknown too
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == CNOT:
-            if self.control is None or self.control == self.target:
-                raise ValueError("cnot needs distinct control and target labels")
-            if self.angle is not None:
-                raise ValueError("cnot takes no angle")
-        else:
-            if self.control is not None:
-                raise ValueError(f"{self.kind} takes no control qubit")
-            needs_angle = self.kind in (RY, RZ)
-            if needs_angle and self.angle is None:
-                raise ValueError(f"{self.kind} needs an angle")
-            if not needs_angle and self.angle is not None:
-                raise ValueError(f"{self.kind} takes no angle")
+        takes_control, takes_angle = _TAKES[self.kind]
+        if takes_control and (self.control is None or self.control == self.target):
+            raise ValueError(f"{self.kind} needs distinct control and target labels")
+        if not takes_control and self.control is not None:
+            raise ValueError(f"{self.kind} takes no control qubit")
+        if takes_angle and self.angle is None:
+            raise ValueError(f"{self.kind} needs an angle")
+        if not takes_angle and self.angle is not None:
+            raise ValueError(f"{self.kind} takes no angle")
 
 
 # The gates on (..., 2^n) amplitude stacks, qubits addressed by axis (0 is

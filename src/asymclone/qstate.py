@@ -96,16 +96,24 @@ def check_bloch_length(vectors: np.ndarray) -> None:
 
 
 class _Register:
-    """Label addressing shared by StateVector and DensityMatrix."""
+    """Label addressing and the register rule shared by StateVector and DensityMatrix."""
 
     labels: tuple[str, ...]
 
-    @staticmethod
-    def _unique(labels) -> tuple[str, ...]:
-        labels = tuple(labels)
+    def _store(self, field: str, values: np.ndarray, ndim: int, check, shape_error: str) -> None:
+        """Store values read-only as field once the register rule (labels, qubit count, shape) and check pass."""
+        labels = tuple(self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels in {labels}")
-        return labels
+        n = len(labels)
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {n}")
+        if values.shape != (2**n,) * ndim:
+            raise ValueError(shape_error.format(n=n, dim=2**n, shape=values.shape))
+        check(values)
+        values.flags.writeable = False
+        object.__setattr__(self, field, values)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_qubits(self) -> int:
@@ -130,20 +138,7 @@ class StateVector(_Register):
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        labels = self._unique(self.labels)
-        if not 1 <= len(labels) <= MAX_QUBITS:
-            raise ValueError(
-                f"register must hold 1..{MAX_QUBITS} qubits, got {len(labels)}"
-            )
-        if amps.shape != (2 ** len(labels),):
-            raise ValueError(
-                f"{len(labels)}-qubit register needs {2 ** len(labels)} amplitudes, "
-                f"got {amps.shape[0]}"
-            )
-        check_unit_norm(amps)
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "labels", labels)
+        self._store("amplitudes", amps, 1, check_unit_norm, "{n}-qubit register needs {dim} amplitudes, got {shape[0]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,16 +150,7 @@ class DensityMatrix(_Register):
 
     def __post_init__(self):
         mat = np.array(self.entries, dtype=complex)
-        labels = self._unique(self.labels)
-        dim = 2 ** len(labels)
-        if mat.shape != (dim, dim):
-            raise ValueError(
-                f"{len(labels)}-qubit density matrix must be {dim}x{dim}, got {mat.shape}"
-            )
-        check_density(mat)
-        mat.flags.writeable = False
-        object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "labels", labels)
+        self._store("entries", mat, 2, check_density, "{n}-qubit density matrix must be {dim}x{dim}, got {shape}")
 
 
 @dataclass(frozen=True)

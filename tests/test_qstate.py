@@ -99,6 +99,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="must be 4x4"):
             DensityMatrix(np.eye(2), ("a", "b"))
 
+    @pytest.mark.parametrize(
+        "entries, labels", [(np.eye(1), ()), (np.eye(32) / 32, ("a", "b", "c", "d", "e"))], ids=["0-qubit", "5-qubit"]
+    )
+    def test_rejects_a_register_outside_the_cap(self, entries, labels):
+        # the register rule StateVector keeps: 1..MAX_QUBITS qubits
+        with pytest.raises(ValueError, match="1..4"):
+            DensityMatrix(entries, labels)
+
 
 @pytest.mark.parametrize(
     "check, good, bad, match",

@@ -28,10 +28,16 @@ def _same_bits(got, want):
 
 
 def _reference(pairs):
-    """solve_rows' (columns, amplitudes), one solve_prep call per pair."""
+    """solve_rows' (columns, amplitudes), one solve_prep call per pair.
+
+    The amplitudes come from scalar np.exp calls on each pair's fields, not
+    from prep_rows, which PrepState and solve_rows share.
+    """
     preps = [solve_prep(feasibility(s0, s1)) for s0, s1 in pairs]
     columns = np.array([[p.c1, p.c2, p.c4, p.theta2, p.theta4] for p in preps]).reshape(len(preps), 5)
-    amplitudes = np.array([p.as_amplitudes for p in preps]).reshape(len(preps), 4)
+    amplitudes = np.array(
+        [[p.c1 * np.exp(1j * p.theta1), p.c2 * np.exp(1j * p.theta2), 0.0, p.c4 * np.exp(1j * p.theta4)] for p in preps]
+    ).reshape(len(preps), 4)
     return columns, amplitudes
 
 
@@ -136,8 +142,13 @@ class TestSolveRows:
     def test_one_bad_pair_fails_the_stack(self, bad_pair, message):
         pairs = np.array([(0.4, 0.7), (0.5, 0.5), (1.0, 0.0), (0.2, 0.8), (2 / 3, 2 / 3)])
         pairs[3] = bad_pair
-        with pytest.raises(InfeasibleScalingError, match=message):
+        with pytest.raises(InfeasibleScalingError, match=message) as stacked:
             solve_rows(pairs[:, 0], pairs[:, 1])
+        # feasibility takes finite pairs alone; where it does, solve_prep raises the same text
+        if np.isfinite(bad_pair).all():
+            with pytest.raises(InfeasibleScalingError) as scalar:
+                solve_prep(feasibility(*bad_pair))
+            assert str(scalar.value) == str(stacked.value)
 
     @pytest.mark.parametrize(
         "column, value, message",
