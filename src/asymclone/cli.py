@@ -265,22 +265,24 @@ def _cmd_clone(args) -> int:
     if not pair.feasible:
         return _emit_infeasible(pair, "json")
     prep = cloner.solve_prep(pair)
-    out = cloner.run_cloner(args.state, prep)
+    # the kernel on one row, as run_cloner runs it; the isotropy is not printed, so it is never read
+    batch = cloner.clone_batch(args.state.amplitudes, prep.as_amplitudes)
+    s_est, residual, fidelity = batch.s_est.tolist(), batch.residual.tolist(), batch.fidelity.tolist()
     payload = {
         "input": args.state.amplitudes,
         "s0_target": pair.s0,
         "s1_target": pair.s1,
         "margin": pair.margin,
         "joint_labels": list(cloner.NETWORK_LABELS),
-        "joint": out.joint,
-        "rho_a0": out.rho_a0,
-        "rho_a1": out.rho_a1,
-        "s0_est": out.s0_est,
-        "s1_est": out.s1_est,
-        "residual0": out.residual0,
-        "residual1": out.residual1,
-        "fidelity0": out.fidelity0,
-        "fidelity1": out.fidelity1,
+        "joint": batch.joint,
+        "rho_a0": batch.rho[0],
+        "rho_a1": batch.rho[1],
+        "s0_est": s_est[0],
+        "s1_est": s_est[1],
+        "residual0": residual[0],
+        "residual1": residual[1],
+        "fidelity0": fidelity[0],
+        "fidelity1": fidelity[1],
     }
     print(_json_text(payload))
     return EXIT_OK

@@ -41,6 +41,7 @@ from .qstate import (
     ROUNDOFF_TOL,
     StateVector,
     _dot,
+    _every,
     _offender,
     bloch_rows,
     check_bloch_length,
@@ -77,6 +78,7 @@ _NETWORK_PERMUTATION = _network_permutation()
 # [0, 1 + ROUNDOFF_TOL], phases finite (a NaN fails any bound)
 _PREP_LOW = np.array([0.0] * 3 + [-np.finfo(float).max] * 3)
 _PREP_HIGH = np.array([1.0 + ROUNDOFF_TOL] * 3 + [np.finfo(float).max] * 3)
+_IDENTITY = np.eye(2)
 
 
 class InfeasibleScalingError(ValueError):
@@ -146,10 +148,10 @@ def check_preparation(values: np.ndarray) -> None:
     Each modulus lies in [0, 1 + ROUNDOFF_TOL] and each phase is finite; one bad row fails the whole stack.
     """
     ok = (_PREP_LOW <= values) & (values <= _PREP_HIGH)
-    if ok.all():
+    if _every(ok):
         return
     moduli, moduli_ok = values[..., :3], ok[..., :3]
-    if not moduli_ok.all():
+    if not _every(moduli_ok):
         name = ("c1", "c2", "c4")[np.nonzero(~moduli_ok)[-1][0]]
         raise ValueError(f"modulus {name} = {_offender(moduli, moduli_ok)!r} outside [0, 1]")
     raise ValueError("phases must be finite")
@@ -323,7 +325,7 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
 
     prep_amplitudes are the four over |00>, |01>, |10>, |11> of (a1, b1).
     The leading axes broadcast: sweep passes (6, 2) probes with (M, 1, 4),
-    verify (n, 2, 2) with (n, 1, 4) and run_cloner (2,) with (4,).
+    verify (n, 2, 2) with (n, 1, 4), clone and run_cloner (2,) with (4,).
     Every number is bit for bit what the per-object path (tensor, the four
     CNOTs, to_density, partial_trace, bloch_vector, fidelity_pure) gives
     for that row: the kernel forms the same products and sums, in the same
@@ -371,7 +373,7 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     m_in, m_out = m[: inputs.size // 2].reshape(rho_in.shape[:-2] + (3,)), m[inputs.size // 2 :].reshape(lead + (2, 3))
     # never near 0: a valid pure input has |m_in|^2 = (|a|^2 + |b|^2)^2
     s_est = _dot(m_out, m_in) / _dot(m_in, m_in)
-    expected = s_est[..., None, None] * rho_in + (0.5 * (1.0 - s_est))[..., None, None] * np.eye(2)
+    expected = s_est[..., None, None] * rho_in + (0.5 * (1.0 - s_est))[..., None, None] * _IDENTITY
     residual = max_rows(np.abs(rho - expected).reshape(lead + (2, 4)))
     return CloneBatch(joint, rho, s_est, residual, inputs, m_in, m_out)
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import ACCUMULATED_TOL, ROUNDOFF_TOL, StateVector, _offender, norm_rows
+from .qstate import ACCUMULATED_TOL, ROUNDOFF_TOL, StateVector, _every, _offender, norm_rows
 
 CNOT = "cnot"
 HADAMARD = "hadamard"
@@ -176,7 +176,7 @@ def synthesis_rows(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     norm = norm_rows(amplitudes)
     ok = np.abs(norm - 1.0) <= ACCUMULATED_TOL
-    if not ok.all():
+    if not _every(ok):
         raise ValueError(f"amplitudes are not normalized: norm = {_offender(norm, ok)!r}")
     target = amplitudes / norm[..., None]
     u, schmidt, vh = np.linalg.svd(target.reshape(target.shape[:-1] + (2, 2)))

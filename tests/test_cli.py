@@ -453,6 +453,60 @@ def test_a_pauli_call_expands_its_coefficients_once(monkeypatch, argv):
     assert len(calls) == 1
 
 
+def test_a_clone_call_runs_the_kernel_without_run_cloner(monkeypatch):
+    calls = []
+    real = cloner.run_cloner
+    monkeypatch.setattr(cloner, "run_cloner", lambda *args: calls.append(args) or real(*args))
+    for state in ("+", "1.2,0.4", "0.3,0.1,-0.2,0.4"):
+        assert run_cli("clone", f"--state={state}", "--s0", "0.8", "--s1", "0.5")[0] == 0
+    assert calls == []
+
+
+def _clone_reference(state_text, s0_text, s1_text):
+    """clone's stdout as written from run_cloner's CloneOutput, the library wrapper's numbers."""
+    state = cli._parse_state(state_text)
+    pair = feasibility(cli._parse_real(s0_text), cli._parse_real(s1_text))
+    out = cloner.run_cloner(state, solve_prep(pair))
+    payload = {
+        "input": state.amplitudes,
+        "s0_target": pair.s0,
+        "s1_target": pair.s1,
+        "margin": pair.margin,
+        "joint_labels": list(cloner.NETWORK_LABELS),
+        "joint": out.joint,
+        "rho_a0": out.rho_a0,
+        "rho_a1": out.rho_a1,
+        "s0_est": out.s0_est,
+        "s1_est": out.s1_est,
+        "residual0": out.residual0,
+        "residual1": out.residual1,
+        "fidelity0": out.fidelity0,
+        "fidelity1": out.fidelity1,
+    }
+    return cli._json_text(payload) + "\n"
+
+
+def test_clone_prints_the_numbers_of_run_cloner():
+    rng = np.random.default_rng(21)
+    states = list(_NAMED_AMPLITUDES)
+    states += [f"{theta!r},{phi!r}" for theta, phi in rng.uniform(-7.0, 7.0, (6, 2)).tolist()]
+    amplitudes = rng.standard_normal((6, 4)) * rng.choice([1e-3, 1.0, 1e3], (6, 1))
+    states += [",".join(map(repr, row)) for row in amplitudes.tolist()]
+    pairs = [("1", "0"), ("0", "1"), ("2/3", "2/3")]
+    while len(pairs) < 20:
+        s0, s1 = rng.uniform(0.0, 1.0, 2).tolist()
+        if feasibility(s0, s1).feasible:
+            pairs.append((repr(s0), repr(s1)))
+    # each of the 18 states on a corner, then 42 drawn (state, pair) combinations
+    argvs = [(state, *pairs[k % 3]) for k, state in enumerate(states)]
+    picks = zip(rng.integers(0, len(states), 42).tolist(), rng.integers(0, len(pairs), 42).tolist())
+    argvs += [(states[i], *pairs[j]) for i, j in picks]
+    for state, s0, s1 in argvs:
+        code, out, _ = run_cli("clone", f"--state={state}", "--s0", s0, "--s1", s1)
+        assert code == 0, (state, s0, s1)
+        assert out == _clone_reference(state, s0, s1), (state, s0, s1)
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+from asymclone.cloner import check_preparation
+from asymclone.gates import synthesis_rows
 from asymclone.qstate import (
     ACCUMULATED_TOL,
     ROUNDOFF_TOL,
     BlochVector,
     DensityMatrix,
     StateVector,
+    _every,
     _offender,
     basis_state,
     bloch_rows,
@@ -545,3 +550,123 @@ def test_density_rows_match_the_wrappers(n):
             vector = bloch_vector(DensityMatrix(one[k], ("q",)))
             assert np.array_equal(m[k], vector.as_array())
             assert np.array_equal(rebuilt[k], from_bloch_rows(vector.as_array()))
+
+
+FLAG_SHAPES = [(), (0,), (1,), (3,), (6,), (512, 2), (2, 3, 4)]
+
+
+def test_every_is_all_on_every_flag_shape():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis.extra.numpy import arrays
+
+    st = hypothesis.strategies
+    # values on both sides of the tolerances, NaN and infinities among them
+    value = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 2e-12, 1.0 - 2e-12, np.nan, np.inf, -np.inf])
+    shape = st.sampled_from(FLAG_SHAPES)
+    values = shape.flatmap(lambda s: arrays(np.float64, s, elements=value))
+    flags = shape.flatmap(lambda s: arrays(np.bool_, s))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(values, flags)
+    def check(values, flags):
+        with np.errstate(invalid="ignore"):
+            derived = [
+                np.abs(values - 1.0) <= ROUNDOFF_TOL,
+                values >= -ACCUMULATED_TOL,
+                ~np.isnan(values),
+                np.abs(values.sum(axis=-1) - 1.0) <= ROUNDOFF_TOL if values.ndim else values <= 1.0,
+            ]
+        for ok in derived + [flags]:
+            assert _every(ok) == bool(ok.all())
+
+    check()
+
+
+_U = 1.0 / math.sqrt(2.0)
+_HALF = 0.5 * np.eye(2, dtype=complex)
+_QUARTER = 0.25 * np.eye(4, dtype=complex)
+_PREP = [math.sqrt(0.5), 0.5, 0.5, 0.0, -1.0, -2.0]
+
+
+def _with(base, index, value):
+    out = np.array(base)
+    out[index] = value
+    return out
+
+
+_NORM = "state is not normalized: sum |amp|^2 = "
+_TRACE_OFF = "density matrix trace is (1.000000000002+0j), expected 1"
+# (rule, a valid row, a row with one NaN, infinite, -0 or just out-of-tolerance
+# value, and the rule's outcome on it, as each rule gave it with ok.all())
+_VALIDATOR_CASES = [
+    (check_unit_norm, [_U, _U], [np.nan, _U], _NORM + "nan"),
+    (check_unit_norm, [_U, _U], [_U, complex(0.0, np.inf)], _NORM + "inf"),
+    (check_unit_norm, [_U, _U], [-np.inf, _U], _NORM + "inf"),
+    (check_unit_norm, [_U, _U], [-0.0, complex(-0.0, -1.0)], None),
+    (check_unit_norm, [_U, _U], [math.sqrt(1.0 + 2e-12), 0.0], _NORM + "1.0000000000019997"),
+    (check_unit_norm, [_U, _U], [math.sqrt(1.0 - 2e-12), -0.0], _NORM + "0.999999999998"),
+    (check_density, _HALF, _with(_HALF, (0, 1), np.nan), "density matrix is not Hermitian"),
+    (check_density, _HALF, _with(_HALF, (1, 1), np.inf), "density matrix is not Hermitian"),
+    (check_density, _HALF, _with(_HALF, (1, 0), -np.inf), "density matrix is not Hermitian"),
+    (check_density, _HALF, [[0.5, -0.0], [-0.0, 0.5]], None),
+    (check_density, _HALF, _with(_HALF, (0, 0), 0.5 + 2e-12), _TRACE_OFF),
+    (check_density, _HALF, _with(_HALF, (1, 0), 2e-12j), "density matrix is not Hermitian"),
+    (check_density, _HALF, np.diag([1.0 + 2e-12, -2e-12]), None),
+    (check_density, _HALF, np.diag([1.0 + 2e-10, -2e-10]), "density matrix has a negative eigenvalue"),
+    (check_density, _QUARTER, _with(_QUARTER, (2, 3), np.nan), "density matrix is not Hermitian"),
+    (check_density, _QUARTER, _with(_QUARTER, (3, 3), -np.inf), "density matrix is not Hermitian"),
+    (check_density, _QUARTER, _with(_QUARTER, (0, 0), 0.25 + 2e-12), _TRACE_OFF),
+    (check_density, _QUARTER, np.diag([0.5, 0.25, 0.25 + 2e-10, -2e-10]), "density matrix has a negative eigenvalue"),
+    (check_bloch_length, [0.0, 0.6, 0.8], [np.nan, 0.0, 0.0], "Bloch vector leaves the unit ball: |m|^2 = nan"),
+    (check_bloch_length, [0.0, 0.6, 0.8], [0.0, np.inf, 0.0], "Bloch vector leaves the unit ball: |m|^2 = inf"),
+    (check_bloch_length, [0.0, 0.6, 0.8], [0.0, 0.0, -np.inf], "Bloch vector leaves the unit ball: |m|^2 = inf"),
+    (check_bloch_length, [0.0, 0.6, 0.8], [-0.0, -0.6, -0.8], None),
+    (
+        check_bloch_length,
+        [0.0, 0.6, 0.8],
+        [math.sqrt(1.0 + 1e-10 + 2e-12), 0.0, 0.0],
+        "Bloch vector leaves the unit ball: |m|^2 = 1.0000000001019997",
+    ),
+    (check_preparation, _PREP, _with(_PREP, 0, np.nan), "modulus c1 = nan outside [0, 1]"),
+    (check_preparation, _PREP, _with(_PREP, 2, np.inf), "modulus c4 = inf outside [0, 1]"),
+    (check_preparation, _PREP, _with(_PREP, 4, -np.inf), "phases must be finite"),
+    (check_preparation, _PREP, _with(_PREP, 5, np.nan), "phases must be finite"),
+    (check_preparation, _PREP, _with(_with(_PREP, 1, -0.0), 3, -0.0), None),
+    (check_preparation, _PREP, _with(_PREP, 0, 1.0 + 2e-12), "modulus c1 = 1.000000000002 outside [0, 1]"),
+    (check_preparation, _PREP, _with(_PREP, 1, -2e-12), "modulus c2 = -2e-12 outside [0, 1]"),
+    (synthesis_rows, [0.5] * 4, [0.5, np.nan, 0.5, 0.5], "amplitudes are not normalized: norm = nan"),
+    (synthesis_rows, [0.5] * 4, [0.5, 0.5, np.inf, 0.5], "amplitudes are not normalized: norm = inf"),
+    (synthesis_rows, [0.5] * 4, [0.5, 0.5, 0.5, -np.inf], "amplitudes are not normalized: norm = inf"),
+    (synthesis_rows, [0.5] * 4, [-0.0, 1.0, -0.0, -0.0], None),
+    (synthesis_rows, [0.5] * 4, [0.5 + 1e-12, 0.5, 0.5, 0.5], None),
+    (synthesis_rows, [0.5] * 4, [0.5 + 2e-10, 0.5, 0.5, 0.5], "amplitudes are not normalized: norm = 1.0000000001"),
+]
+
+
+@pytest.mark.parametrize("rule, good, bad, message", _VALIDATOR_CASES)
+def test_validators_keep_their_verdicts_and_messages(rule, good, bad, message):
+    good, bad = np.asarray(good), np.asarray(bad)
+    # the bad row alone (a 0-d flag for a one-row rule), in a stack, and in a stack of stacks
+    stacks = [bad, np.stack([good, good, good, bad, good])]
+    stacks.append(np.stack([good, bad, good, good]).reshape((2, 2) + bad.shape))
+    for values in stacks:
+        if message is None:
+            rule(values)
+            continue
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError) as info:
+            rule(values)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+    rule(np.stack([good] * 3))
+
+
+def test_bloch_rows_match_the_stacked_columns():
+    # the values np.stack of the three columns gave, NaN and signed zeros included
+    rng = np.random.default_rng(21)
+    entries = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
+    entries.reshape(-1)[rng.choice(entries.size, 60, replace=False)] = rng.choice([np.nan, np.inf, -0.0, 0.0], 60)
+    for stack in (entries, entries[7], entries.reshape(30, 10, 2, 2)):
+        lower = stack[..., 1, 0]
+        columns = [2.0 * lower.real, 2.0 * lower.imag, (stack[..., 0, 0] - stack[..., 1, 1]).real]
+        with np.errstate(invalid="ignore"):
+            assert bloch_rows(stack).tobytes() == np.stack(columns, axis=-1).tobytes()
