@@ -581,12 +581,52 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _grammar(command: argparse.ArgumentParser):
+    """A command's actions by option string, its positionals in order, its required dests and its defaults."""
+    actions = [a for a in command._actions if a.nargs is None]  # all but help, each storing one value
+    options = {opt: a for a in actions for opt in a.option_strings}
+    defaults = {a.dest: a.default for a in actions} | {"func": command.get_default("func")}
+    required = {a.dest for a in actions if a.required}
+    return options, [a for a in actions if not a.option_strings], required, defaults
+
+
+def _settle(name: str, command: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
+    """The Namespace parse_args gives for [name, *tokens] of exact '--opt value' or '--opt=value' options and
+    positionals, one '--' before them; None for anything else, which the full parser and its messages decide."""
+    options, positionals, required, defaults = _grammar(command)
+    given, args, rest, values = [], [], iter(tokens), {"command": name}
+    for token in rest:
+        if token == "--" and positionals and not args:
+            args = list(rest)
+        elif not token.startswith("-"):
+            args.append(token)
+        else:
+            opt, eq, text = token.partition("=")
+            text = text if eq else next(rest, "-")
+            if opt not in options or (not eq and text.startswith("-")):
+                return None
+            given.append((options[opt], text))
+    if len(args) != len(positionals) or "--" in args:
+        return None
+    for action, text in given + list(zip(positionals, args)):
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            # what argparse's _get_value turns into a usage error
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**(defaults | values)) if required <= values.keys() else None
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv by its command's own parser where that settles it alone, else by the full parser and its messages."""
+    """argv settled from its command's own actions where _settle can, else by the full parser and its messages."""
     parser = _shared_parser()
     if argv and argv[0] in parser.commands:
-        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
+        args = _settle(argv[0], parser.commands[argv[0]], argv[1:])
+        if args is not None:
             return args
     return parser.parse_args(argv)
 

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import io
@@ -845,10 +846,131 @@ def test_kept_parser_answers_like_a_fresh_one(monkeypatch):
         codes.add(kept[0])
     assert codes == {0, 1, 2}
     assert run_cli("solve", "0.3", "0.4", "0.5")[2].endswith("asymclone: error: unrecognized arguments: 0.5\n")
-    # a call its command's parser settles never reaches the full parser
+    # every form the benchmark workloads send is settled from the command's
+    # actions, reaching neither the full parser nor a command's own parser
     monkeypatch.setattr(cli._shared_parser(), "parse_args", None)
-    assert run_cli("solve", "0.3", "0.4", "--format", "json")[0] == 0
-    assert run_cli("pauli", "1", "0", "0", "0")[0] == 0
+    for command in cli._shared_parser().commands.values():
+        monkeypatch.setattr(command, "parse_known_args", None)
+    hot = [
+        ["solve", "0.3", "0.4"],
+        ["solve", "0.3", "0.4", "--format", "json"],
+        ["solve", "0.3", "0.4", "--format=json"],
+        ["clone", "--state=0.3,0.1,-0.2,0.4", "--s0", "0.6", "--s1", "0.5"],
+        ["clone", "--state", "1.2,0.4", "--s0", "2/3", "--s1", "2/3"],
+        ["pauli", "--", "-0.3", "0.4", "0.1,0.5", "0.2"],
+        ["pauli", "1", "0", "0", "0"],
+        ["sweep", "--step", "1/10"],
+        ["verify", "--seed", "1", "--trials", "5"],
+    ]
+    for argv in hot:
+        assert run_cli(*argv)[0] == 0, argv
+
+
+def _settled(argv):
+    """cli._settle's Namespace for argv on the shared parser's command, or None."""
+    return cli._settle(argv[0], cli._shared_parser().commands[argv[0]], list(argv[1:]))
+
+
+def _fields(args):
+    """vars(args) with each StateVector as its amplitude bytes and labels."""
+    return {
+        key: (value.amplitudes.tobytes(), value.labels) if isinstance(value, StateVector) else value
+        for key, value in vars(args).items()
+    }
+
+
+def test_settled_argv_parse_as_argparse_parses_them(monkeypatch, tmp_path):
+    # argv the table route settles must give parse_args' Namespace; argv it
+    # declines must give a fresh parser's exit code, stdout and stderr
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.chdir(tmp_path)  # sweep --out writes files named by the atoms
+    commands = cli.build_parser().commands
+    options = sorted({opt for command in commands.values() for a in command._actions for opt in a.option_strings})
+    values = ["-0.3", "-1e-13", "0.3", "0.4", "1", "0", "5", "2/3", "1/10", "nan", "x", "json", "text", "xml"]
+    values += ["+i", "-i", "+", "-", "1.2,0.4", "0.3,0.1,-0.2,0.4", "0.1,0.5", "-0.2,1"]
+    atoms = options + [f"{opt}=" for opt in options] + values + ["--", "-", "", "-h", "--form", "--st", "--s"]
+    kinds = {
+        cli._parse_real: ["0.3", "0.4", "2/3", "1/10", "1", "0", "-0.3"],
+        cli._parse_state: ["+i", "-i", "0", "1.2,0.4", "0.3,0.1,-0.2,0.4", "-0.2,1"],
+        cli._parse_complex: ["0.3", "0.1,0.5", "-0.2,1", "1", "0"],
+        int: ["1", "5", "0", "-1"],
+    }
+    token = st.one_of(
+        st.sampled_from(atoms), st.tuples(st.sampled_from(options), st.sampled_from(values)).map("=".join)
+    )
+
+    @st.composite
+    def formed(draw):
+        # each option given or not (required ones always), as '--opt v' or
+        # '--opt=v' in any order, the positionals spread among them or after
+        # one '--', then at most one atom put anywhere; about half the values
+        # are of the action's own kind
+        name = draw(st.sampled_from(sorted(commands)))
+        actions = [a for a in commands[name]._actions if a.dest != "help"]
+
+        def value(a):
+            own = list(a.choices) if a.choices else kinds.get(a.type, ["x", "-"])
+            return draw(st.one_of(st.sampled_from(own), st.sampled_from(values)))
+
+        groups = []
+        for a in actions:
+            if a.option_strings and (a.required or draw(st.booleans())):
+                opt, text = a.option_strings[0], value(a)
+                groups.append([f"{opt}={text}"] if draw(st.booleans()) else [opt, text])
+        argv = [t for group in draw(st.permutations(groups)) for t in group]
+        args = [value(a) for a in actions if not a.option_strings]
+        if args and draw(st.booleans()):
+            argv += ["--"] + args
+        else:
+            for arg in args:
+                argv.insert(draw(st.integers(0, len(argv))), arg)
+        for _ in range(draw(st.integers(0, 1))):
+            argv.insert(draw(st.integers(0, len(argv))), draw(token))
+        return [name, *argv]
+
+    drawn = st.tuples(st.sampled_from(sorted(commands)), st.lists(token, max_size=8)).map(lambda p: [p[0], *p[1]])
+    seen = {"settled": 0, "declined": 0}
+
+    @hypothesis.settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.one_of(drawn, formed(), formed()))
+    @hypothesis.example(["verify", "--"])
+    @hypothesis.example(["verify", "--trials", "2/3"])
+    @hypothesis.example(["solve", "0.3", "0.4", "--"])
+    @hypothesis.example(["pauli", "1", "2", "--", "3", "4"])
+    @hypothesis.example(["clone", "--state=-i", "--s0", "1", "--s1", "0"])
+    @hypothesis.example(["solve", "0.3", "0.4", "--format=xml"])
+    def check(argv):
+        settled = _settled(argv)
+        if settled is None:
+            seen["declined"] += 1
+            assert run_cli(*argv) == _run_on_a_fresh_parser(argv), argv
+        else:
+            seen["settled"] += 1
+            assert _fields(settled) == _fields(cli.build_parser().parse_args(argv)), argv
+
+    check()
+    assert min(seen.values()) >= 50, seen
+    assert _settled(["clone", "--state=-i", "--s0", "1", "--s1", "0"]) is not None
+    for argv in (
+        ["verify", "--"],
+        ["verify", "--trials", "2/3"],
+        ["solve", "0.3", "0.4", "--"],
+        ["pauli", "1", "2", "--", "3", "4"],
+    ):
+        assert _settled(argv) is None, argv
+
+
+def test_a_second_double_dash_goes_to_argparse():
+    # every command's positionals refuse '--' in their type; a string
+    # positional would not, and argparse versions differ on a second '--'
+    parser = argparse.ArgumentParser()
+    parser.add_argument("a")
+    parser.add_argument("b")
+    settled = cli._settle("echo", parser, ["--", "x", "-y"])
+    assert vars(settled) == {"command": "echo", "func": None, "a": "x", "b": "-y"}
+    assert cli._settle("echo", parser, ["--", "x", "--"]) is None
+    assert cli._settle("echo", parser, ["x", "--", "y"]) is None
 
 
 # verify's suites one trial at a time on the object API, as they ran before
