@@ -18,7 +18,6 @@ from . import cloner, pauli, qstate
 from .gates import _H, cnot_rows, gate_rows, ry_matrix, rz_matrix, synthesis_rows, synthesized_rows
 from .qstate import (
     _NAMED_AMPLITUDES,
-    StateVector,
     bloch_rows,
     check_bloch_length,
     check_density,
@@ -27,7 +26,6 @@ from .qstate import (
     from_bloch_rows,
     kept_labels,
     max_rows,
-    named_state,
     norm_rows,
     overlap_rows,
     partial_trace_rows,
@@ -113,10 +111,10 @@ def _parse_real(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from None
 
 
-def _parse_state(text: str) -> StateVector:
-    """Named state, 'theta,phi' Bloch angles, or 're0,im0,re1,im1' amplitudes."""
+def _parse_state(text: str) -> np.ndarray:
+    """(2,) complex amplitudes, unit to round-off, of a named state, 'theta,phi' Bloch angles or 're0,im0,re1,im1'."""
     if text in _NAMED_AMPLITUDES:
-        return named_state(text, "a0")
+        return np.array(_NAMED_AMPLITUDES[text], dtype=complex)
     parts = text.split(",")
     try:
         values = _finite([float(p) for p in parts])
@@ -124,17 +122,13 @@ def _parse_state(text: str) -> StateVector:
         raise argparse.ArgumentTypeError(f"bad state spec {text!r}") from None
     if len(values) == 2:
         theta, phi = values
-        amps = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-    elif len(values) == 4:
+        return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+    if len(values) == 4:
         try:
-            amps, _ = _unit(np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]]))
+            return _unit(np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]]))[0]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"state spec {text!r} has {exc}") from None
-    else:
-        raise argparse.ArgumentTypeError(
-            f"bad state spec {text!r}: use a named state, 'theta,phi' or 're0,im0,re1,im1'"
-        )
-    return StateVector(amps, ("a0",))
+    raise argparse.ArgumentTypeError(f"bad state spec {text!r}: use a named state, 'theta,phi' or 're0,im0,re1,im1'")
 
 
 def _parse_complex(text: str) -> complex:
@@ -265,11 +259,11 @@ def _cmd_clone(args) -> int:
     if not pair.feasible:
         return _emit_infeasible(pair, "json")
     prep = cloner.solve_prep(pair)
-    # the kernel on one row, as run_cloner runs it; the isotropy is not printed, so it is never read
-    batch = cloner.clone_batch(args.state.amplitudes, prep.as_amplitudes)
+    # run_cloner's one row, whose unit-norm rule is the parsed input's one check; the unprinted isotropy is never read
+    batch = cloner.clone_batch(args.state, prep.as_amplitudes)
     s_est, residual, fidelity = batch.s_est.tolist(), batch.residual.tolist(), batch.fidelity.tolist()
     payload = {
-        "input": args.state.amplitudes,
+        "input": args.state,
         "s0_target": pair.s0,
         "s1_target": pair.s1,
         "margin": pair.margin,

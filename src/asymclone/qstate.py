@@ -100,19 +100,25 @@ def check_bloch_length(vectors: np.ndarray) -> None:
         raise ValueError(f"Bloch vector leaves the unit ball: |m|^2 = {_offender(norm_sq, ok)!r}")
 
 
+def check_register(labels: Iterable[str]) -> tuple[str, ...]:
+    """labels as a tuple; ValueError unless they are distinct and number 1..MAX_QUBITS."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate qubit labels in {labels}")
+    if not 1 <= len(labels) <= MAX_QUBITS:
+        raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {len(labels)}")
+    return labels
+
+
 class _Register:
     """Label addressing and the register rule shared by StateVector and DensityMatrix."""
 
     labels: tuple[str, ...]
 
     def _store(self, field: str, values: np.ndarray, ndim: int, check, shape_error: str) -> None:
-        """Store values read-only as field once the register rule (labels, qubit count, shape) and check pass."""
-        labels = tuple(self.labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate qubit labels in {labels}")
+        """Store values read-only as field once the register rule (check_register, shape) and check pass."""
+        labels = check_register(self.labels)
         n = len(labels)
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {n}")
         if values.shape != (2**n,) * ndim:
             raise ValueError(shape_error.format(n=n, dim=2**n, shape=values.shape))
         check(values)
@@ -354,15 +360,16 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 
 def basis_state(bits: str | Sequence[int], labels: Sequence[str]) -> StateVector:
     """Computational basis state, e.g. basis_state("00", ("a1", "b1"))."""
+    labels = check_register(labels)
     values = [int(b) for b in bits]
     if len(values) != len(labels) or any(v not in (0, 1) for v in values):
-        raise ValueError(f"bad bit pattern {bits!r} for labels {tuple(labels)}")
+        raise ValueError(f"bad bit pattern {bits!r} for labels {labels}")
     index = 0
     for v in values:
         index = (index << 1) | v
     amps = np.zeros(2 ** len(values), dtype=complex)
     amps[index] = 1.0
-    return StateVector(amps, tuple(labels))
+    return StateVector(amps, labels)
 
 
 def single_qubit(alpha0: complex, alpha1: complex, label: str = "q") -> StateVector:
@@ -395,7 +402,6 @@ def named_state(name: str, label: str = "q") -> StateVector:
 
 def random_state(labels: Sequence[str], rng: np.random.Generator | None = None) -> StateVector:
     """Haar-like random pure state on the named register."""
-    if rng is None:
-        rng = np.random.default_rng()
-    dim = 2 ** len(tuple(labels))
-    return StateVector(random_rows(rng.standard_normal(2 * dim)), tuple(labels))
+    labels = check_register(labels)
+    rng = np.random.default_rng() if rng is None else rng
+    return StateVector(random_rows(rng.standard_normal(2 * 2 ** len(labels))), labels)

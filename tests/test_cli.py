@@ -464,8 +464,8 @@ def test_a_clone_call_runs_the_kernel_without_run_cloner(monkeypatch):
 
 
 def _clone_reference(state_text, s0_text, s1_text):
-    """clone's stdout as written from run_cloner's CloneOutput, the library wrapper's numbers."""
-    state = cli._parse_state(state_text)
+    """clone's stdout as written from run_cloner's CloneBatch, the library wrapper's numbers."""
+    state = StateVector(cli._parse_state(state_text), ("a0",))
     pair = feasibility(cli._parse_real(s0_text), cli._parse_real(s1_text))
     out = cloner.run_cloner(state, solve_prep(pair))
     payload = {
@@ -475,14 +475,14 @@ def _clone_reference(state_text, s0_text, s1_text):
         "margin": pair.margin,
         "joint_labels": list(cloner.NETWORK_LABELS),
         "joint": out.joint,
-        "rho_a0": out.rho_a0,
-        "rho_a1": out.rho_a1,
-        "s0_est": out.s0_est,
-        "s1_est": out.s1_est,
-        "residual0": out.residual0,
-        "residual1": out.residual1,
-        "fidelity0": out.fidelity0,
-        "fidelity1": out.fidelity1,
+        "rho_a0": out.rho[0],
+        "rho_a1": out.rho[1],
+        "s0_est": out.s_est[0],
+        "s1_est": out.s_est[1],
+        "residual0": out.residual[0],
+        "residual1": out.residual[1],
+        "fidelity0": out.fidelity[0],
+        "fidelity1": out.fidelity[1],
     }
     return cli._json_text(payload) + "\n"
 
@@ -597,6 +597,65 @@ def test_norm_past_the_float_range_exits_1():
     code, out, err = run_cli("clone", "--state", "1e308,1e308,1e308,1e308", "--s0", "1", "--s1", "0")
     assert (code, out) == (1, "")
     assert "has a norm past the float range" in err
+
+
+def _unit_or_refused(text):
+    """_parse_state's row for text, checked as clone_batch checks it, or None where it refuses the spec."""
+    try:
+        amps = cli._parse_state(text)
+    except argparse.ArgumentTypeError:
+        return None
+    assert (amps.shape, amps.dtype) == ((2,), np.dtype(complex)), text
+    qstate.check_unit_norm(amps)
+    return amps
+
+
+def test_every_parsed_state_is_unit_to_round_off():
+    # the only norm check a clone input meets is clone_batch's: each accepted
+    # spec must pass it, over the whole exponent range of both numeric forms
+    rng = np.random.default_rng(23)
+    n = 50_000
+    values = np.where(rng.random((2 * n, 4)) < 0.1, 0.0, 10.0 ** rng.uniform(-323.0, 308.25, (2 * n, 4)))
+    values *= rng.choice([-1.0, 1.0], values.shape)
+    specs = list(_NAMED_AMPLITUDES) + [",".join(map(repr, row[:2])) for row in values[:n].tolist()]
+    specs += [",".join(map(repr, row)) for row in values[n:].tolist()]
+    rows = [_unit_or_refused(text) for text in specs]
+    accepted = np.array([row for row in rows if row is not None])
+    norm_error = np.abs((np.abs(accepted) ** 2).sum(axis=-1) - 1.0)
+    assert norm_error.max() <= 1e-15
+    assert n + 6 < len(accepted) < len(specs)
+
+
+def test_every_drawn_state_spec_is_unit_or_a_usage_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    spec = st.one_of(
+        st.sampled_from(list(_NAMED_AMPLITUDES)),
+        st.lists(st.floats().map(repr), min_size=1, max_size=5).map(",".join),
+    )
+
+    @hypothesis.settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(spec)
+    def check(text):
+        _unit_or_refused(text)
+
+    check()
+
+
+def test_a_clone_call_checks_its_input_norm_once(monkeypatch):
+    checked = []
+    real = qstate.check_unit_norm
+
+    def recording(amplitudes):
+        checked.append(np.shape(amplitudes))
+        return real(amplitudes)
+
+    monkeypatch.setattr(qstate, "check_unit_norm", recording)
+    monkeypatch.setattr(cloner, "check_unit_norm", recording)
+    for state in ("+", "1.2,0.4", "0.3,0.1,-0.2,0.4"):
+        checked.clear()
+        assert run_cli("clone", f"--state={state}", "--s0", "0.8", "--s1", "0.5")[0] == 0
+        assert checked.count((2,)) == 1, (state, checked)
 
 
 def test_sweep_rejects_steps_below_the_grid_bound():
@@ -872,9 +931,9 @@ def _settled(argv):
 
 
 def _fields(args):
-    """vars(args) with each StateVector as its amplitude bytes and labels."""
+    """vars(args) with each array as its dtype, shape and bytes."""
     return {
-        key: (value.amplitudes.tobytes(), value.labels) if isinstance(value, StateVector) else value
+        key: (value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
         for key, value in vars(args).items()
     }
 

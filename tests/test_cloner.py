@@ -9,6 +9,7 @@ from asymclone.cloner import (
     NETWORK_LABELS,
     InfeasibleScalingError,
     PrepState,
+    CloneBatch,
     ScalingPair,
     clone_batch,
     cloning_network,
@@ -156,7 +157,7 @@ class TestSolvePrep:
         for prep in _branches(solve_prep(feasibility(0.4, 0.7))):
             for probe in PROBES:
                 out = run_cloner(probe, prep)
-                assert max(out.residual0, out.residual1) < 1e-8
+                assert (out.residual < 1e-8).all()
 
     def test_prep_state_validation(self):
         with pytest.raises(ValueError, match="outside"):
@@ -198,10 +199,10 @@ class TestRunCloner:
         prep = solve_prep(feasibility(1, 0))
         psi = single_qubit(0.6, 0.8, "a0")
         out = run_cloner(psi, prep)
-        assert np.max(np.abs(out.rho_a0 - to_density(psi).entries)) < 1e-12
-        assert np.max(np.abs(out.rho_a1 - 0.5 * np.eye(2))) < 1e-12
-        assert out.s0_est == pytest.approx(1.0, abs=1e-12)
-        assert out.s1_est == pytest.approx(0.0, abs=1e-12)
+        assert np.max(np.abs(out.rho[0] - to_density(psi).entries)) < 1e-12
+        assert np.max(np.abs(out.rho[1] - 0.5 * np.eye(2))) < 1e-12
+        assert out.s_est[0] == pytest.approx(1.0, abs=1e-12)
+        assert out.s_est[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_swap_channel_teleports_into_the_copy(self):
         prep = solve_prep(feasibility(0, 1))
@@ -209,16 +210,16 @@ class TestRunCloner:
         for _ in range(20):
             psi = random_state(("a0",), rng)
             out = run_cloner(psi, prep)
-            assert np.max(np.abs(out.rho_a1 - to_density(psi).entries)) < 1e-12
-            assert np.max(np.abs(out.rho_a0 - 0.5 * np.eye(2))) < 1e-12
-            assert out.s1_est == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(out.rho[1] - to_density(psi).entries)) < 1e-12
+            assert np.max(np.abs(out.rho[0] - 0.5 * np.eye(2))) < 1e-12
+            assert out.s_est[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_cloner_on_basis_input(self):
         prep = solve_prep(feasibility(2 / 3, 2 / 3))
         out = run_cloner(named_state("0", "a0"), prep)
         expected = np.diag([5.0 / 6.0, 1.0 / 6.0])
-        assert np.max(np.abs(out.rho_a0 - expected)) < 1e-10
-        assert np.max(np.abs(out.rho_a1 - expected)) < 1e-10
+        assert np.max(np.abs(out.rho[0] - expected)) < 1e-10
+        assert np.max(np.abs(out.rho[1] - expected)) < 1e-10
 
     def test_universality_of_estimates(self):
         pair = feasibility(0.55, 0.6)
@@ -227,9 +228,9 @@ class TestRunCloner:
         estimates = []
         for _ in range(50):
             out = run_cloner(random_state(("a0",), rng), prep)
-            estimates.append((out.s0_est, out.s1_est))
-            assert out.s0_est == pytest.approx(pair.s0, abs=1e-8)
-            assert out.s1_est == pytest.approx(pair.s1, abs=1e-8)
+            estimates.append(out.s_est)
+            assert out.s_est[0] == pytest.approx(pair.s0, abs=1e-8)
+            assert out.s_est[1] == pytest.approx(pair.s1, abs=1e-8)
         spread = np.ptp(np.asarray(estimates), axis=0)
         assert np.all(spread < 1e-8)
 
@@ -238,8 +239,8 @@ class TestRunCloner:
         for _ in range(30):
             pair = _sample_feasible(rng)
             out = run_cloner(random_state(("a0",), rng), solve_prep(pair))
-            assert out.fidelity0 == pytest.approx(0.5 * (1 + out.s0_est), abs=1e-8)
-            assert out.fidelity1 == pytest.approx(0.5 * (1 + out.s1_est), abs=1e-8)
+            assert out.fidelity[0] == pytest.approx(0.5 * (1 + out.s_est[0]), abs=1e-8)
+            assert out.fidelity[1] == pytest.approx(0.5 * (1 + out.s_est[1]), abs=1e-8)
 
     def test_joint_register_and_norm(self):
         out = run_cloner(named_state("+i", "a0"), solve_prep(feasibility(0.5, 0.5)))
@@ -311,13 +312,17 @@ class TestCloneBatch:
         psi = random_state(("a0",), np.random.default_rng(30))
         out = run_cloner(psi, prep)
         batch = clone_batch(psi.amplitudes[None, :], prep.as_amplitudes)
-        assert np.array_equal(out.joint, batch.joint[0])
-        assert np.array_equal(out.rho_a0, batch.rho[0, 0])
-        assert np.array_equal(out.rho_a1, batch.rho[0, 1])
-        assert [out.s0_est, out.s1_est] == batch.s_est[0].tolist()
-        assert [out.residual0, out.residual1] == batch.residual[0].tolist()
-        assert [out.isotropy0, out.isotropy1] == batch.isotropy[0].tolist()
-        assert [out.fidelity0, out.fidelity1] == batch.fidelity[0].tolist()
+        assert isinstance(out, CloneBatch)
+        assert (out.joint.shape, out.rho.shape, out.s_est.shape, out.residual.shape) == ((8,), (2, 2, 2), (2,), (2,))
+        assert "isotropy" not in out.__dict__ and "fidelity" not in out.__dict__
+        for key in ("joint", "rho", "s_est", "residual", "isotropy", "fidelity"):
+            assert np.array_equal(getattr(out, key), getattr(batch, key)[0]), key
+
+    def test_a_result_equals_itself_alone_and_hashes(self):
+        prep = solve_prep(feasibility(0.3, 0.5)).as_amplitudes
+        first, second = clone_batch(PROBE_AMPLITUDES, prep), clone_batch(PROBE_AMPLITUDES, prep)
+        assert first == first and first != second
+        assert hash(first) == hash(first) and len({first, second, first}) == 2
 
     def test_fidelity_and_isotropy_are_computed_once_on_first_read(self):
         probes = PROBE_AMPLITUDES
@@ -483,11 +488,17 @@ class TestVerifyScaling:
     def test_reads_the_errors_run_cloner_computed(self):
         out = run_cloner(named_state("+", "a0"), solve_prep(feasibility(0.8, 0.4)))
         assert verify_scaling(out, 1e-8) is True
-        # each of the four errors alone decides, and the fidelities do not
-        for field in ("residual0", "residual1", "isotropy0", "isotropy1"):
-            assert verify_scaling(replace(out, **{field: 2e-8}), 1e-8) is False
-        assert verify_scaling(replace(out, fidelity0=float("nan"), fidelity1=float("nan")), 1e-8) is True
-        assert not verify_scaling(replace(out, isotropy1=float("nan")), 1e-8)
+        # each of the four errors alone decides, and the fidelities do not;
+        # replace recomputes the isotropy from m_out and the fidelity from inputs
+        for k in range(2):
+            bump = np.eye(2)[k] * 2e-8
+            assert verify_scaling(replace(out, residual=out.residual + bump), 1e-8) is False
+            skewed = replace(out, m_out=out.m_out + bump[:, None] * [1.0, 0.0, 0.0])
+            assert skewed.isotropy[k] > 1e-8 >= skewed.isotropy[1 - k]
+            assert verify_scaling(skewed, 1e-8) is False
+        unread = replace(out, inputs=np.full(2, np.nan + 0j))
+        assert np.isnan(unread.fidelity).all() and verify_scaling(unread, 1e-8) is True
+        assert not verify_scaling(replace(out, m_out=out.m_out + [[0.0], [np.nan]]), 1e-8)
 
     def test_injected_c3_breaks_the_scaled_form(self):
         # axis-aligned probes still fit individually, so generic inputs are
@@ -499,7 +510,7 @@ class TestVerifyScaling:
         rng = np.random.default_rng(11)
         outs = [run_cloner(random_state(("a0",), rng), bad) for _ in range(10)]
         assert not any(verify_scaling(out, 1e-8) for out in outs)
-        assert max(out.isotropy0 for out in outs) > 0.05
+        assert max(out.isotropy[0] for out in outs) > 0.05
 
 
 class TestBoundary:
@@ -511,7 +522,7 @@ class TestBoundary:
             assert pair.feasible
             prep = solve_prep(pair)
             out = run_cloner(named_state("+", "a0"), prep)
-            assert max(out.residual0, out.residual1) < 1e-8
+            assert (out.residual < 1e-8).all()
 
     def test_phases_match_a_50_digit_reference_inside_the_arc(self):
         # arccos has slope 1/sqrt(1 - x^2) where its argument nears 1 at the
@@ -560,8 +571,8 @@ def test_solver_roundtrip_on_random_feasible_pairs():
         pair = _sample_feasible(rng)
         prep = solve_prep(pair)
         out = run_cloner(random_state(("a0",), rng), prep)
-        assert out.s0_est == pytest.approx(pair.s0, abs=1e-8)
-        assert out.s1_est == pytest.approx(pair.s1, abs=1e-8)
+        assert out.s_est[0] == pytest.approx(pair.s0, abs=1e-8)
+        assert out.s_est[1] == pytest.approx(pair.s1, abs=1e-8)
         assert verify_scaling(out, 1e-8) is True
 
 
@@ -575,7 +586,7 @@ def test_degenerate_corner_pairs_solve_cleanly():
         prep = solve_prep(feasibility(s0, s1))
         for probe in PROBES:
             out = run_cloner(probe, prep)
-            assert max(out.residual0, out.residual1) < 1e-8
+            assert (out.residual < 1e-8).all()
 
 
 def test_cloning_network_requires_the_three_labels():

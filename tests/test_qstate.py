@@ -475,6 +475,29 @@ def test_random_state_is_normalized():
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+class _NoDraws:
+    def standard_normal(self, size):
+        pytest.fail(f"drew {size} normals for a register the rule refuses")
+
+
+@pytest.mark.parametrize(
+    "labels, match",
+    [((), "1..4"), (("q", "q"), "duplicate"), (tuple("abcde"), "1..4"), (tuple(f"q{k}" for k in range(40)), "1..4")],
+    ids=["0-qubit", "duplicate", "5-qubit", "40-qubit"],
+)
+def test_random_state_checks_the_register_before_drawing(labels, match):
+    with pytest.raises(ValueError, match=match):
+        random_state(labels, _NoDraws())
+
+
+def test_basis_state_checks_the_register_before_allocating():
+    # 2**64 amplitudes: numpy refuses the shape itself, so nothing is allocated either way
+    with pytest.raises(ValueError, match="register must hold 1..4 qubits, got 64"):
+        basis_state("0" * 64, [f"q{k}" for k in range(64)])
+    with pytest.raises(ValueError, match="duplicate"):
+        basis_state("00", ("q", "q"))
+
+
 # Each stack function against its object wrapper, row by row and bit for bit,
 # on stacks of N rows: a row's result must not depend on the stack around it.
 # The empty stack holds the row length spelled out, which numpy cannot infer.
