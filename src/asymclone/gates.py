@@ -89,41 +89,38 @@ def rz_matrix(angle) -> np.ndarray:
     return np.stack([lower, zero, zero, upper], axis=-1).reshape(half.shape + (2, 2))
 
 
-_ROTATIONS = {RY: ry_matrix, RZ: rz_matrix}
+_MATRICES = {HADAMARD: lambda angle: _H, RY: ry_matrix, RZ: rz_matrix}
+
+
+def _gate_rows(amplitudes: np.ndarray, kind: str, target: int, control: int | None, angle) -> np.ndarray:
+    """One gate of the given kind on each row, qubits by axis: the one step from a kind to its action."""
+    if kind == CNOT:
+        return cnot_rows(amplitudes, control, target)
+    return gate_rows(amplitudes, target, _MATRICES[kind](angle))
+
+
+def apply_gate(state: StateVector, gate: GateApplication) -> StateVector:
+    """Run one gate on the state, its labels turned into axes for _gate_rows."""
+    control = None if gate.control is None else state.axis(gate.control)
+    return StateVector(_gate_rows(state.amplitudes, gate.kind, state.axis(gate.target), control, gate.angle), state.labels)
 
 
 def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     """Flip the target qubit on every basis vector where the control is 1."""
-    if control == target:
-        raise ValueError("cnot needs distinct control and target labels")
-    return StateVector(cnot_rows(state.amplitudes, state.axis(control), state.axis(target)), state.labels)
-
-
-def _apply_single(state: StateVector, target: str, matrix: np.ndarray) -> StateVector:
-    return StateVector(gate_rows(state.amplitudes, state.axis(target), matrix), state.labels)
+    return apply_gate(state, GateApplication(CNOT, target, control=control))
 
 
 def apply_hadamard(state: StateVector, target: str) -> StateVector:
     """|0> -> (|0>+|1>)/sqrt2 and |1> -> (|0>-|1>)/sqrt2 on the target."""
-    return _apply_single(state, target, _H)
+    return apply_gate(state, GateApplication(HADAMARD, target))
 
 
 def apply_ry(state: StateVector, target: str, angle: float) -> StateVector:
-    return _apply_single(state, target, ry_matrix(angle))
+    return apply_gate(state, GateApplication(RY, target, angle=angle))
 
 
 def apply_rz(state: StateVector, target: str, angle: float) -> StateVector:
-    return _apply_single(state, target, rz_matrix(angle))
-
-
-def apply_gate(state: StateVector, gate: GateApplication) -> StateVector:
-    if gate.kind == CNOT:
-        return apply_cnot(state, gate.control, gate.target)
-    if gate.kind == HADAMARD:
-        return apply_hadamard(state, gate.target)
-    if gate.kind == RY:
-        return apply_ry(state, gate.target, gate.angle)
-    return apply_rz(state, gate.target, gate.angle)
+    return apply_gate(state, GateApplication(RZ, target, angle=angle))
 
 
 def apply_circuit(state: StateVector, gates: Sequence[GateApplication]) -> StateVector:
@@ -195,10 +192,7 @@ def synthesized_rows(angles: np.ndarray) -> np.ndarray:
     amplitudes = np.zeros(angles.shape[:-1] + (4,), dtype=complex)
     amplitudes[..., 0] = 1.0
     for kind, target, control, column in _SYNTHESIS:
-        if kind == CNOT:
-            amplitudes = cnot_rows(amplitudes, control, target)
-        else:
-            amplitudes = gate_rows(amplitudes, target, _ROTATIONS[kind](angles[..., column]))
+        amplitudes = _gate_rows(amplitudes, kind, target, control, angles[..., column])
     return amplitudes
 
 

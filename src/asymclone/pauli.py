@@ -6,10 +6,11 @@ expanded as X1|Phi+> + X2|Phi-> + X3|Psi+> + X4|Psi-> on (a1, b1) comes
 out as sum_j X_j |B_j>_{r a0} |B_j>_{a1 b1}, i.e. Bell-diagonal with the
 input amplitudes on the diagonal.
 
-run_pauli_cloner runs the network as the kernel's basis permutation with r
-as the spectator high bit; a CNOT only moves amplitudes, so this matches
-cloning_network bit for bit. Each step also has a function on (..., 4) or
-(..., 16) stacks, which the object functions call on one row.
+run_pauli_cloner runs the network through the cloner's own step,
+joint_rows, with |Phi+> taken as two a0 rows, one for each value of the
+spectator r; a CNOT only moves amplitudes, so this matches cloning_network
+bit for bit. Each step also has a function on (..., 4) or (..., 16) stacks,
+which the object functions call on one row.
 
 Bell order is fixed everywhere as (Phi+, Phi-, Psi+, Psi-).
 """
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import _NETWORK_PERMUTATION, NETWORK_LABELS
+from .cloner import NETWORK_LABELS, joint_rows
 from .qstate import ACCUMULATED_TOL as BELL_DIAGONAL_TOL
-from .qstate import StateVector, check_unit_norm, reorder, tensor_rows
+from .qstate import StateVector, check_unit_norm, reorder
 
 # the per-object path run_pauli_cloner reproduces; bench/test_bench.py checks
 # that tracing rebinds these names in this module
@@ -44,7 +45,8 @@ _BELL_MATRIX = np.array(
 # that @ took when it was built per call, so the BLAS path and bits match
 _BELL_ADJOINT = _BELL_MATRIX.conj().T
 _BELL_CONJ = _BELL_MATRIX.conj()
-_PHI_PLUS = _BELL_MATRIX[:, 0]
+# |Phi+> on (r, a0) as two a0 rows, one for r = 0 and one for r = 1
+_PHI_PLUS_ROWS = _BELL_MATRIX[:, 0].reshape(2, 2)
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
@@ -76,8 +78,8 @@ def expand_rows(coeffs: np.ndarray) -> np.ndarray:
 
 def network_rows(coeffs: np.ndarray) -> np.ndarray:
     """The network's output on (r, a0, a1, b1) for each row of Bell amplitudes of the preparation."""
-    amps = tensor_rows(_PHI_PLUS, expand_rows(coeffs))
-    return amps.reshape(amps.shape[:-1] + (2, 8))[..., _NETWORK_PERMUTATION].reshape(amps.shape)
+    joint = joint_rows(_PHI_PLUS_ROWS, expand_rows(coeffs)[..., None, :])
+    return joint.reshape(joint.shape[:-2] + (16,))
 
 
 def decompose_rows(amplitudes: np.ndarray) -> np.ndarray:
@@ -126,10 +128,7 @@ def bell_decompose(
     """
     if state.n_qubits != 4:
         raise ValueError(f"need a four-qubit state, got {state.n_qubits} qubits")
-    order = pairing[0] + pairing[1]
-    if sorted(order) != sorted(state.labels):
-        raise ValueError(f"pairing {pairing} does not cover the register {state.labels}")
-    return decompose_rows(reorder(state, order).amplitudes)
+    return decompose_rows(reorder(state, pairing[0] + pairing[1]).amplitudes)
 
 
 def bell_output(coeffs: BellCoefficients) -> tuple[np.ndarray, float]:

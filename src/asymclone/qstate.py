@@ -283,15 +283,8 @@ def from_bloch_rows(m: np.ndarray) -> np.ndarray:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of two registers; a's qubits become the high bits."""
-    if set(a.labels) & set(b.labels):
-        overlap_labels = sorted(set(a.labels) & set(b.labels))
-        raise ValueError(f"label collision in tensor product: {overlap_labels}")
-    if a.n_qubits + b.n_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"tensor product would need {a.n_qubits + b.n_qubits} qubits, "
-            f"register cap is {MAX_QUBITS}"
-        )
-    return StateVector(tensor_rows(a.amplitudes, b.amplitudes), a.labels + b.labels)
+    labels = check_register(a.labels + b.labels)
+    return StateVector(tensor_rows(a.amplitudes, b.amplitudes), labels)
 
 
 def to_density(psi: StateVector) -> DensityMatrix:
@@ -353,8 +346,6 @@ def reorder(psi: StateVector, labels: Sequence[str]) -> StateVector:
 
 def overlap(a: StateVector, b: StateVector) -> complex:
     """Inner product <a|b>; b is permuted to a's qubit order first."""
-    if sorted(a.labels) != sorted(b.labels):
-        raise ValueError(f"registers differ: {a.labels} vs {b.labels}")
     return complex(overlap_rows(a.amplitudes, reorder(b, a.labels).amplitudes))
 
 

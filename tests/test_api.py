@@ -1,5 +1,5 @@
 """The names other code reaches the package by: __all__, the benchmark's traced and
-by-name bindings, and README's Library example.
+by-name bindings, and README's Library example and command lines.
 
 bench/ is read as text with ast, never imported, so these run on every Python
 the package supports and catch a deleted name before a traced benchmark run does.
@@ -7,9 +7,11 @@ the package supports and catch a deleted name before a traced benchmark run does
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import asymclone
+from asymclone import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +51,12 @@ def test_every_by_name_binding_resolves():
 def test_readme_library_example_runs():
     (block,) = re.findall(r"^## Library\n\n```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_examples_exit_as_documented(tmp_path, monkeypatch):
+    calls = re.findall(r"^    asymclone (.*)$", (ROOT / "README.md").read_text(), re.M)
+    assert calls
+    monkeypatch.chdir(tmp_path)  # sweep --out writes its file to the working directory
+    for line in calls:
+        argv, _, comment = line.partition("#")
+        assert cli.main(shlex.split(argv)) == (2 if "exit 2" in comment else 0), line

@@ -330,6 +330,21 @@ class TestCloneBatch:
         assert "fidelity" not in batch.__dict__ and "isotropy" not in batch.__dict__
         assert batch.fidelity is batch.fidelity and batch.isotropy is batch.isotropy
 
+    def test_every_array_is_read_only_and_the_callers_inputs_stay_writable(self):
+        prep = solve_prep(feasibility(0.8, 0.4)).as_amplitudes
+        inputs = np.array(_NAMED_AMPLITUDES["+"], dtype=complex)
+        out, untouched = clone_batch(inputs, prep), clone_batch(inputs.copy(), prep)
+        # edits before the first read of the lazy fields, which read these arrays
+        with pytest.raises(ValueError, match="read-only"):
+            out.rho[0] = (out.rho[0] + out.rho[1]) / 2
+        with pytest.raises(ValueError, match="read-only"):
+            out.m_out[1] = 0
+        assert np.array_equal(out.fidelity, untouched.fidelity) and np.allclose(out.fidelity, [0.9, 0.7])
+        assert np.array_equal(out.isotropy, untouched.isotropy) and out.isotropy.max() < ROUNDOFF_TOL
+        for key in ("joint", "rho", "s_est", "residual", "inputs", "m_in", "m_out", "isotropy", "fidelity"):
+            assert not getattr(out, key).flags.writeable, key
+        assert np.shares_memory(out.inputs, inputs) and inputs.flags.writeable
+
     @pytest.mark.parametrize("bad_row", [[1.0, 0.1], [np.nan, 0.0], [np.inf, 0.0]])
     def test_one_bad_input_row_fails_the_stack(self, bad_row):
         inputs = PROBE_AMPLITUDES.copy()

@@ -58,7 +58,7 @@ def test_cnot_is_an_involution():
 
 def test_cnot_errors():
     psi = basis_state("00", ("a", "b"))
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="cnot needs distinct control and target labels"):
         apply_cnot(psi, "a", "a")
     with pytest.raises(ValueError, match="unknown qubit label"):
         apply_cnot(psi, "a", "c")
@@ -93,6 +93,12 @@ def test_rotation_actions():
     phased = apply_rz(named_state("+", "q"), "q", np.pi / 2)
     expected = np.array([np.exp(-0.25j * np.pi), np.exp(0.25j * np.pi)]) * INV_SQRT2
     assert np.allclose(phased.amplitudes, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("rotation, kind", [(apply_ry, RY), (apply_rz, RZ)])
+def test_rotation_helpers_need_an_angle(rotation, kind):
+    with pytest.raises(ValueError, match=f"{kind} needs an angle"):
+        rotation(named_state("0", "q"), "q", None)
 
 
 def test_rotations_preserve_norm():
