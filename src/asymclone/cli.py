@@ -72,6 +72,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    # argparse of Python 3.10.13, 3.11.7 and 3.12.1 (3.13.0 after the separator) stores [], untyped, for a
+    # value that is exactly '--'; 3.13.13 hands type and choices the literal string, as _settle does
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def _finite(values: list[float]) -> list[float]:
     """The values unchanged; ValueError if any is NaN or infinite."""
@@ -182,8 +191,8 @@ def _json_list(items: list[str], depth: int, brackets: str = "[]") -> str:
 def _json_layout(value, depth: int, numbers: list[float]) -> str:
     """%-template of value as json.dumps(indent=2) lays it out at this depth; its numbers go onto numbers.
 
-    value is a dict with str keys, a list, a str, a bool, None, a real number or a numpy
-    array of complex numbers, each written as [re, im]. A number is one %s; a % is escaped.
+    value is None, a bool, a str, a real number, a list of these or a numpy array of complex
+    numbers, each written as [re, im]. A number is one %s; a % is escaped.
     """
     if value is None:
         return "null"
@@ -196,20 +205,17 @@ def _json_layout(value, depth: int, numbers: list[float]) -> str:
     if isinstance(value, np.ndarray):
         numbers += np.ascontiguousarray(value, dtype=complex).view(float).reshape(-1).tolist()
         return _array_layout(value.shape, depth)
-    if isinstance(value, dict):
-        items = [
-            f"{_json_layout(key, depth, numbers)}: {_json_layout(v, depth + 1, numbers)}" for key, v in value.items()
-        ]
-        return _json_list(items, depth, "{}")
     if isinstance(value, list):
         return _json_list([_json_layout(v, depth + 1, numbers) for v in value], depth)
     numbers.append(float(value))
     return "%s"
 
 
-def _json_text(value) -> str:
-    """value as json.dumps(value, indent=2, allow_nan=False) writes it, with numbers as _rounded gives them."""
-    return _json_layout(value, 0, numbers := []) % tuple(_rounded(numbers))
+def _json_text(payload: dict) -> str:
+    """A flat dict of str keys and _json_layout's values as json.dumps(indent=2, allow_nan=False) writes it."""
+    numbers = []
+    items = [f"{_json_layout(key, 1, numbers)}: {_json_layout(v, 1, numbers)}" for key, v in payload.items()]
+    return _json_list(items, 0, "{}") % tuple(_rounded(numbers))
 
 
 def _pair_json(pair: cloner.ScalingPair) -> dict:

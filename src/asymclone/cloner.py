@@ -104,7 +104,10 @@ class ScalingPair:
 
 @dataclass(frozen=True)
 class PrepState:
-    """Solved preparation state: moduli c and phases theta, |10> amplitude 0."""
+    """Solved preparation state: moduli c and phases theta, |10> amplitude 0.
+
+    as_amplitudes, prep_rows of the fields over |00>, |01>, |10>, |11>, is set at construction and read-only.
+    """
 
     c1: float
     c2: float
@@ -114,12 +117,8 @@ class PrepState:
     theta4: float
 
     def __post_init__(self):
-        self.as_amplitudes  # built at construction, so prep_rows' rules run here
-
-    @functools.cached_property
-    def as_amplitudes(self) -> np.ndarray:
-        """The four amplitudes over |00>, |01>, |10>, |11>: prep_rows of the fields, built once, read-only."""
-        return _read_only(prep_rows(np.array([self.c1, self.c2, self.c4, self.theta1, self.theta2, self.theta4])))
+        amplitudes = prep_rows(np.array([self.c1, self.c2, self.c4, self.theta1, self.theta2, self.theta4]))
+        object.__setattr__(self, "as_amplitudes", _read_only(amplitudes))
 
 
 def check_preparation(values: np.ndarray) -> None:

@@ -128,6 +128,8 @@ def bell_decompose(
     """
     if state.n_qubits != 4:
         raise ValueError(f"need a four-qubit state, got {state.n_qubits} qubits")
+    if [len(pair) for pair in pairing] != [2, 2]:
+        raise ValueError(f"pairing must be two pairs of two labels, got {pairing!r}")
     return decompose_rows(reorder(state, pairing[0] + pairing[1]).amplitudes)
 
 

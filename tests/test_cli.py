@@ -946,7 +946,7 @@ def test_settled_argv_parse_as_argparse_parses_them(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # sweep --out writes files named by the atoms
     commands = cli.build_parser().commands
     options = sorted({opt for command in commands.values() for a in command._actions for opt in a.option_strings})
-    values = ["-0.3", "-1e-13", "0.3", "0.4", "1", "0", "5", "2/3", "1/10", "nan", "x", "json", "text", "xml"]
+    values = ["-0.3", "-1e-13", "0.3", "0.4", "1", "0", "5", "2/3", "1/10", "nan", "x", "json", "text", "xml", "--"]
     values += ["+i", "-i", "+", "-", "1.2,0.4", "0.3,0.1,-0.2,0.4", "0.1,0.5", "-0.2,1"]
     atoms = options + [f"{opt}=" for opt in options] + values + ["--", "-", "", "-h", "--form", "--st", "--s"]
     kinds = {
@@ -1030,6 +1030,37 @@ def test_a_second_double_dash_goes_to_argparse():
     assert vars(settled) == {"command": "echo", "func": None, "a": "x", "b": "-y"}
     assert cli._settle("echo", parser, ["--", "x", "--"]) is None
     assert cli._settle("echo", parser, ["x", "--", "y"]) is None
+
+
+# each argv with the last line of its stderr
+_DOUBLE_DASH_VALUES = [
+    ("solve -- 2 --", "asymclone solve: error: argument s1: not a real number: '--'"),
+    ("clone --state=-i --s0=-- --s1=-1", "asymclone clone: error: argument --s0: not a real number: '--'"),
+    ("sweep --step=--", "asymclone sweep: error: argument --step: not a real number: '--'"),
+    ("verify --seed=--", "asymclone verify: error: argument --seed: invalid int value: '--'"),
+    ("verify --trials=--", "asymclone verify: error: argument --trials: invalid int value: '--'"),
+    ("clone --state=-- --s0 0.5 --s1 0.5", "asymclone clone: error: argument --state: bad state spec '--'"),
+    ("pauli -- 1 2 3 --", "asymclone pauli: error: argument x4: bad complex literal '--': use 're' or 're,im'"),
+    # the list of choices after it is quoted or not by Python version
+    ("solve 0.5 0.5 --format=--", "asymclone solve: error: argument --format: invalid choice: '--'"),
+]
+
+
+@pytest.mark.parametrize("argv, last", _DOUBLE_DASH_VALUES, ids=[argv for argv, _ in _DOUBLE_DASH_VALUES])
+def test_a_double_dash_value_is_judged_by_its_type_and_choices(argv, last):
+    # older argparse stored [] for it, untyped, and the command raised or ignored it
+    code, out, err = run_cli(*argv.split())
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].partition(" (choose from")[0] == last
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--step", "0.5"], ["--st", "0.5"]])
+def test_sweep_writes_a_file_named_double_dash_on_both_routes(monkeypatch, tmp_path, argv):
+    # the abbreviated option goes to the full parser, the exact one is settled from the actions
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("sweep", *argv, "--out=--") == (0, "", "")
+    assert (tmp_path / "--").read_text().splitlines()[0] == CSV_HEADER
 
 
 # verify's suites one trial at a time on the object API, as they ran before

@@ -133,6 +133,22 @@ def test_decompose_argument_errors():
         bell_decompose(psi, pairing=(("r", "a0"), ("a1", "x")))
 
 
+@pytest.mark.parametrize(
+    "pairing",
+    [
+        (("r",), ("a0", "a1", "b1")),
+        (("r", "a0", "a1"), ("b1",)),
+        (("r", "a0", "a1", "b1"), ()),
+        (("r", "a0"), ("a1", "b1"), ()),
+    ],
+)
+def test_decompose_refuses_a_pairing_of_other_than_two_pairs_of_two(pairing):
+    # each covers the register, so the permutation rule alone would let it through
+    psi = random_state(("r", "a0", "a1", "b1"), np.random.default_rng(2))
+    with pytest.raises(ValueError, match="pairing must be two pairs of two labels"):
+        bell_decompose(psi, pairing=pairing)
+
+
 def test_output_is_bell_diagonal_with_input_on_diagonal():
     rng = np.random.default_rng(34)
     for _ in range(100):
