@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 usage or IO error, 2 infeasible scaling pair.
 JSON numbers carry 12 significant digits, CSV numbers 9.
+
+Importing this module and building its parser run no numpy code. numpy and
+the package's other modules are lazy modules, each loaded on the first read
+of one of its names. So --help and usage errors load no numpy, except that
+a clone --state value parses to a numpy array.
 """
 from __future__ import annotations
 
@@ -12,32 +17,18 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
+from . import _lazy, cloner, gates, pauli, qstate
 
-from . import cloner, pauli, qstate
-from .gates import _H, cnot_rows, gate_rows, ry_matrix, rz_matrix, synthesis_rows, synthesized_rows
-from .qstate import (
-    _NAMED_AMPLITUDES,
-    bloch_rows,
-    check_bloch_length,
-    check_density,
-    check_unit_norm,
-    fidelity_rows,
-    from_bloch_rows,
-    kept_labels,
-    max_rows,
-    norm_rows,
-    overlap_rows,
-    partial_trace_rows,
-    projector_rows,
-    random_rows,
-    reorder_rows,
-    tensor_rows,
-)
+np = _lazy("numpy")
 
-# bench/test_bench.py checks that tracing rebinds these names in this module
-from .gates import apply_cnot  # noqa: F401
-from .qstate import partial_trace, reorder, tensor, to_density  # noqa: F401
+
+def __getattr__(name: str):
+    # bench/test_bench.py reads these names here; each is its home module's binding, traced or not
+    if name in ("partial_trace", "reorder", "tensor", "to_density"):
+        return getattr(qstate, name)
+    if name == "apply_cnot":
+        return gates.apply_cnot
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,8 +113,8 @@ def _parse_real(text: str) -> float:
 
 def _parse_state(text: str) -> np.ndarray:
     """(2,) complex amplitudes, unit to round-off, of a named state, 'theta,phi' Bloch angles or 're0,im0,re1,im1'."""
-    if text in _NAMED_AMPLITUDES:
-        return np.array(_NAMED_AMPLITUDES[text], dtype=complex)
+    if text in qstate._NAMED_AMPLITUDES:
+        return np.array(qstate._NAMED_AMPLITUDES[text], dtype=complex)
     parts = text.split(",")
     try:
         values = _finite([float(p) for p in parts])
@@ -317,7 +308,7 @@ def _sweep_blocks(step: float):
     block: one pass of the feasibility rule, one solve_rows call on the
     block's feasible points and one clone_batch call: six probes a point.
     """
-    probes = np.array(list(_NAMED_AMPLITUDES.values()), dtype=complex)
+    probes = np.array(list(qstate._NAMED_AMPLITUDES.values()), dtype=complex)
     values = _sweep_values(step)
     grid = np.array(values)
     text = [_csv_num(s) for s in values]
@@ -329,8 +320,8 @@ def _sweep_blocks(step: float):
         columns, preps = cloner.solve_rows(grid[start + i], grid[j])
         batch = cloner.clone_batch(probes, preps[:, None])
         # the CSV reads probe 0's fidelity alone; on a C-ordered copy, as @ on strided operands may differ
-        fidelity = fidelity_rows(probes[0], np.ascontiguousarray(batch.rho[:, 0]))
-        solved = np.column_stack([columns, fidelity, max_rows(max_rows(batch.residual))])
+        fidelity = qstate.fidelity_rows(probes[0], np.ascontiguousarray(batch.rho[:, 0]))
+        solved = np.column_stack([columns, fidelity, qstate.max_rows(qstate.max_rows(batch.residual))])
         yield _block_rows(text[start : start + per_block], text, margin, feasible, solved)
 
 
@@ -402,34 +393,34 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 def _draw_state_algebra(rng: np.random.Generator, n: int):
     """random_state on q0, then on (q1, q2): 12 normals a trial, drawn in one call."""
     normals = rng.standard_normal((n, 12))
-    return random_rows(normals[:, :4]), random_rows(normals[:, 4:])
+    return qstate.random_rows(normals[:, :4]), qstate.random_rows(normals[:, 4:])
 
 
 def _check_state_algebra(single: np.ndarray, double: np.ndarray):
-    check_unit_norm(single)
-    check_unit_norm(double)
+    qstate.check_unit_norm(single)
+    qstate.check_unit_norm(double)
     labels = ("q0", "q1", "q2")
-    joint = tensor_rows(single, double)
-    check_unit_norm(joint)
-    yield np.abs(norm_rows(joint) - 1.0), qstate.ROUNDOFF_TOL
+    joint = qstate.tensor_rows(single, double)
+    qstate.check_unit_norm(joint)
+    yield np.abs(qstate.norm_rows(joint) - 1.0), qstate.ROUNDOFF_TOL
     # to (q2, q0, q1) and back
-    shuffled = reorder_rows(joint, (2, 0, 1))
-    check_unit_norm(shuffled)
-    back = reorder_rows(shuffled, (1, 2, 0))
-    check_unit_norm(back)
+    shuffled = qstate.reorder_rows(joint, (2, 0, 1))
+    qstate.check_unit_norm(shuffled)
+    back = qstate.reorder_rows(shuffled, (1, 2, 0))
+    qstate.check_unit_norm(back)
     yield np.abs(back - joint).max(axis=-1), qstate.ROUNDOFF_TOL
-    yield np.abs(_modulus(overlap_rows(joint, back)) - 1.0), qstate.ROUNDOFF_TOL
-    rho = projector_rows(single)
-    check_density(rho)
-    m = bloch_rows(rho)
-    check_bloch_length(m)
-    rebuilt = from_bloch_rows(m)
-    check_density(rebuilt)
+    yield np.abs(_modulus(qstate.overlap_rows(joint, back)) - 1.0), qstate.ROUNDOFF_TOL
+    rho = qstate.projector_rows(single)
+    qstate.check_density(rho)
+    m = qstate.bloch_rows(rho)
+    qstate.check_bloch_length(m)
+    rebuilt = qstate.from_bloch_rows(m)
+    qstate.check_density(rebuilt)
     yield np.abs(rebuilt - rho).max(axis=(-2, -1)), qstate.ROUNDOFF_TOL
     # no density check: test_projector_of_a_norm_checked_state_is_a_density_matrix
-    rho_joint = projector_rows(joint)
-    kept = kept_labels(labels, ["q0", "q2"])
-    check_density(partial_trace_rows(rho_joint, [labels.index(label) for label in kept]))
+    rho_joint = qstate.projector_rows(joint)
+    kept = qstate.kept_labels(labels, ["q0", "q2"])
+    qstate.check_density(qstate.partial_trace_rows(rho_joint, [labels.index(label) for label in kept]))
     yield np.full(len(joint), float(kept != ("q0", "q2"))), 0.0
 
 
@@ -437,26 +428,26 @@ def _draw_gates(rng: np.random.Generator, n: int):
     """random_state on (x, y, z), two uniform angles and four complex normals a trial."""
     states = rng.standard_normal((n, 16))
     angles = rng.uniform(-np.pi, np.pi, size=(n, 2))
-    return random_rows(states), angles, random_rows(rng.standard_normal((n, 8)))
+    return qstate.random_rows(states), angles, qstate.random_rows(rng.standard_normal((n, 8)))
 
 
 def _check_gates(psi: np.ndarray, angles: np.ndarray, raw: np.ndarray):
     # x, y, z are axes 0, 1, 2
-    check_unit_norm(psi)
-    twice = cnot_rows(cnot_rows(psi, 0, 2), 0, 2)
-    check_unit_norm(twice)
+    qstate.check_unit_norm(psi)
+    twice = gates.cnot_rows(gates.cnot_rows(psi, 0, 2), 0, 2)
+    qstate.check_unit_norm(twice)
     yield np.abs(twice - psi).max(axis=-1), qstate.ROUNDOFF_TOL
-    squared = gate_rows(gate_rows(psi, 1, _H), 1, _H)
-    check_unit_norm(squared)
+    squared = gates.gate_rows(gates.gate_rows(psi, 1, gates._H), 1, gates._H)
+    qstate.check_unit_norm(squared)
     yield np.abs(squared - psi).max(axis=-1), qstate.ROUNDOFF_TOL
-    rotated = gate_rows(gate_rows(psi, 0, ry_matrix(angles[:, 0])), 2, rz_matrix(angles[:, 1]))
-    check_unit_norm(rotated)
-    yield np.abs(norm_rows(rotated) - 1.0), qstate.ROUNDOFF_TOL
-    target, circuit = synthesis_rows(raw)
-    check_unit_norm(target)
-    built = synthesized_rows(circuit)
-    check_unit_norm(built)
-    yield np.abs(_modulus(overlap_rows(target, built)) - 1.0), qstate.ACCUMULATED_TOL
+    rotated = gates.gate_rows(gates.gate_rows(psi, 0, gates.ry_matrix(angles[:, 0])), 2, gates.rz_matrix(angles[:, 1]))
+    qstate.check_unit_norm(rotated)
+    yield np.abs(qstate.norm_rows(rotated) - 1.0), qstate.ROUNDOFF_TOL
+    target, circuit = gates.synthesis_rows(raw)
+    qstate.check_unit_norm(target)
+    built = gates.synthesized_rows(circuit)
+    qstate.check_unit_norm(built)
+    yield np.abs(_modulus(qstate.overlap_rows(target, built)) - 1.0), qstate.ACCUMULATED_TOL
 
 
 def _draw_cloner(rng: np.random.Generator, n: int):
@@ -466,7 +457,7 @@ def _draw_cloner(rng: np.random.Generator, n: int):
         batch = rng.uniform(0.0, 1.0, size=(2 * n, 2))
         _, in_range, over = cloner.feasibility_rule(batch[:, 0], batch[:, 1])
         pairs = np.concatenate([pairs, batch[in_range & ~over]])
-    return pairs[:n], random_rows(rng.standard_normal((n, 2, 4)))
+    return pairs[:n], qstate.random_rows(rng.standard_normal((n, 2, 4)))
 
 
 def _check_cloner(target: np.ndarray, inputs: np.ndarray):
@@ -485,7 +476,7 @@ def _check_cloner(target: np.ndarray, inputs: np.ndarray):
 
 def _draw_pauli(rng: np.random.Generator, n: int):
     """Per trial: four complex normals, normalized; 8 normals a trial, drawn in one call."""
-    return (random_rows(rng.standard_normal((n, 8))),)
+    return (qstate.random_rows(rng.standard_normal((n, 8))),)
 
 
 def _check_pauli(raw: np.ndarray):
@@ -536,7 +527,8 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="asymclone", description=__doc__)
+    # the help text is the docstring without its last paragraph, on imports (python -OO drops both)
+    parser = _Parser(prog="asymclone", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each command's own parser by name, for _parse
 

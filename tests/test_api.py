@@ -1,14 +1,20 @@
 """The names other code reaches the package by: __all__, the benchmark's traced and
-by-name bindings, and README's Library example and command lines.
+by-name bindings, README's Library example and command lines, and what a start-up
+loads.
 
 bench/ is read as text with ast, never imported, so these run on every Python
 the package supports and catch a deleted name before a traced benchmark run does.
 """
 import ast
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import asymclone
 from asymclone import cli
@@ -32,6 +38,64 @@ def test_every_public_name_resolves():
     missing = [name for name in asymclone.__all__ if not hasattr(asymclone, name)]
     assert not missing
     assert len(set(asymclone.__all__)) == len(asymclone.__all__)
+
+
+PUBLIC_NAMES = [
+    "BellCoefficients", "BlochVector", "DensityMatrix", "GateApplication", "InfeasibleScalingError", "PrepState",
+    "ScalingPair", "StateVector", "apply_circuit", "apply_cnot", "apply_gate", "apply_hadamard", "apply_ry",
+    "apply_rz", "basis_state", "bell_basis", "bell_components", "bell_decompose", "bell_output", "bloch_vector",
+    "cloning_network", "feasibility", "fidelity_pure", "named_state", "overlap", "partial_trace",
+    "prepare_two_qubit", "random_state", "reorder", "run_cloner", "run_pauli_cloner", "single_qubit", "solve_prep",
+    "solve_rows", "tensor", "to_density", "verify_scaling", "__version__",
+]
+
+
+def test_the_package_surface_is_served_from_the_home_modules():
+    assert asymclone.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(asymclone))
+    star = {}
+    exec("from asymclone import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES[:-1]:
+        home = importlib.import_module(star[name].__module__)
+        assert star[name] is getattr(home, name) is getattr(asymclone, name), name
+    assert star["__version__"] == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        asymclone.no_such_name
+    assert not hasattr(asymclone, "no_such_name")
+    assert not hasattr(cli, "no_such_name")
+
+
+# each child ends by printing to stderr whether numpy's core was loaded
+_IMPORT = "import sys\n{}\nprint('numpy._core' in sys.modules, file=sys.stderr)"
+_RUN_CLI = _IMPORT.format(
+    "import runpy\ntry:\n    runpy.run_module('asymclone.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit:\n    pass"
+)
+
+
+@pytest.mark.parametrize(
+    "code, argv, loads_numpy",
+    [
+        pytest.param(_IMPORT.format("import asymclone"), [], False, id="import asymclone"),
+        pytest.param(
+            _IMPORT.format("import asymclone.cli\nasymclone.cli.build_parser()"), [], False, id="build_parser()"
+        ),
+        pytest.param(_RUN_CLI, ["--help"], False, id="--help"),
+        pytest.param(_RUN_CLI, [], False, id="no arguments"),
+        pytest.param(_RUN_CLI, ["solve", "abc", "0.5"], False, id="solve abc 0.5"),
+        pytest.param(_RUN_CLI, ["sweep", "--step", "5"], False, id="sweep --step 5"),
+        pytest.param(_RUN_CLI, ["verify", "--trials", "0"], False, id="verify --trials 0"),
+        # a feasible solve computes, so the checks above cannot pass by never seeing numpy
+        pytest.param(_RUN_CLI, ["solve", "0.5", "0.3"], True, id="solve 0.5 0.3"),
+    ],
+)
+def test_a_start_loads_numpy_only_to_compute(code, argv, loads_numpy):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
+    *_, last = child.stderr.splitlines()
+    assert last == str(loads_numpy), child.stderr
+    assert "Traceback" not in child.stderr
 
 
 def test_every_traced_target_resolves():

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -516,10 +517,11 @@ def _strict_json(text):
 
 
 def test_verify_counts_nan_errors_as_failures(monkeypatch):
-    monkeypatch.setattr(
-        "asymclone.cli.overlap_rows",
-        lambda a, b: np.full(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), complex("nan")),
-    )
+    # cli reads overlap_rows through its qstate name, so the NaN overlap reaches the suites' own checks alone
+    def nan_overlap(a, b):
+        return np.full(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), complex("nan"))
+
+    monkeypatch.setattr(cli, "qstate", types.SimpleNamespace(**{**vars(qstate), "overlap_rows": nan_overlap}))
     code, out, _ = run_cli("verify", "--trials", "3")
     assert code == 1
     assert "suite state-algebra: 15 checks, 3 failures" in out
@@ -797,7 +799,7 @@ def test_sweep_block_checks_each_probe_once_and_reads_what_it_prints(monkeypatch
 
     spy(cloner, "check_density", lambda args, _: args[0].size // 4)
     spy(cloner, "check_bloch_length", lambda args, _: args[0].size // 3)
-    spy(cli, "fidelity_rows", lambda _, result: len(result))
+    spy(qstate, "fidelity_rows", lambda _, result: len(result))
     spy(cloner, "clone_batch", lambda _, batch: batch)
     assert cli.sweep_rows(step) == want
     assert seen["check_density"] == seen["check_bloch_length"] == [6 + 12 * m]
