@@ -2,10 +2,33 @@
 
 Importing the package runs no numpy code: cloner, gates, pauli and qstate
 are registered as lazy modules, and each runs (numpy with it) on the first
-read of one of its names, here or on the module itself.
+read of one of its names, here or on the module itself. A module whose
+load fails stays lazy, so the next read runs it again and raises as an
+eager import would.
 """
 import importlib.util
 import sys
+import types
+
+
+class _Retry:
+    """Runs loader's exec_module; if that raises, the module is left lazy again, so the next read reruns it."""
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def create_module(self, spec):
+        return self.loader.create_module(spec)
+
+    def exec_module(self, module):
+        try:
+            self.loader.exec_module(module)
+        except BaseException:
+            # on 3.13 the module still has the lazy class here; recorded as its loaded class, the next read recurses
+            module.__class__ = types.ModuleType
+            importlib.util.LazyLoader(self).exec_module(module)
+            raise
+        module.__spec__.loader = module.__loader__ = self.loader  # as an eager import leaves them
 
 
 def _lazy(name: str):
@@ -14,7 +37,7 @@ def _lazy(name: str):
         spec = importlib.util.find_spec(name)
         if spec is None:
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = importlib.util.LazyLoader(_Retry(spec.loader))
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]

@@ -72,6 +72,10 @@ _RUN_CLI = _IMPORT.format(
     "import runpy\ntry:\n    runpy.run_module('asymclone.cli', run_name='__main__', alter_sys=True)\n"
     "except SystemExit:\n    pass"
 )
+# the body of the console script pip writes for asymclone.cli:main
+_CONSOLE_SCRIPT = _IMPORT.format(
+    "from asymclone.cli import main\ntry:\n    sys.exit(main())\nexcept SystemExit:\n    pass"
+)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +90,8 @@ _RUN_CLI = _IMPORT.format(
         pytest.param(_RUN_CLI, ["solve", "abc", "0.5"], False, id="solve abc 0.5"),
         pytest.param(_RUN_CLI, ["sweep", "--step", "5"], False, id="sweep --step 5"),
         pytest.param(_RUN_CLI, ["verify", "--trials", "0"], False, id="verify --trials 0"),
+        pytest.param(_CONSOLE_SCRIPT, ["--help"], False, id="console script --help"),
+        pytest.param(_CONSOLE_SCRIPT, ["solve", "abc", "0.5"], False, id="console script solve abc 0.5"),
         # a feasible solve computes, so the checks above cannot pass by never seeing numpy
         pytest.param(_RUN_CLI, ["solve", "0.5", "0.3"], True, id="solve 0.5 0.3"),
     ],
@@ -96,6 +102,18 @@ def test_a_start_loads_numpy_only_to_compute(code, argv, loads_numpy):
     *_, last = child.stderr.splitlines()
     assert last == str(loads_numpy), child.stderr
     assert "Traceback" not in child.stderr
+
+
+def test_a_failed_lazy_load_is_rerun_on_the_next_read():
+    # an eager import drops a module whose code raised, so the next import fails the same way
+    code = (
+        "import sys\nsys.modules['numpy'] = None\nimport asymclone\nfor _ in range(3):\n    try:\n"
+        "        asymclone.feasibility\n    except ModuleNotFoundError as exc:\n        print(exc.name)\n"
+        "del sys.modules['numpy']\nprint(asymclone.feasibility(0.6, 0.5).feasible)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert child.stdout.split() == ["numpy", "numpy", "numpy", "True"], child.stderr
 
 
 def test_every_traced_target_resolves():

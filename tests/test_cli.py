@@ -516,6 +516,39 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# each with its exit code; from the subnormal clone on, they print a subnormal
+# amplitude, integral values, a null margin, e-3xx values and a -0 token
+# rewritten; then an infeasible clone and clones at the region's corners; the
+# last two are clone inputs normalized past the float range and at huge angles
+_JSON_CALLS = [
+    (2, "solve 0.9 0.9 --format json"),
+    (0, "solve 0.3 0.4 --format json"),
+    (0, "clone --state=+ --s0 0.6 --s1 0.5"),
+    (0, "clone --state=0.3,0.1,-0.2,0.4 --s0 0.6 --s1 0.5"),
+    (0, "pauli 0.3 0.4,0.1 0.5 0.2"),
+    (0, "clone --state=1e-320,0,1,0 --s0 0.6 --s1 0.5"),
+    (0, "pauli 1 0 0 0"),
+    (2, "solve 1e200 0 --format json"),
+    (0, "pauli 1 1 1 0"),
+    (0, "pauli 0 1e-320 1 0.5"),
+    (2, "clone --state=+ --s0 0.9 --s1 0.9"),
+    (0, "clone --state=-i --s0 1 --s1 0"),
+    (0, "clone --state=0 --s0 0 --s1 1"),
+    (0, "clone --state=1.2,0.4 --s0 2/3 --s1 2/3"),
+    (0, "solve 0.3 0.4 --format=json"),
+    (0, "pauli -- -0.3 0.4,0.1 0.5 0.2"),
+    (0, "clone --state=1e308,0,1e308,0 --s0 0.6 --s1 0.5"),
+    (0, "clone --state=1e308,1e308 --s0 0.6 --s1 0.5"),
+]
+
+
+@pytest.mark.parametrize("expected, argv", _JSON_CALLS, ids=[argv for _, argv in _JSON_CALLS])
+def test_json_commands_print_strict_json(expected, argv):
+    code, out, _ = run_cli(*argv.split())
+    assert code == expected
+    _strict_json(out)
+
+
 def test_verify_counts_nan_errors_as_failures(monkeypatch):
     # cli reads overlap_rows through its qstate name, so the NaN overlap reaches the suites' own checks alone
     def nan_overlap(a, b):
@@ -907,6 +940,9 @@ def test_kept_parser_answers_like_a_fresh_one(monkeypatch):
         codes.add(kept[0])
     assert codes == {0, 1, 2}
     assert run_cli("solve", "0.3", "0.4", "0.5")[2].endswith("asymclone: error: unrecognized arguments: 0.5\n")
+    # an abbreviated option reaches the full parser, which still matches its prefix
+    json_out = run_cli("solve", "0.3", "0.4", "--format=json")[1]
+    assert run_cli("solve", "0.3", "0.4", "--form", "json") == (0, json_out, "")
     # every form the benchmark workloads send is settled from the command's
     # actions, reaching neither the full parser nor a command's own parser
     monkeypatch.setattr(cli._shared_parser(), "parse_args", None)
@@ -1218,6 +1254,24 @@ def test_sweep_writes_each_block_as_the_kernel_completes_it(monkeypatch):
     assert sink.getvalue() == "\n".join([CSV_HEADER] + cli.sweep_rows(0.05)) + "\n"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS that Linux keeps in /proc/self/status")
+def test_a_fine_sweep_streams_in_bounded_memory():
+    # sweep solves and runs the kernel on one block of whole grid rows at a
+    # time (one 501-point row at this step), about 36 MB on x86_64 Linux; the
+    # whole 501 x 501 grid as one block peaks near 1.3 GB there. The child
+    # reads its own address space's peak: its getrusage figure also counts
+    # the peak of the process it was started from
+    code = (
+        "import os, re, sys\nfrom asymclone.cli import main\n"
+        "code = main(['sweep', '--step', '0.002', '--out', os.devnull])\n"
+        "print(re.search(r'^VmHWM:\\s+(\\d+) kB$', open('/proc/self/status').read(), re.M)[1])\nsys.exit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) <= 64 * 1024, f"sweep --step 0.002 peaked at {int(child.stdout) / 1024:.1f} MB"
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize(
     "argv, lines",
@@ -1272,3 +1326,19 @@ def test_a_failed_stdout_write_ends_in_one_line(argv, stdout):
     assert child.returncode == 1, text
     assert "Traceback" not in text and "Exception ignored" not in text
     assert text.count("\n") == 1 and text.startswith("asymclone: "), text
+
+
+def test_python_OO_drops_only_the_help_description():
+    # -OO strips docstrings, and build_parser takes its description from one
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+    def run(*argv):
+        child = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+        return child.returncode, child.stdout, child.stderr
+
+    code, out, err = run("-OO", "-m", "asymclone.cli", "--help")
+    usage, _, rest = run("-m", "asymclone.cli", "--help")[1].split("\n\n", 2)
+    assert (code, out, err) == (0, f"{usage}\n\n{rest}", "")
+    solve = ["-m", "asymclone.cli", "solve", "0.8", "0.5"]
+    plain = run(*solve)
+    assert plain[0] == 0 and run("-OO", *solve) == plain
