@@ -11,9 +11,12 @@ a clone --state value parses to a numpy array.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
+import re
+import shutil
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -54,14 +57,24 @@ _SOLVE_TEXT += "amplitudes: " + ", ".join(["{}{}j"] * 4)
 _VERIFY_CHUNK = 1024
 # _rounded's text of the exact-zero tokens, repr(float(t) + 0.0) looked up
 _ZERO_TEXT = {"0": "0.0", "-0": "0.0"}
+# the non-integral %.12g tokens whose repr text differs: e+12 to e+15 and the subnormals among e-3xx
+_REWRITTEN = re.compile(r"e\+1|e-3\d\d")
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default, which collides with the
     # infeasible-input code, so route usage failures to exit 1
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"{self._usage(shutil.get_terminal_size().columns)}{self.prog}: error: {message}\n")
+
+    @functools.cache
+    def _usage(self, columns: int) -> str:  # once per terminal width, the columns argparse's HelpFormatter reads
+        return self.format_usage()
+
+    # argparse of 3.11+ drops a message it cannot write (no stderr, or a failed write); 3.10 raises
+    def _print_message(self, message, file=None):
+        with contextlib.suppress(AttributeError, OSError):
+            super()._print_message(message, file)
 
     # argparse of Python 3.10.13, 3.11.7 and 3.12.1 (3.13.0 after the separator) stores [], untyped, for a
     # value that is exactly '--'; 3.13.13 hands type and choices the literal string, as _settle does
@@ -100,13 +113,9 @@ def _unit(raw: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _parse_real(text: str) -> float:
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            value = float(num) / float(den)
-        else:
-            value = float(text)
-        return _finite([value])[0]
+        return _finite([float(num) / float(den) if slash else float(text)])[0]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from None
 
@@ -154,21 +163,10 @@ def _rounded(values: list) -> list[str]:
     A token of at most 12 digits reads back as a double whose repr has its digits, so each token is its own text
     but integral ones (repr adds .0; -0 is 0.0), e+12 to e+15 (repr is positional) and subnormals (digits change).
     """
-    return [
-        t if ("." in t or "e" in t) and "e+1" not in t and "e-3" not in t else _ZERO_TEXT.get(t) or repr(float(t) + 0.0)
-        for t in (("%.12g " * len(values)) % tuple(_finite(values))).split()
-    ]
-
-
-@functools.cache
-def _array_layout(shape: tuple[int, ...], depth: int) -> str:
-    """%-template of a complex array of this shape laid out by json.dumps(indent=2) at this depth.
-
-    Each complex number is a [re, im] list; the template takes the parts in
-    C order, one %s each.
-    """
-    items = [_array_layout(shape[1:], depth + 1)] * shape[0] if shape else ["%s", "%s"]
-    return _json_list(items, depth)
+    text = ("%.12g " * len(values)) % tuple(values)
+    if "n" in text or _REWRITTEN.search(text):  # no finite number's token holds the n of nan or inf
+        return [repr(x + 0.0) for x in _finite([float(t) for t in text.split()])]
+    return [t if "." in t or "e" in t else _ZERO_TEXT.get(t) or repr(float(t) + 0.0) for t in text.split()]
 
 
 def _json_list(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -179,34 +177,46 @@ def _json_list(items: list[str], depth: int, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def _json_layout(value, depth: int, numbers: list[float]) -> str:
-    """%-template of value as json.dumps(indent=2) lays it out at this depth; its numbers go onto numbers.
-
-    value is None, a bool, a str, a real number, a list of these or a numpy array of complex
-    numbers, each written as [re, im]. A number is one %s; a % is escaped.
-    """
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+def _tag(value, numbers: list[float], strings: list[tuple[int, str]]):
+    """value's layout key: None, True, False, str, float, a tuple of tags (a list) or (complex, *shape) (an array);
+    a kind, never a value, as False == 0.0. Numbers go onto numbers, and strings onto strings with their fill index."""
+    if value is None or value is True or value is False:
+        return value
     if isinstance(value, str):
-        return encode_basestring_ascii(value).replace("%", "%%")
+        strings.append((len(numbers) + len(strings), encode_basestring_ascii(value)))
+        return str
     if isinstance(value, np.ndarray):
         numbers += np.ascontiguousarray(value, dtype=complex).view(float).reshape(-1).tolist()
-        return _array_layout(value.shape, depth)
+        return (complex, *value.shape)
     if isinstance(value, list):
-        return _json_list([_json_layout(v, depth + 1, numbers) for v in value], depth)
+        return tuple([_tag(v, numbers, strings) for v in value])
     numbers.append(float(value))
-    return "%s"
+    return float
+
+
+def _template(tag, depth: int) -> str:
+    """%-template of a tagged value as json.dumps(indent=2) lays it out at this depth; a complex number is [re, im]."""
+    if not isinstance(tag, tuple):
+        return {None: "null", True: "true", False: "false"}.get(tag, "%s")  # str and float: one fill each
+    if tag[:1] == (complex,):
+        tag = ((complex, *tag[2:]),) * tag[1] if tag[1:] else (float, float)
+    return _json_list([_template(t, depth + 1) for t in tag], depth)
+
+
+@functools.cache
+def _layout(tags: tuple) -> str:
+    """%-template of a flat dict with these (key, _tag) pairs, one per report layout; a % in a key is escaped."""
+    return _json_list([f"{encode_basestring_ascii(k).replace('%', '%%')}: {_template(t, 1)}" for k, t in tags], 0, "{}")
 
 
 def _json_text(payload: dict) -> str:
-    """A flat dict of str keys and _json_layout's values as json.dumps(indent=2, allow_nan=False) writes it."""
-    numbers = []
-    items = [f"{_json_layout(key, 1, numbers)}: {_json_layout(v, 1, numbers)}" for key, v in payload.items()]
-    return _json_list(items, 0, "{}") % tuple(_rounded(numbers))
+    """A flat dict of str keys and _tag's values as json.dumps(indent=2, allow_nan=False) writes it."""
+    numbers, strings = [], []
+    template = _layout(tuple([(key, _tag(v, numbers, strings)) for key, v in payload.items()]))
+    fills = _rounded(numbers)
+    for index, text in strings:
+        fills.insert(index, text)
+    return template % tuple(fills)
 
 
 def _pair_json(pair: cloner.ScalingPair) -> dict:

@@ -1342,3 +1342,83 @@ def test_python_OO_drops_only_the_help_description():
     solve = ["-m", "asymclone.cli", "solve", "0.8", "0.5"]
     plain = run(*solve)
     assert plain[0] == 0 and run("-OO", *solve) == plain
+
+
+def _layout_kinds(value):
+    """A printed JSON value's layout: its literals and the kind of each number and string, never their values."""
+    if isinstance(value, dict):
+        return tuple((key, _layout_kinds(v)) for key, v in value.items())
+    if isinstance(value, list):
+        return tuple(_layout_kinds(v) for v in value)
+    if value is None or isinstance(value, bool):
+        return value
+    return type(value).__name__
+
+
+def test_the_layout_cache_holds_one_template_per_report_layout():
+    cli._layout.cache_clear()
+    argvs = []
+    # 50 infeasible pairs, each with its own reason text ("margin ... exceeds 0")
+    for k in range(50):
+        s = f"{0.7 + 0.005 * k:.3f}"
+        argvs += [["solve", s, s, "--format", "json"], ["clone", "--state", "+", "--s0", s, "--s1", s]]
+    argvs += [["solve", "1.5", "0", "--format", "json"], ["solve", "--format", "json", "--", "1e200", "-1e200"]]
+    argvs += [["solve", f"0.{k}", "0.3", "--format", "json"] for k in range(1, 8)]
+    argvs += [["clone", f"--state={state}", "--s0", "0.6", "--s1", "0.5"] for state in ("0", "-i", "1,2", "0,1,1,0")]
+    argvs += [["pauli", "1", "0", f"0.{k}", f"0.{k},0.{k}"] for k in range(1, 6)]
+    layouts, reasons = set(), set()
+    for argv in argvs:
+        code, out, _ = run_cli(*argv)
+        assert code in (0, 2), argv
+        printed = json.loads(out)
+        layouts.add(_layout_kinds(printed))
+        reasons.add(printed.get("reason"))
+    assert len(reasons) > 50
+    # solve, the infeasible report with a number and with a null margin, clone and pauli
+    assert len(layouts) == 5
+    assert cli._layout.cache_info().currsize == len(layouts)
+
+
+_USAGE_ERRORS = [
+    ["solve", "abc", "0.5"],
+    ["clone", "--state", "+", "--s0", "x", "--s1", "0"],
+    ["sweep", "--step", "x"],
+    ["pauli", "1", "0", "0"],
+    ["verify", "--trials", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=[argv[0] for argv in _USAGE_ERRORS])
+def test_a_usage_line_formatted_once_matches_a_fresh_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    wide = _run_on_a_fresh_parser(argv)
+    assert wide[0] == 1 and wide[2].startswith(f"usage: asymclone {argv[0]} ")
+    assert run_cli(*argv) == wide
+    assert run_cli(*argv) == wide
+    # a narrower terminal wraps the usage as argparse's HelpFormatter would
+    monkeypatch.setenv("COLUMNS", "30")
+    narrow = _run_on_a_fresh_parser(argv)
+    assert narrow != wide
+    assert run_cli(*argv) == narrow
+    assert run_cli(*argv) == narrow
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(*argv) == wide
+
+
+class _ClosedStream(io.TextIOBase):
+    """A stream whose writes fail as on a closed descriptor."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [None, _ClosedStream()], ids=["none", "closed"])
+@pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=[argv[0] for argv in _USAGE_ERRORS])
+def test_a_usage_error_with_stderr_gone_still_exits_1(monkeypatch, argv, stderr):
+    # Python starts with sys.stderr None when fd 2 is closed
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    with redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    assert out.getvalue() == ""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from asymclone import cli
 from asymclone.cli import _json_text, _rounded
 
 
@@ -116,3 +117,86 @@ def test_percent_signs_neither_raise_nor_move_a_number():
 def test_negative_zero_prints_as_zero():
     assert _json_text({"x": -0.0}) == '{\n  "x": 0.0\n}'
     assert _json_text({"z": np.array([complex(-0.0, -0.0)])}) == '{\n  "z": [\n    [\n      0.0,\n      0.0\n    ]\n  ]\n}'
+
+
+def _written(payload) -> str:
+    text = _json_text(payload)
+    assert text == json.dumps(_reference(payload), indent=2, allow_nan=False)
+    return text
+
+
+# values that compare equal, or lay out alike, across the kinds a layout tells apart
+_LOOKALIKE_PAIRS = [
+    (False, 0), (False, 0.0), (0, 0.0), (True, 1.0), (True, 1), (None, 0.0), (None, 1.0),
+    ([True], np.array([1 + 0j])), ([False, 0.0], [0.0, False]), (["a"], "a"), (["a"], ["b", "c"]),
+    (np.array([1j]), np.array([[1j]])), ([], np.zeros(0, complex)),
+]
+
+
+@pytest.mark.parametrize("first, second", _LOOKALIKE_PAIRS, ids=[f"{a!r}-{b!r}" for a, b in _LOOKALIKE_PAIRS])
+def test_a_layout_is_keyed_by_kind_not_by_value(first, second):
+    for a, b in ((first, second), (second, first)):
+        cli._layout.cache_clear()
+        for value in (a, b, a):
+            _written({"k": value})
+            _written({"k": value, "n": 0.5, "s": "%s"})
+
+
+def test_a_cached_layout_writes_what_a_fresh_one_writes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def payload_pairs(draw):
+        # two payloads with the same keys, so that only their values' kinds can tell their layouts apart
+        first = draw(_payloads())
+        values = draw(st.lists(_payloads(), min_size=1, max_size=3))
+        leaves = [v for payload in values for v in payload.values()]
+        return first, {key: draw(st.sampled_from(leaves)) for key in first}
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(payload_pairs())
+    def check(pair):
+        first, second = pair
+        cli._layout.cache_clear()
+        cold = _written(first)
+        assert _written(first) == cold
+        assert _written(second) == _written(second)
+        assert _written(first) == cold
+
+    check()
+
+
+def _clean_values(n: int) -> list[float]:
+    """n values whose %.12g tokens are their own text: no integral, e+1x, e-3xx or zero tokens."""
+    return [(k + 0.5) / 7.0 * (-1) ** k * 10.0 ** (k % 9 - 4) for k in range(n)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 24, 48])
+@pytest.mark.parametrize("company", [[], [1e13], [1e-310], [1.5e-34], [3.0]])
+def test_a_non_finite_value_raises_wherever_it_stands(bad, where, company):
+    values = _clean_values(49 - len(company)) + company
+    values[where] = bad
+    with pytest.raises(ValueError):
+        _rounded(values)
+
+
+# e+12 to e+15, subnormal, integral and zero tokens, and the e-3x and e-30x tokens that need no rewrite
+_ODD_VALUES = [
+    999999999999.5, 1e12, 123456789012345.0, 9.9999999999995e15, 1e-307, 2.2250738585072014e-308, 1e-320,
+    -5e-324, 3.0, -7.0, 123456789012.0, 0.0, -0.0, 1.5e-34, -2.5e-39, 1e-300, 1.00000000001e-30,
+]
+
+
+@pytest.mark.parametrize("odd", _ODD_VALUES)
+@pytest.mark.parametrize("where", [0, 24, 48])
+def test_a_rewritten_token_among_clean_ones_still_gets_its_repr_text(odd, where):
+    values = _clean_values(48)
+    values.insert(where, odd)
+    expected = [repr(float(format(x, ".12g")) + 0.0) for x in values]
+    assert _rounded(values) == expected
+    # and with a second odd value beside it, whichever scan branch each one alone takes
+    for other in (1e13, 5e-324, 4.0, -0.0):
+        values[where - 1] = other
+        assert _rounded(values) == [repr(float(format(x, ".12g")) + 0.0) for x in values]
