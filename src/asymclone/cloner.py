@@ -248,17 +248,13 @@ def solve_rows(s0: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s0 = np.where(s0 > 1.0, 1.0, np.where(s0 < 0.0, 0.0, s0))
     s1 = np.where(s1 > 1.0, 1.0, np.where(s1 < 0.0, 0.0, s1))
     c1 = np.sqrt((s0 + s1) / 2.0)
-    values = np.stack(
-        [
-            c1,
-            np.sqrt((1.0 - s0) / 2.0),
-            np.sqrt((1.0 - s1) / 2.0),
-            np.zeros_like(c1),
-            _theta_rows(s1, s0 + s1, 1.0 - s0),
-            _theta_rows(s0, s0 + s1, 1.0 - s1),
-        ],
-        axis=-1,
-    )
+    values = np.empty(c1.shape + (6,))  # (c1, c2, c4, theta1, theta2, theta4), written column by column
+    values[..., 0] = c1
+    values[..., 1] = np.sqrt((1.0 - s0) / 2.0)
+    values[..., 2] = np.sqrt((1.0 - s1) / 2.0)
+    values[..., 3] = 0.0
+    values[..., 4] = _theta_rows(s1, s0 + s1, 1.0 - s0)
+    values[..., 5] = _theta_rows(s0, s0 + s1, 1.0 - s1)
     return values[..., [0, 1, 2, 4, 5]], prep_rows(values)
 
 

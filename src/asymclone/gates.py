@@ -6,6 +6,7 @@ the two halves of the amplitude vector split along its qubit's bit.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,7 @@ RZ = "rz"
 
 _TAKES = {CNOT: (True, False), HADAMARD: (False, False), RY: (False, True), RZ: (False, True)}
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+_H.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -50,16 +52,25 @@ class GateApplication:
 # are validated wrappers calling them on one row.
 
 
+@functools.cache
+def _cnot_index(n: int, control: int, target: int) -> np.ndarray:
+    """The read-only index permutation of a CNOT on n qubits, built once per axes."""
+    if control == target or not (0 <= control < n and 0 <= target < n):
+        raise ValueError(f"cnot needs distinct control and target axes in [0, {n}), got {control} and {target}")
+    index = np.arange(2**n)
+    flip = np.where(index & (1 << (n - 1 - control)), index ^ (1 << (n - 1 - target)), index)
+    flip.flags.writeable = False
+    return flip
+
+
 def cnot_rows(amplitudes: np.ndarray, control: int, target: int) -> np.ndarray:
     """Flip the target bit of every basis index whose control bit is 1.
 
     A CNOT only moves entries along the last axis, so any array works: on
-    np.arange(2^n) it returns the index permutation itself.
+    np.arange(2^n) it returns the index permutation itself. Raises
+    ValueError unless control and target are distinct axes in [0, n).
     """
-    n = amplitudes.shape[-1].bit_length() - 1
-    index = np.arange(2**n)
-    flip = np.where(index & (1 << (n - 1 - control)), index ^ (1 << (n - 1 - target)), index)
-    return amplitudes[..., flip]
+    return amplitudes[..., _cnot_index(amplitudes.shape[-1].bit_length() - 1, control, target)]
 
 
 def gate_rows(amplitudes: np.ndarray, target: int, matrices: np.ndarray) -> np.ndarray:
@@ -78,15 +89,21 @@ def ry_matrix(angle) -> np.ndarray:
     """RY(angle) as a 2x2 matrix, or a (..., 2, 2) stack for an array of angles."""
     half = 0.5 * np.asarray(angle, dtype=float)
     c, s = np.cos(half), np.sin(half)
-    return np.stack([c, -s, s, c], axis=-1).reshape(half.shape + (2, 2)).astype(complex)
+    m = np.empty(half.shape + (2, 2), dtype=complex)  # written entry by entry, as qstate.bloch_rows does
+    m[..., 0, 0] = c
+    m[..., 0, 1] = -s
+    m[..., 1, 0] = s
+    m[..., 1, 1] = c
+    return m
 
 
 def rz_matrix(angle) -> np.ndarray:
     """RZ(angle) as a 2x2 matrix, or a (..., 2, 2) stack for an array of angles."""
     half = 0.5 * np.asarray(angle, dtype=float)
-    lower, upper = np.exp(-1j * half), np.exp(1j * half)
-    zero = np.zeros_like(lower)
-    return np.stack([lower, zero, zero, upper], axis=-1).reshape(half.shape + (2, 2))
+    m = np.zeros(half.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = np.exp(-1j * half)
+    m[..., 1, 1] = np.exp(1j * half)
+    return m
 
 
 _MATRICES = {HADAMARD: lambda angle: _H, RY: ry_matrix, RZ: rz_matrix}
@@ -179,7 +196,9 @@ def synthesis_rows(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, schmidt, vh = np.linalg.svd(target.reshape(target.shape[:-1] + (2, 2)))
     xi = 2.0 * np.arctan2(schmidt[..., 1], schmidt[..., 0])
     first, second = zyz_angles(u), zyz_angles(np.swapaxes(vh, -1, -2))
-    angles = np.stack([xi, *first[::-1], *second[::-1]], axis=-1)
+    angles = np.empty(xi.shape + (7,))
+    for column, values in enumerate((xi, *first[::-1], *second[::-1])):
+        angles[..., column] = values
     return target, np.where(np.abs(angles) > ROUNDOFF_TOL, angles, 0.0)
 
 

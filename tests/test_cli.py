@@ -1328,6 +1328,20 @@ def test_a_failed_stdout_write_ends_in_one_line(argv, stdout):
     assert text.count("\n") == 1 and text.startswith("asymclone: "), text
 
 
+def test_verify_prints_the_same_on_a_blas_kernel_without_fma():
+    # verify runs LAPACK's Cholesky and SVD on small stacks; OpenBLAS picks
+    # its kernels by CPU unless OPENBLAS_CORETYPE names one, set on the child only
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    command = [sys.executable, "-m", "asymclone.cli", "verify", "--seed", "42", "--trials", "1000"]
+    default = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    prescott = subprocess.run(command, capture_output=True, text=True, env=dict(env, OPENBLAS_CORETYPE="Prescott"), timeout=120)
+    assert (default.returncode, default.stderr) == (0, ""), default.stderr
+    assert (prescott.returncode, prescott.stderr) == (0, ""), prescott.stderr
+    assert default.stdout.endswith("verify: 17000 checks, 0 failures (seed 42, trials 1000)\n")
+    assert prescott.stdout == default.stdout
+
+
 def test_python_OO_drops_only_the_help_description():
     # -OO strips docstrings, and build_parser takes its description from one
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))

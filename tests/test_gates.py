@@ -8,6 +8,7 @@ from asymclone.gates import (
     RZ,
     GateApplication,
     _H,
+    _cnot_index,
     apply_circuit,
     apply_cnot,
     apply_gate,
@@ -64,6 +65,25 @@ def test_cnot_errors():
         apply_cnot(psi, "a", "c")
 
 
+@pytest.mark.parametrize("control, target", [(0, 0), (-1, 0), (0, 5)])
+def test_cnot_rows_rejects_equal_axes_and_axes_outside_the_register(control, target):
+    # before: [0 1 2 3 0 1 2 3] (amplitudes lost), the identity, and numpy's "negative shift count"
+    match = rf"cnot needs distinct control and target axes in \[0, 3\), got {control} and {target}"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            cnot_rows(np.arange(8), control, target)
+
+
+def test_the_shared_cnot_index_and_hadamard_are_read_only():
+    index = _cnot_index(3, 0, 2)
+    assert index.tolist() == [0, 1, 2, 3, 5, 4, 7, 6]
+    assert _cnot_index(3, 0, 2) is index
+    for shared in (index, _H):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = shared[1]
+    assert cnot_rows(np.arange(8), 0, 2).flags.writeable
+
+
 def test_hadamard_action():
     plus = apply_hadamard(named_state("0", "q"), "q")
     assert np.allclose(plus.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
@@ -99,6 +119,35 @@ def test_rotation_actions():
 def test_rotation_helpers_need_an_angle(rotation, kind):
     with pytest.raises(ValueError, match=f"{kind} needs an angle"):
         rotation(named_state("0", "q"), "q", None)
+
+
+def _stacked_ry(angle):
+    """ry_matrix as np.stack built it: the reference for its bits."""
+    half = 0.5 * np.asarray(angle, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    return np.stack([c, -s, s, c], axis=-1).reshape(half.shape + (2, 2)).astype(complex)
+
+
+def _stacked_rz(angle):
+    """rz_matrix as np.stack built it: the reference for its bits."""
+    half = 0.5 * np.asarray(angle, dtype=float)
+    lower, upper = np.exp(-1j * half), np.exp(1j * half)
+    zero = np.zeros_like(lower)
+    return np.stack([lower, zero, zero, upper], axis=-1).reshape(half.shape + (2, 2))
+
+
+@pytest.mark.parametrize("matrix, stacked", [(ry_matrix, _stacked_ry), (rz_matrix, _stacked_rz)], ids=["ry", "rz"])
+def test_rotation_matrices_match_the_stacked_entries(matrix, stacked):
+    # NaN, infinities and signed zeros included
+    rng = np.random.default_rng(24)
+    angles = rng.uniform(-10.0, 10.0, 60)
+    angles[:7] = [np.nan, np.inf, -np.inf, -0.0, 0.0, np.pi, -np.pi]
+    rng.shuffle(angles)
+    for angle in (0.7, -0.0, np.nan, np.inf, -np.inf, angles, angles.reshape(6, 10), angles[:0]):
+        with np.errstate(invalid="ignore"):
+            got, want = matrix(angle), stacked(angle)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rotations_preserve_norm():

@@ -190,6 +190,50 @@ def test_two_by_two_eigenvalue_rule_agrees_with_eigvalsh():
     assert 0 < sum(map(_passes_density, stacks["random"])) < 300
 
 
+def _density_stack(rng, lowest, dim):
+    """Random Hermitian unit-trace dim x dim matrices, one per value of lowest, with that smallest eigenvalue."""
+    z = rng.standard_normal((len(lowest), dim, dim)) + 1j * rng.standard_normal((len(lowest), dim, dim))
+    u, _ = np.linalg.qr(z)
+    rest = rng.uniform(0.1, 1.0, (len(lowest), dim - 1))
+    rest *= ((1.0 - lowest) / rest.sum(axis=-1))[:, None]
+    spectrum = np.concatenate([lowest[:, None], rest], axis=-1)
+    m = (u * spectrum[:, None, :]) @ np.swapaxes(u, -1, -2).conj()
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_cholesky_density_rule_matches_the_smallest_eigenvalue(dim):
+    # the smallest eigenvalue at 0 and 1e-13 on either side of -tol: the
+    # Cholesky rule must give eigvalsh's verdict on each matrix and each stack
+    rng = np.random.default_rng(dim)
+    tol = ACCUMULATED_TOL
+    lowest = np.repeat([0.0, -tol * (1.0 - 1e-3), -tol * (1.0 + 1e-3)], 30)
+    stack = _density_stack(rng, lowest, dim)
+    want = np.linalg.eigvalsh(stack)[:, 0] >= -tol
+    assert want.tolist() == [True] * 60 + [False] * 30
+    assert [_passes_density(entries) for entries in stack] == want.tolist()
+    good = stack[:60]
+    assert _passes_density(good)
+    assert _passes_density(good.reshape(6, 10, dim, dim))
+    # one bad row fails the whole stack, wherever it sits
+    for k in (0, 31, 59):
+        assert not _passes_density(np.concatenate([good[:k], stack[60:61], good[k:]]))
+    # an empty stack holds no bad matrix
+    check_density(np.zeros((0, dim, dim), dtype=complex))
+    check_density(np.zeros((3, 0, dim, dim), dtype=complex))
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_a_huge_off_diagonal_entry_fails_the_density_rule(dim):
+    # Hermitian with unit trace, eigenvalues near -1e308: the factor's
+    # first column overflows and later pivots come out NaN, not an error
+    entries = np.eye(dim, dtype=complex) / dim
+    entries[dim - 1, 0] = entries[0, dim - 1] = 1e308
+    assert np.linalg.eigvalsh(entries)[0] < 0.0
+    assert not _passes_density(entries)
+    assert not _passes_density(np.array([np.eye(dim) / dim, entries]))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_two_by_two_entries_fail_the_density_rule(value):
     good = 0.5 * np.eye(2, dtype=complex)
@@ -681,6 +725,21 @@ def test_validators_keep_their_verdicts_and_messages(rule, good, bad, message):
         assert type(info.value) is ValueError
         assert str(info.value) == message
     rule(np.stack([good] * 3))
+
+
+def test_from_bloch_rows_match_the_stacked_entries():
+    # the values np.stack of the four entries gave, NaN, infinities and signed zeros included
+    rng = np.random.default_rng(22)
+    vectors = rng.standard_normal((300, 3))
+    vectors.reshape(-1)[rng.choice(vectors.size, 90, replace=False)] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], 90)
+    for stack in (vectors, vectors[7], vectors.reshape(30, 10, 3), vectors[:0]):
+        mx, my, mz = stack[..., 0], stack[..., 1], stack[..., 2]
+        with np.errstate(invalid="ignore"):
+            entries = np.stack([1.0 + mz, mx - 1j * my, mx + 1j * my, 1.0 - mz], axis=-1)
+            want = 0.5 * entries.reshape(stack.shape[:-1] + (2, 2))
+            got = from_bloch_rows(stack)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_bloch_rows_match_the_stacked_columns():
