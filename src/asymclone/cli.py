@@ -43,8 +43,9 @@ MIN_STEP = 0.001
 # bounds a verify run at about ten seconds of work
 MAX_TRIALS = 100_000
 # sweep grid points per block of whole s0 rows (one block up to step 1/21):
-# enough to spread numpy's per-call cost thin, few enough that the kernel's
-# 8x8 stacks (6 probes a feasible point) stay within a few MB
+# enough to spread numpy's per-call cost thin, few enough that the kernel
+# (6 probes a feasible point) peaks near 1.2 MB for 960 rows and a whole
+# sweep --step 0.05 call near 2.3 MB
 _SWEEP_POINTS = 512
 # a sweep row from its s0 and s1 text and its nine numbers, or its margin alone
 _FEASIBLE_ROW = "%s,%s,true," + ",".join(["%.9g"] * 9)
@@ -84,6 +85,25 @@ class _Parser(argparse.ArgumentParser):
             self._check_value(action, value)
             return value
         return super()._get_values(action, arg_strings)
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """On glibc, keep up to 64 MiB of freed memory in the process for sweep's and verify's next block or call.
+
+    glibc's defaults unmap each freed block of 128 KiB or more and trim a free heap top past 128 KiB, so each call
+    would fault its temporaries in again; these are the thresholds glibc's own rule reaches after a 32 MiB free.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or a C library that does not know the name
+        return
+    import ctypes
+
+    libc = ctypes.CDLL(None)
+    libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _finite(values: list[float]) -> list[float]:
@@ -350,6 +370,7 @@ def _cmd_sweep(args) -> int:
     if not MIN_STEP <= args.step <= 0.5:
         print(f"sweep: step must lie in [{MIN_STEP}, 0.5]", file=sys.stderr)
         return EXIT_USAGE
+    _keep_freed_memory()
     if args.out == "-":
         _write_sweep(sys.stdout, args.step)
         return EXIT_OK
@@ -519,6 +540,7 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:
         print("verify: seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
+    _keep_freed_memory()
     rng = np.random.default_rng(args.seed)
     total_checks = total_failures = 0
     for name, draw, check in _SUITES:

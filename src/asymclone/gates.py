@@ -63,22 +63,35 @@ def _cnot_index(n: int, control: int, target: int) -> np.ndarray:
     return flip
 
 
+def _qubits(amplitudes: np.ndarray) -> int:
+    """n of rows of length 2^n; ValueError names any other row length."""
+    size = amplitudes.shape[-1]
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"gate rows need a length 2^n, got {size}")
+    return size.bit_length() - 1
+
+
 def cnot_rows(amplitudes: np.ndarray, control: int, target: int) -> np.ndarray:
     """Flip the target bit of every basis index whose control bit is 1.
 
     A CNOT only moves entries along the last axis, so any array works: on
     np.arange(2^n) it returns the index permutation itself. Raises
-    ValueError unless control and target are distinct axes in [0, n).
+    ValueError unless rows have length 2^n and control and target are
+    distinct axes in [0, n).
     """
-    return amplitudes[..., _cnot_index(amplitudes.shape[-1].bit_length() - 1, control, target)]
+    return amplitudes[..., _cnot_index(_qubits(amplitudes), control, target)]
 
 
 def gate_rows(amplitudes: np.ndarray, target: int, matrices: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix to the target qubit of each row.
 
     matrices is one (2, 2) matrix shared by every row or a (..., 2, 2)
-    stack, one per row.
+    stack, one per row. Raises ValueError unless rows have length 2^n and
+    target is an axis in [0, n).
     """
+    n = _qubits(amplitudes)
+    if not 0 <= target < n:
+        raise ValueError(f"gate needs a target axis in [0, {n}), got {target}")
     work = amplitudes.reshape(amplitudes.shape[:-1] + (2**target, 1, 2, -1))
     m = np.asarray(matrices)[..., None, :, :, None]
     out = m[..., 0, :] * work[..., 0, :] + m[..., 1, :] * work[..., 1, :]

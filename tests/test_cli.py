@@ -1272,6 +1272,63 @@ def test_a_fine_sweep_streams_in_bounded_memory():
     assert int(child.stdout) <= 64 * 1024, f"sweep --step 0.002 peaked at {int(child.stdout) / 1024:.1f} MB"
 
 
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator thresholds are set on glibc alone")
+def test_repeated_stacked_commands_fault_in_no_pages():
+    # glibc's defaults unmap or trim the kernel's freed temporaries after
+    # each call, and the next call faults the same pages in again (about
+    # 470 a sweep --step 0.05 and 1150 a verify --trials 1000 on x86_64
+    # Linux; 0-22 with the thresholds set). The child counts its own minor
+    # faults, apart from the process it was started from
+    code = (
+        "import io, json, resource\nfrom contextlib import redirect_stdout\nfrom asymclone.cli import main\n"
+        "result = {}\n"
+        "for argv in (['sweep', '--step', '0.05'], ['verify', '--trials', '1000']):\n"
+        "    calls = []\n"
+        "    for _ in range(3):\n"
+        "        out = io.StringIO()\n"
+        "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "        with redirect_stdout(out):\n"
+        "            assert main(argv) == 0\n"
+        "        calls.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, out.getvalue()))\n"
+        "    result[argv[0]] = calls\n"
+        "print(json.dumps(result))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    for command, calls in json.loads(child.stdout).items():
+        (_, first), _, (faults, third) = calls
+        assert third == first, command
+        assert faults <= 50, f"the third {command} call faulted {faults} pages in"
+
+
+def test_sweep_prints_its_reference_bytes_where_confstr_fails(monkeypatch):
+    # off glibc, or where os.confstr cannot name the C library, the helper leaves the allocator alone
+    def unknown(name):
+        raise ValueError("unrecognized configuration name")
+
+    def no_libc(name):
+        raise AssertionError("the C library was loaded")
+
+    monkeypatch.setattr(cli.os, "confstr", unknown)
+    monkeypatch.setattr("ctypes.CDLL", no_libc)
+    cli._keep_freed_memory.cache_clear()
+    try:
+        code, out, err = run_cli("sweep", "--step", "1/14")
+        assert cli._keep_freed_memory.cache_info().misses == 1
+    finally:
+        cli._keep_freed_memory.cache_clear()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == "5bd8394a0b905efd77b9c34ace26e968caef60b090dd4d3b993cc2da57ec8881"
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize(
     "argv, lines",

@@ -74,6 +74,24 @@ def test_cnot_rows_rejects_equal_axes_and_axes_outside_the_register(control, tar
             cnot_rows(np.arange(8), control, target)
 
 
+@pytest.mark.parametrize("size", [0, 3, 6, 12])
+def test_gate_rows_reject_a_row_length_that_is_not_a_power_of_two(size):
+    # before: cnot_rows(np.arange(6), 0, 1) gave the 4 entries [0 1 3 2], and
+    # gate_rows(np.arange(6.0), 0, _H) mixed entries 0-2 with 3-5
+    rows = np.arange(2.0 * size).reshape(2, size)
+    for run in (lambda: cnot_rows(rows, 0, 1), lambda: gate_rows(rows, 0, _H)):
+        with pytest.raises(ValueError, match=rf"gate rows need a length 2\^n, got {size}$"):
+            run()
+
+
+@pytest.mark.parametrize("target", [-1, 3, 5])
+def test_gate_rows_reject_a_target_outside_the_register(target):
+    # before: numpy's "cannot reshape array of size 8 into shape (32,1,2,newaxis)" at 5 (and 3), a TypeError at -1
+    with pytest.raises(ValueError, match=rf"gate needs a target axis in \[0, 3\), got {target}$"):
+        gate_rows(np.arange(8.0), target, _H)
+    assert np.allclose(gate_rows(gate_rows(np.arange(8.0), 2, _H), 2, _H), np.arange(8.0))
+
+
 def test_the_shared_cnot_index_and_hadamard_are_read_only():
     index = _cnot_index(3, 0, 2)
     assert index.tolist() == [0, 1, 2, 3, 5, 4, 7, 6]
