@@ -198,8 +198,12 @@ def _json_list(items: list[str], depth: int, brackets: str = "[]") -> str:
 
 
 def _tag(value, numbers: list[float], strings: list[tuple[int, str]]):
-    """value's layout key: None, True, False, str, float, a tuple of tags (a list) or (complex, *shape) (an array);
-    a kind, never a value, as False == 0.0. Numbers go onto numbers, and strings onto strings with their fill index."""
+    """value's layout key: None, True, False, str, float, a tuple of tags (a list) or (complex, *shape) (an array,
+    and (complex,) a complex number, as a 0-d array); a kind, never a value, as False == 0.0. Numbers go onto
+    numbers, and strings onto strings with their fill index."""
+    if type(value) is float:  # most of a report's values, tested first so the complex check costs them nothing
+        numbers.append(value)
+        return float
     if value is None or value is True or value is False:
         return value
     if isinstance(value, str):
@@ -210,6 +214,9 @@ def _tag(value, numbers: list[float], strings: list[tuple[int, str]]):
         return (complex, *value.shape)
     if isinstance(value, list):
         return tuple([_tag(v, numbers, strings) for v in value])
+    if isinstance(value, complex):
+        numbers += (value.real, value.imag)
+        return (complex,)
     numbers.append(float(value))
     return float
 
@@ -285,19 +292,18 @@ def _cmd_clone(args) -> int:
     pair = cloner.feasibility(args.s0, args.s1)
     if not pair.feasible:
         return _emit_infeasible(pair, "json")
-    prep = cloner.solve_prep(pair)
-    # run_cloner's one row, whose unit-norm rule is the parsed input's one check; the unprinted isotropy is never read
-    batch = cloner.clone_batch(args.state, prep.as_amplitudes)
-    s_est, residual, fidelity = batch.s_est.tolist(), batch.residual.tolist(), batch.fidelity.tolist()
+    state = args.state.tolist()
+    # the parsed input's one unit-norm check is clone_row's
+    joint, rho, s_est, residual, fidelity = cloner.clone_row(state, cloner.solve_prep(pair).as_amplitudes.tolist())
     payload = {
-        "input": args.state,
+        "input": state,
         "s0_target": pair.s0,
         "s1_target": pair.s1,
         "margin": pair.margin,
         "joint_labels": list(cloner.NETWORK_LABELS),
-        "joint": batch.joint,
-        "rho_a0": batch.rho[0],
-        "rho_a1": batch.rho[1],
+        "joint": joint,
+        "rho_a0": rho[0],
+        "rho_a1": rho[1],
         "s0_est": s_est[0],
         "s1_est": s_est[1],
         "residual0": residual[0],

@@ -44,68 +44,91 @@ def _offender(values: np.ndarray, ok: np.ndarray):
     return np.asarray(values)[~np.asarray(ok)].flat[0].item()
 
 
-def _every(ok: np.ndarray) -> bool:
-    """ok.all() without its reduction's setup, about 2 us on one row: bool of a 0-d flag, else a count."""
+def _every(ok) -> bool:
+    """ok.all() for a Python bool or a flag array, without a reduction's setup: about 2 us less on one row."""
+    if ok is True or ok is False:
+        return ok
     return bool(ok) if ok.ndim == 0 else np.count_nonzero(ok) == ok.size
+
+
+# Each *_rule reads reduced quantities with operators alone, so one home serves Python numbers (clone_row's
+# one row) and arrays (a stack the check_* functions reduce), and a Python row pays no numpy call.
+
+
+def unit_norm_rule(norm_sq) -> None:
+    """Raise ValueError unless every squared norm is 1 to ROUNDOFF_TOL."""
+    ok = abs(norm_sq - 1.0) <= ROUNDOFF_TOL
+    if not _every(ok):
+        raise ValueError(f"state is not normalized: sum |amp|^2 = {_offender(norm_sq, ok)!r}")
 
 
 def check_unit_norm(amplitudes: np.ndarray) -> None:
     """Raise ValueError unless every state (last axis) has sum |amp|^2 = 1."""
-    norm_sq = (np.abs(amplitudes) ** 2).sum(axis=-1)
-    ok = np.abs(norm_sq - 1.0) <= ROUNDOFF_TOL
+    unit_norm_rule((np.abs(amplitudes) ** 2).sum(axis=-1))
+
+
+def _hermitian_unit_trace(hermitian, trace) -> None:
+    if not _every(hermitian):
+        raise ValueError("density matrix is not Hermitian")
+    ok = abs(trace - 1.0) <= ROUNDOFF_TOL
     if not _every(ok):
-        raise ValueError(f"state is not normalized: sum |amp|^2 = {_offender(norm_sq, ok)!r}")
+        raise ValueError(f"density matrix trace is {_offender(trace, ok)!r}, expected 1")
+
+
+def density_rule(a, b, c, d) -> None:
+    """Raise ValueError unless every [[a, b], [c, d]] is a density matrix, with check_density's checks and messages.
+
+    The skew and trace come from the four entries, with the full-matrix
+    rule's values, NaN and signed zeros included. Once the trace is 1, the
+    smallest eigenvalue is at least -ACCUMULATED_TOL iff the matrix plus
+    ACCUMULATED_TOL * I has a nonnegative determinant: its two eigenvalues
+    sum to about 1, so they cannot both be negative.
+    """
+    skew_ok = abs(a - a.conjugate()) <= ROUNDOFF_TOL
+    skew_ok = skew_ok & (abs(d - d.conjugate()) <= ROUNDOFF_TOL) & (abs(b - c.conjugate()) <= ROUNDOFF_TOL)
+    # np.trace's value: its sum starts from +0, so -0 diagonals give +0
+    _hermitian_unit_trace(skew_ok, 0.0 + a + d)
+    shifted = (a.real + ACCUMULATED_TOL) * (d.real + ACCUMULATED_TOL)
+    if not _every(shifted >= c.real * c.real + c.imag * c.imag):
+        raise ValueError("density matrix has a negative eigenvalue")
 
 
 def check_density(entries: np.ndarray) -> None:
     """Raise ValueError unless every matrix (last two axes) is a density matrix.
 
     That is Hermitian, of unit trace and with no eigenvalue below
-    -ACCUMULATED_TOL, checked in this order. A 2x2 matrix's smallest
-    eigenvalue is taken in closed form. A larger matrix passes when
+    -ACCUMULATED_TOL, checked in this order. A 2x2 matrix goes to
+    density_rule on its four entries. A larger matrix passes when
     entries + ACCUMULATED_TOL * I has a Cholesky factor with positive
     pivots: the verdict of its smallest eigenvalue against -ACCUMULATED_TOL
     except within rounding of the bound, at a third to a half of the cost
     of LAPACK's Hermitian eigenvalue solver. A NaN pivot, which an overflow
     on a huge off-diagonal entry gives instead of LAPACK's error, fails too.
-    The 2x2 skew and trace come from the four entries, not from reductions
-    over the 2x2 axes, with the full-matrix rule's values, NaN and signed
-    zeros included.
     """
-    two_by_two = entries.shape[-2:] == (2, 2)
-    if two_by_two:
-        a, b, c, d = entries[..., 0, 0], entries[..., 0, 1], entries[..., 1, 0], entries[..., 1, 1]
-        # the full matrix's skew entries: its [1, 0] entry has the [0, 1] one's modulus
-        skew = np.maximum(np.maximum(np.abs(a - a.conj()), np.abs(d - d.conj())), np.abs(b - c.conj()))
-    else:
-        skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).max(axis=(-2, -1))
-    if not _every(skew <= ROUNDOFF_TOL):
-        raise ValueError("density matrix is not Hermitian")
-    # np.trace's value: its sum starts from +0, so -0 diagonals give +0
-    trace = 0.0 + a + d if two_by_two else entries.trace(axis1=-2, axis2=-1)
-    ok = np.abs(trace - 1.0) <= ROUNDOFF_TOL
-    if not _every(ok):
-        raise ValueError(f"density matrix trace is {_offender(trace, ok)!r}, expected 1")
-    if two_by_two:
-        positive = 0.5 * (a.real + d.real) - np.hypot(0.5 * (a.real - d.real), np.abs(c)) >= -ACCUMULATED_TOL
-    else:
-        try:
-            factor = np.linalg.cholesky(entries + ACCUMULATED_TOL * np.eye(entries.shape[-1]))
-        except np.linalg.LinAlgError:
-            raise ValueError("density matrix has a negative eigenvalue") from None
-        positive = factor.diagonal(axis1=-2, axis2=-1).real > 0.0
-    if not _every(positive):
+    if entries.shape[-2:] == (2, 2):
+        return density_rule(entries[..., 0, 0], entries[..., 0, 1], entries[..., 1, 0], entries[..., 1, 1])
+    skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).max(axis=(-2, -1))
+    _hermitian_unit_trace(skew <= ROUNDOFF_TOL, entries.trace(axis1=-2, axis2=-1))
+    try:
+        factor = np.linalg.cholesky(entries + ACCUMULATED_TOL * np.eye(entries.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ValueError("density matrix has a negative eigenvalue") from None
+    if not _every(factor.diagonal(axis1=-2, axis2=-1).real > 0.0):
         raise ValueError("density matrix has a negative eigenvalue")
 
 
-def check_bloch_length(vectors: np.ndarray) -> None:
-    """Raise ValueError unless every Bloch vector (last axis) has |m|^2 <= 1 + ACCUMULATED_TOL."""
+def bloch_length_rule(x, y, z) -> None:
+    """Raise ValueError unless every Bloch vector (x, y, z) has |m|^2 <= 1 + ACCUMULATED_TOL."""
     # summed on columns: the bits of (vectors**2).sum(axis=-1), without a reduction over 3 entries
-    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
     norm_sq = (x * x + y * y) + z * z
     ok = norm_sq <= 1.0 + ACCUMULATED_TOL
     if not _every(ok):
         raise ValueError(f"Bloch vector leaves the unit ball: |m|^2 = {_offender(norm_sq, ok)!r}")
+
+
+def check_bloch_length(vectors: np.ndarray) -> None:
+    """Raise ValueError unless every Bloch vector (last axis) has |m|^2 <= 1 + ACCUMULATED_TOL."""
+    bloch_length_rule(vectors[..., 0], vectors[..., 1], vectors[..., 2])
 
 
 def check_register(labels: Iterable[str]) -> tuple[str, ...]:

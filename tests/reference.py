@@ -1,0 +1,71 @@
+"""An exact reference for one clone row, written from the paper and sharing no code with asymclone.
+
+Every number is a 50-digit mpmath complex. The register is (a0, a1, b1),
+a0 the most significant bit of a basis index: the input on a0, the
+preparation's amplitudes over |00>, |01>, |10>, |11> of (a1, b1). Each CNOT
+flips its target bit on the basis indices whose control bit is set, in the
+paper's order a0->a1, a0->b1, a1->a0, b1->a0. A partial trace is the
+explicit sum over the traced-out bits, and a Bloch component is
+tr(rho sigma_k).
+"""
+import mpmath
+
+LABELS = ("a0", "a1", "b1")
+GATES = (("a0", "a1"), ("a0", "b1"), ("a1", "a0"), ("b1", "a0"))
+PAULI = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
+
+
+def _mask(label):
+    return 1 << (len(LABELS) - 1 - LABELS.index(label))
+
+
+def network(amplitudes):
+    """The 8 amplitudes after the four CNOTs, one gate at a time."""
+    for control, target in GATES:
+        out = [None] * 8
+        for index, amplitude in enumerate(amplitudes):
+            out[index ^ _mask(target) if index & _mask(control) else index] = amplitude
+        amplitudes = out
+    return amplitudes
+
+
+def reduced(joint, keep):
+    """The 2x2 state of qubit keep: |joint><joint| summed over the other two qubits' equal bits."""
+    bit = _mask(keep)
+    rho = [[mpmath.mpc(0), mpmath.mpc(0)], [mpmath.mpc(0), mpmath.mpc(0)]]
+    for i in range(8):
+        for j in range(8):
+            if i & ~bit == j & ~bit:
+                rho[1 if i & bit else 0][1 if j & bit else 0] += joint[i] * mpmath.conj(joint[j])
+    return rho
+
+
+def bloch(rho):
+    """(tr(rho sigma_x), tr(rho sigma_y), tr(rho sigma_z)), real parts."""
+    return [mpmath.re(sum(rho[x][y] * sigma[y][x] for x in (0, 1) for y in (0, 1))) for sigma in PAULI]
+
+
+def clone(state, prep):
+    """(joint, rho, s_est, residual, fidelity) of clone_batch's one row, at 50 digits, from floats' exact values.
+
+    rho holds the clones of a0 and a1; s_est is the least-squares shrink of
+    the input's Bloch vector onto each clone's, residual the largest
+    |rho - (s_est rho_in + (1 - s_est)/2 I)| entry and fidelity <psi|rho|psi>.
+    """
+    with mpmath.workdps(50):
+        psi = [mpmath.mpc(z) for z in state]
+        c = [mpmath.mpc(z) for z in prep]
+        joint = network([psi[index >> 2] * c[index & 3] for index in range(8)])
+        rho = [reduced(joint, "a0"), reduced(joint, "a1")]
+        rho_in = [[psi[x] * mpmath.conj(psi[y]) for y in (0, 1)] for x in (0, 1)]
+        m_in = bloch(rho_in)
+        s_est, residual, fidelity = [], [], []
+        for clone_rho in rho:
+            m_out = bloch(clone_rho)
+            s = sum(o * i for o, i in zip(m_out, m_in)) / sum(i * i for i in m_in)
+            s_est.append(s)
+            expected = [[s * rho_in[x][y] + ((1 - s) / 2 if x == y else 0) for y in (0, 1)] for x in (0, 1)]
+            residual.append(max(abs(clone_rho[x][y] - expected[x][y]) for x in (0, 1) for y in (0, 1)))
+            image = [sum(clone_rho[x][y] * psi[y] for y in (0, 1)) for x in (0, 1)]
+            fidelity.append(mpmath.re(sum(mpmath.conj(psi[x]) * image[x] for x in (0, 1))))
+        return joint, rho, s_est, residual, fidelity

@@ -6,6 +6,8 @@ package was built: the CNOT truth table and the three analytic channels
 Bell-diagonal structure of the purified network, and the hand-evaluated
 step-0.5 feasibility grid.
 """
+from fractions import Fraction
+
 import numpy as np
 
 from asymclone.cli import sweep_rows
@@ -144,3 +146,26 @@ def test_criterion_9_sweep_feasible_set():
             feasible.add((float(fields[0]), float(fields[1])))
     expected = {(0, 0), (0, 0.5), (0.5, 0), (0.5, 0.5), (0, 1), (1, 0)}
     _report(9, feasible == expected, f"step-0.5 feasible set {sorted(feasible)}")
+
+
+def _cerf_gap(s0: Fraction, s1: Fraction):
+    """(a b, (1/2 - a - b)) with a = 1 - F0 = (1 - s0)/2 and b = 1 - F1: Cerf's sqrt(ab) >= 1/2 - a - b, exact."""
+    a, b = (1 - s0) / 2, (1 - s1) / 2
+    return a * b, Fraction(1, 2) - a - b
+
+
+def _cerf_holds(s0: Fraction, s1: Fraction) -> bool:
+    product, bound = _cerf_gap(s0, s1)
+    return bound <= 0 or product >= bound * bound
+
+
+def test_criterion_10_feasible_pairs_are_those_no_cloner_can_beat():
+    # Cerf's no-cloning inequality (PRL 84, 4497 (2000)), decided in rationals, against feasibility's flag: the
+    # network reaches exactly the pairs the inequality allows, and the boundary's three named points meet it with
+    # equality, so the region is the optimal one
+    grid = [Fraction(k, 60) for k in range(61)]
+    disagree = [(s0, s1) for s0 in grid for s1 in grid if _cerf_holds(s0, s1) != feasibility(s0, s1).feasible]
+    corners = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(2, 3), Fraction(2, 3))]
+    equal = all(product == bound * bound for product, bound in (_cerf_gap(s0, s1) for s0, s1 in corners))
+    allowed = sum(_cerf_holds(s0, s1) for s0 in grid for s1 in grid)
+    _report(10, not disagree and equal, f"61 x 61 grid: {allowed} pairs allowed, disagreements {disagree[:3]}")

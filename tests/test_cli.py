@@ -360,10 +360,10 @@ def test_stdout_is_byte_identical_to_the_reference():
         # generic inputs print round-off noise that axis probes alone miss
         ("sweep", "--step", "0.05"): "24d216ab8a2130ddf9cc8fcee2582f579b569a10c83eac442f3c02160ee8f4f0",
         ("clone", "--state=1,0.5,-0.3,0.2", "--s0", "0.3", "--s1", "0.5"): (
-            "ecd0a51001a4154023d9df7318749374de41d2ee7a24c06ee54bdae9ab85a101"
+            "e6997a4a2b977c3df8839bf1407424afb2213d553a940f072983b0c7f8f7805e"
         ),
         ("clone", "--state=0.7,2.1", "--s0", "0.9", "--s1", "0.2"): (
-            "e73d2c90efb81d70e66f490f3ffef8959cdb63c96caab2563b625ce0e2ab7524"
+            "d835222030e8fb75617852539cd36b282b3e180a82339ca94a7398c62323b2b3"
         ),
         # complex Bell coefficients print the network's off-diagonal round-off
         ("pauli", "0.3", "0.4", "0.1,0.5", "0.2"): (
@@ -488,7 +488,20 @@ def _clone_reference(state_text, s0_text, s1_text):
     return cli._json_text(payload) + "\n"
 
 
+def _numbers(payload):
+    """The numbers of a parsed report in order, with its keys and strings in their places as the layout."""
+    if isinstance(payload, dict):
+        pairs = [(key, _numbers(value)) for key, value in payload.items()]
+        return [key for key, _ in pairs], [number for _, (_, numbers) in pairs for number in numbers]
+    if isinstance(payload, list):
+        parts = [_numbers(value) for value in payload]
+        return [layout for layout, _ in parts], [number for _, numbers in parts for number in numbers]
+    return (payload, []) if isinstance(payload, str) else (float, [payload])
+
+
 def test_clone_prints_the_numbers_of_run_cloner():
+    # clone_row's Python arithmetic against the kernel's: every token with |x| > 1e-12 has run_cloner's text,
+    # and the round-off tokens (the clones' imaginary diagonals, residual0/1) lie within 4.4e-16 of it
     rng = np.random.default_rng(21)
     states = list(_NAMED_AMPLITUDES)
     states += [f"{theta!r},{phi!r}" for theta, phi in rng.uniform(-7.0, 7.0, (6, 2)).tolist()]
@@ -503,10 +516,19 @@ def test_clone_prints_the_numbers_of_run_cloner():
     argvs = [(state, *pairs[k % 3]) for k, state in enumerate(states)]
     picks = zip(rng.integers(0, len(states), 42).tolist(), rng.integers(0, len(pairs), 42).tolist())
     argvs += [(states[i], *pairs[j]) for i, j in picks]
+    significant = 0
     for state, s0, s1 in argvs:
         code, out, _ = run_cli("clone", f"--state={state}", "--s0", s0, "--s1", s1)
         assert code == 0, (state, s0, s1)
-        assert out == _clone_reference(state, s0, s1), (state, s0, s1)
+        layout, got = _numbers(json.loads(out))
+        want_layout, want = _numbers(json.loads(_clone_reference(state, s0, s1)))
+        assert layout == want_layout, (state, s0, s1)
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 4.4e-16, (state, s0, s1, x, y)
+            if abs(y) > 1e-12:
+                significant += 1
+                assert repr(x) == repr(y), (state, s0, s1, x, y)
+    assert significant > 1000
 
 
 def _strict_json(text):
@@ -678,19 +700,24 @@ def test_every_drawn_state_spec_is_unit_or_a_usage_error():
 
 
 def test_a_clone_call_checks_its_input_norm_once(monkeypatch):
-    checked = []
-    real = qstate.check_unit_norm
+    # clone_row's unit-norm rule checks the input, the preparation and the joint, in that order,
+    # and no stack check sees a one-qubit row
+    rows, stacks = [], []
+    rule, check = qstate.unit_norm_rule, qstate.check_unit_norm
 
     def recording(amplitudes):
-        checked.append(np.shape(amplitudes))
-        return real(amplitudes)
+        stacks.append(np.shape(amplitudes))
+        return check(amplitudes)
 
+    monkeypatch.setattr(cloner, "unit_norm_rule", lambda norm_sq: rows.append(norm_sq) or rule(norm_sq))
     monkeypatch.setattr(qstate, "check_unit_norm", recording)
     monkeypatch.setattr(cloner, "check_unit_norm", recording)
     for state in ("+", "1.2,0.4", "0.3,0.1,-0.2,0.4"):
-        checked.clear()
+        rows.clear()
+        stacks.clear()
         assert run_cli("clone", f"--state={state}", "--s0", "0.8", "--s1", "0.5")[0] == 0
-        assert checked.count((2,)) == 1, (state, checked)
+        assert len(rows) == 3 and rows[0] == cloner._norm_sq(cli._parse_state(state).tolist()), (state, rows)
+        assert (2,) not in stacks, (state, stacks)
 
 
 def test_sweep_rejects_steps_below_the_grid_bound():
@@ -1397,6 +1424,31 @@ def test_verify_prints_the_same_on_a_blas_kernel_without_fma():
     assert (prescott.returncode, prescott.stderr) == (0, ""), prescott.stderr
     assert default.stdout.endswith("verify: 17000 checks, 0 failures (seed 42, trials 1000)\n")
     assert prescott.stdout == default.stdout
+
+
+def test_clone_prints_the_same_without_fma():
+    # clone's numbers are Python complex arithmetic, which is never fused; numpy's X86_V3+ loops and OpenBLAS's
+    # SkylakeX kernels fuse, so one child runs OpenBLAS without FMA and one numpy's baseline dispatch
+    chosen = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    env = {key: value for key, value in os.environ.items() if key not in chosen}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    argvs = [
+        ["clone", "--state=1,0.5,-0.3,0.2", "--s0", "0.3", "--s1", "0.5"],
+        ["clone", "--state=0.7,2.1", "--s0", "0.9", "--s1", "0.2"],
+        ["clone", "--state=+i", "--s0", "1", "--s1", "0"],
+    ]
+    script = "import json, sys; from asymclone.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
+    command = [sys.executable, "-c", script, json.dumps(argvs)]
+    baseline = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"}
+    children = [
+        subprocess.run(command, capture_output=True, text=True, env=dict(env, **extra), timeout=120)
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}, baseline)
+    ]
+    for child in children:
+        assert (child.returncode, child.stderr) == (0, ""), child.stderr
+    assert children[0].stdout.count('"joint_labels"') == 3
+    assert children[1].stdout == children[0].stdout
+    assert children[2].stdout == children[0].stdout
 
 
 def test_python_OO_drops_only_the_help_description():

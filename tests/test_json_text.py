@@ -68,8 +68,24 @@ def _payloads():
             return array[::2]
         return array
 
-    leaf = st.one_of(st.none(), st.booleans(), real, text, st.lists(text, max_size=4), complex_array())
+    @st.composite
+    def complex_list(draw):
+        # Python complex numbers in a list or a nested 2x2 list, as clone writes its row's numbers
+        shape = draw(st.sampled_from([(1,), (2,), (8,), (2, 2)]))
+        parts = np.array(draw(st.lists(real, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape))))
+        return parts.view(complex).reshape(shape).tolist()
+
+    leaf = st.one_of(st.none(), st.booleans(), real, text, st.lists(text, max_size=4), complex_array(), complex_list())
     return st.dictionaries(text, leaf, min_size=1, max_size=8)
+
+
+def _as_arrays(payload: dict) -> dict:
+    """payload with each list of complex numbers, nested or not, as the complex ndarray of the same values."""
+
+    def first(value):
+        return first(value[0]) if isinstance(value, list) and value else value
+
+    return {k: np.array(v) if isinstance(v, list) and isinstance(first(v), complex) else v for k, v in payload.items()}
 
 
 def test_each_token_is_the_text_of_the_rounded_value():
@@ -96,6 +112,8 @@ def test_writer_matches_json_dumps_on_every_payload_shape():
         assert text == json.dumps(reference, indent=2, allow_nan=False)
         # and a second, independent reading: the parser gives the numbers back
         assert json.loads(text) == reference
+        # a list of complex numbers writes the bytes of the complex array of its values
+        assert _json_text(_as_arrays(payload)) == text
 
     check()
 
