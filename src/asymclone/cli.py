@@ -6,7 +6,7 @@ JSON numbers carry 12 significant digits, CSV numbers 9.
 Importing this module and building its parser run no numpy code. numpy and
 the package's other modules are lazy modules, each loaded on the first read
 of one of its names. So --help and usage errors load no numpy, except that
-a clone --state value parses to a numpy array.
+parsing a clone --state value reads qstate's named states, and so loads numpy.
 """
 from __future__ import annotations
 
@@ -113,23 +113,25 @@ def _finite(values: list[float]) -> list[float]:
     return values
 
 
-def _unit(raw: np.ndarray) -> tuple[np.ndarray, float]:
-    """raw / |raw| and |raw|; ValueError names a zero or overflowing norm.
+def _unit(raw: list[complex]) -> tuple[list[complex], float]:
+    """raw / |raw| and |raw|, for a list of Python complex numbers; ValueError names a zero or overflowing norm.
 
     The norm is taken of raw scaled by 2**-k and scaled back by 2**k, k the
     binary exponent of its largest real or imaginary part (0 when that is
     below 1): powers of two scale exactly, and no square can overflow.
     """
-    k = max(math.frexp(float(np.abs(raw.view(float)).max()))[1], 0)
-    scaled = raw * math.ldexp(1.0, -k)
-    re, im = scaled.real, scaled.imag
+    k = max(math.frexp(max([max(abs(z.real), abs(z.imag)) for z in raw]))[1], 0)
+    scaled = [z * math.ldexp(1.0, -k) for z in raw]
     try:
-        norm = math.ldexp(math.sqrt(re.dot(re) + im.dot(im)), k)
+        # the real parts' squares, then the imaginary parts', in the order of numpy's re.dot(re) + im.dot(im) without FMA
+        norm_sq = sum([z.real * z.real for z in scaled]) + sum([z.imag * z.imag for z in scaled])
+        norm = math.ldexp(math.sqrt(norm_sq), k)
     except OverflowError:
         raise ValueError("a norm past the float range") from None
     if norm < qstate.ZERO_NORM_FLOOR:
         raise ValueError("zero norm")
-    return raw / norm, norm
+    inverse = 1.0 / norm  # times the reciprocal, as numpy divides a complex array by a float
+    return [z * inverse for z in raw], norm
 
 
 def _parse_real(text: str) -> float:
@@ -140,10 +142,10 @@ def _parse_real(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from None
 
 
-def _parse_state(text: str) -> np.ndarray:
-    """(2,) complex amplitudes, unit to round-off, of a named state, 'theta,phi' Bloch angles or 're0,im0,re1,im1'."""
+def _parse_state(text: str) -> list[complex]:
+    """2 Python complex amplitudes, unit to round-off, of a named state, 'theta,phi' Bloch angles or 're0,im0,re1,im1'."""
     if text in qstate._NAMED_AMPLITUDES:
-        return np.array(qstate._NAMED_AMPLITUDES[text], dtype=complex)
+        return [complex(z) for z in qstate._NAMED_AMPLITUDES[text]]
     parts = text.split(",")
     try:
         values = _finite([float(p) for p in parts])
@@ -151,10 +153,10 @@ def _parse_state(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad state spec {text!r}") from None
     if len(values) == 2:
         theta, phi = values
-        return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+        return [complex(math.cos(theta / 2.0)), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)]
     if len(values) == 4:
         try:
-            return _unit(np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]]))[0]
+            return _unit([complex(values[0], values[1]), complex(values[2], values[3])])[0]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"state spec {text!r} has {exc}") from None
     raise argparse.ArgumentTypeError(f"bad state spec {text!r}: use a named state, 'theta,phi' or 're0,im0,re1,im1'")
@@ -204,6 +206,9 @@ def _tag(value, numbers: list[float], strings: list[tuple[int, str]]):
     if type(value) is float:  # most of a report's values, tested first so the complex check costs them nothing
         numbers.append(value)
         return float
+    if isinstance(value, complex):  # a row's list entries, next; numpy's complex scalar too
+        numbers += (value.real, value.imag)
+        return (complex,)
     if value is None or value is True or value is False:
         return value
     if isinstance(value, str):
@@ -214,9 +219,6 @@ def _tag(value, numbers: list[float], strings: list[tuple[int, str]]):
         return (complex, *value.shape)
     if isinstance(value, list):
         return tuple([_tag(v, numbers, strings) for v in value])
-    if isinstance(value, complex):
-        numbers += (value.real, value.imag)
-        return (complex,)
     numbers.append(float(value))
     return float
 
@@ -292,11 +294,10 @@ def _cmd_clone(args) -> int:
     pair = cloner.feasibility(args.s0, args.s1)
     if not pair.feasible:
         return _emit_infeasible(pair, "json")
-    state = args.state.tolist()
     # the parsed input's one unit-norm check is clone_row's
-    joint, rho, s_est, residual, fidelity = cloner.clone_row(state, cloner.solve_prep(pair).as_amplitudes.tolist())
+    joint, rho, s_est, residual, fidelity = cloner.clone_row(args.state, cloner.solve_prep(pair).as_amplitudes.tolist())
     payload = {
-        "input": state,
+        "input": args.state,
         "s0_target": pair.s0,
         "s1_target": pair.s1,
         "margin": pair.margin,
@@ -391,14 +392,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_pauli(args) -> int:
     try:
-        unit, norm = _unit(np.array([args.x1, args.x2, args.x3, args.x4], dtype=complex))
+        unit, norm = _unit([args.x1, args.x2, args.x3, args.x4])
     except ValueError as exc:
         print(f"pauli: coefficients have {exc}", file=sys.stderr)
         return EXIT_USAGE
     if abs(norm - 1.0) > qstate.RENORMALIZE_WARN:
         print(f"pauli: renormalizing input of norm {norm:.9g}", file=sys.stderr)
-    # bell_output on one row, as _check_pauli runs it
-    matrix, max_off = pauli.bell_output_rows(unit)
+    matrix, max_off = pauli.bell_output_row(unit)
     if not max_off <= pauli.BELL_DIAGONAL_TOL:
         print(f"pauli: output is not Bell-diagonal (max off-diagonal {max_off:.3g})", file=sys.stderr)
         return EXIT_USAGE
@@ -406,7 +406,7 @@ def _cmd_pauli(args) -> int:
         "input": unit,
         "bell_order": list(pauli.BELL_NAMES),
         "coefficients": matrix,
-        "diagonal": matrix.diagonal(),
+        "diagonal": [matrix[k][k] for k in range(4)],
         "max_offdiagonal": max_off,
     }
     print(_json_text(payload))

@@ -20,9 +20,11 @@ Every formula here is elementwise in (s0, s1), so solve_rows solves a whole
 stack of feasible pairs in one numpy pass: sweep calls it once per row block
 and verify once per chunk of trials. solve_prep solves one pair with the
 same operations on floats, which costs less than a one-row stack; the
-tests hold the two bit for bit equal. The feasibility rule, the preparation's
-construction with its rules, and the infeasibility message each have one home
-(feasibility_rule, prep_rows, _infeasible) that serves one pair and a stack alike.
+tests hold the two bit for bit equal, amplitudes included: PrepState builds
+them on Python numbers and prep_rows on a stack. The feasibility rule, the
+preparation's rule and the infeasibility message each have one home
+(feasibility_rule, preparation_rule, _infeasible) that serves one pair and a
+stack alike, as qstate's unit_norm_rule does for the amplitudes' norm.
 
 The network itself is four CNOTs on (a0, a1, b1), applied in the order
 a0->a1, a0->b1, a1->a0, b1->a0. On the 8 basis amplitudes that is one
@@ -44,6 +46,7 @@ from .qstate import (
     StateVector,
     _dot,
     _every,
+    _norm_sq,
     _offender,
     bloch_length_rule,
     bloch_rows,
@@ -79,11 +82,7 @@ def _network_permutation() -> np.ndarray:
 
 
 _NETWORK_PERMUTATION = _network_permutation()
-_ROW_PERMUTATION = _NETWORK_PERMUTATION.tolist()  # clone_row indexes a list of Python numbers
-# bounds of a preparation row (c1, c2, c4, theta1, theta2, theta4): moduli in
-# [0, 1 + ROUNDOFF_TOL], phases finite (a NaN fails any bound)
-_PREP_LOW = np.array([0.0] * 3 + [-np.finfo(float).max] * 3)
-_PREP_HIGH = np.array([1.0 + ROUNDOFF_TOL] * 3 + [np.finfo(float).max] * 3)
+_ROW_PERMUTATION = _NETWORK_PERMUTATION.tolist()  # clone_row and pauli's row index lists of Python numbers
 _IDENTITY = np.eye(2)
 
 
@@ -111,7 +110,9 @@ class ScalingPair:
 class PrepState:
     """Solved preparation state: moduli c and phases theta, |10> amplitude 0.
 
-    as_amplitudes, prep_rows of the fields over |00>, |01>, |10>, |11>, is set at construction and read-only.
+    as_amplitudes, c * exp(i theta) over |00>, |01>, |10>, |11>, is set at construction and read-only: the fields
+    pass preparation_rule and the amplitudes unit_norm_rule, as prep_rows checks a stack. Each amplitude is
+    c * complex(cos theta, sin theta) on Python numbers, which the tests hold to prep_rows' np.exp bits.
     """
 
     c1: float
@@ -122,23 +123,34 @@ class PrepState:
     theta4: float
 
     def __post_init__(self):
-        amplitudes = prep_rows(np.array([self.c1, self.c2, self.c4, self.theta1, self.theta2, self.theta4]))
-        object.__setattr__(self, "as_amplitudes", _read_only(amplitudes))
+        c1, c2, c4, theta1, theta2, theta4 = self.c1, self.c2, self.c4, self.theta1, self.theta2, self.theta4
+        preparation_rule(c1, c2, c4, theta1, theta2, theta4)
+        amplitudes = [c * complex(math.cos(t), math.sin(t)) for c, t in ((c1, theta1), (c2, theta2), (c4, theta4))]
+        amplitudes.insert(2, 0j)
+        unit_norm_rule(_norm_sq(amplitudes))
+        object.__setattr__(self, "as_amplitudes", _read_only(np.array(amplitudes)))
+
+
+def preparation_rule(c1, c2, c4, theta1, theta2, theta4) -> None:
+    """Raise ValueError unless every preparation is valid: floats or arrays, the same operators on both.
+
+    Each modulus lies in [0, 1 + ROUNDOFF_TOL] and each phase is finite (a
+    NaN fails both); one bad row fails a whole stack, and the message names
+    the first bad modulus in row order.
+    """
+    high = 1.0 + ROUNDOFF_TOL
+    if not _every((0.0 <= c1) & (c1 <= high) & (0.0 <= c2) & (c2 <= high) & (0.0 <= c4) & (c4 <= high)):
+        moduli = np.stack(np.broadcast_arrays(c1, c2, c4), axis=-1)
+        ok = (0.0 <= moduli) & (moduli <= high)
+        name = ("c1", "c2", "c4")[np.nonzero(~ok)[-1][0]]
+        raise ValueError(f"modulus {name} = {_offender(moduli, ok)!r} outside [0, 1]")
+    if not _every((abs(theta1) < math.inf) & (abs(theta2) < math.inf) & (abs(theta4) < math.inf)):
+        raise ValueError("phases must be finite")
 
 
 def check_preparation(values: np.ndarray) -> None:
-    """Raise ValueError unless every (..., 6) row (c1, c2, c4, theta1, theta2, theta4) is valid.
-
-    Each modulus lies in [0, 1 + ROUNDOFF_TOL] and each phase is finite; one bad row fails the whole stack.
-    """
-    ok = (_PREP_LOW <= values) & (values <= _PREP_HIGH)
-    if _every(ok):
-        return
-    moduli, moduli_ok = values[..., :3], ok[..., :3]
-    if not _every(moduli_ok):
-        name = ("c1", "c2", "c4")[np.nonzero(~moduli_ok)[-1][0]]
-        raise ValueError(f"modulus {name} = {_offender(moduli, moduli_ok)!r} outside [0, 1]")
-    raise ValueError("phases must be finite")
+    """Raise ValueError unless every (..., 6) row (c1, c2, c4, theta1, theta2, theta4) passes preparation_rule."""
+    preparation_rule(*[values[..., k] for k in range(6)])  # columns by index: np.moveaxis costs ~3 us more
 
 
 def prep_rows(values: np.ndarray) -> np.ndarray:
@@ -217,6 +229,9 @@ def solve_prep(pair: ScalingPair) -> PrepState:
     Square roots are correctly rounded in IEEE arithmetic, so math.sqrt gives
     np.sqrt's bits at a fraction of its per-call cost; the arccosine stays
     np.arccos, since math.acos differs from it by an ulp on ~9% of inputs.
+    PrepState builds the amplitudes from math.cos and math.sin, which give
+    prep_rows' np.exp bits, so the one pair's only numpy calls are those
+    arccosines and the np.array of as_amplitudes.
     """
     if not pair.feasible:
         raise _infeasible(pair.s0, pair.s1, pair.reason or f"margin {pair.margin:.6g}")
@@ -367,10 +382,6 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     residual = max_rows(np.abs(rho - expected).reshape(lead + (2, 4)))
     # inputs as a view, so the caller's own array stays writable
     return CloneBatch(*map(_read_only, (joint, rho, s_est, residual, inputs.view())), m_in, m_out)
-
-
-def _norm_sq(amplitudes: list) -> float:
-    return sum([z.real * z.real + z.imag * z.imag for z in amplitudes])
 
 
 def _dot3(a: tuple, b: tuple) -> float:

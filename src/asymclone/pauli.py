@@ -10,7 +10,13 @@ run_pauli_cloner runs the network through the cloner's own step,
 joint_rows, with |Phi+> taken as two a0 rows, one for each value of the
 spectator r; a CNOT only moves amplitudes, so this matches cloning_network
 bit for bit. Each step also has a function on (..., 4) or (..., 16) stacks,
-which the object functions call on one row.
+which the object functions and verify's pauli suite call.
+
+The pauli command runs bell_output_row, the same steps on one row of Python
+complex numbers. Its Bell matrix is the integer one (entries 0 and +-1),
+scaled once: the expansion by 1/sqrt(2) and the decomposition, 1/2 Mt A M,
+by 0.5 after sums and differences alone. So the off-diagonals cancel to
+exactly 0 and no product is fused, whatever the CPU.
 
 Bell order is fixed everywhere as (Phi+, Phi-, Psi+, Psi-).
 """
@@ -20,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import NETWORK_LABELS, joint_rows
+from .cloner import _ROW_PERMUTATION, NETWORK_LABELS, joint_rows
 from .qstate import ACCUMULATED_TOL as BELL_DIAGONAL_TOL
-from .qstate import StateVector, check_unit_norm, reorder
+from .qstate import StateVector, _norm_sq, check_unit_norm, reorder, unit_norm_rule
 
 # the per-object path run_pauli_cloner reproduces; bench/test_bench.py checks
 # that tracing rebinds these names in this module
@@ -48,6 +54,9 @@ _BELL_CONJ = _BELL_MATRIX.conj()
 # |Phi+> on (r, a0) as two a0 rows, one for r = 0 and one for r = 1
 _PHI_PLUS_ROWS = _BELL_MATRIX[:, 0].reshape(2, 2)
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+# the Bell matrix's one nonzero modulus, 1/sqrt(2): bell_output_row's scale on its integer form
+_BELL_SCALE = _BELL_MATRIX[0, 0].real.item()
+_ZEROS = [0j] * 4
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,39 @@ def bell_output_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix = decompose_rows(joint)
     # every modulus is >= 0, so leaving out the diagonal moves no maximum
     return matrix, np.abs(matrix[..., _OFF_DIAGONAL]).max(axis=-1)
+
+
+def _expand(x: list) -> list:
+    """The integer Bell matrix times x: (x1 + x2, x3 + x4, x3 - x4, x1 - x2), _BELL_MATRIX's rows times sqrt(2)."""
+    return [x[0] + x[1], x[2] + x[3], x[2] - x[3], x[0] - x[1]]
+
+
+def _bell_sums(v: list) -> list:
+    """The integer Bell matrix's transpose times v: (v00 + v11, v00 - v11, v01 + v10, v01 - v10), its columns."""
+    return [v[0] + v[3], v[0] - v[3], v[1] + v[2], v[1] - v[2]]
+
+
+def bell_output_row(coeffs: list) -> tuple[list, float]:
+    """bell_output_rows on one row of 4 Python complex numbers: (4x4 list, largest off-diagonal modulus).
+
+    The row is expanded and checked against BellCoefficients' rule, and the
+    network's joint on |Phi+>_{r a0} (x) prep is checked too, as
+    bell_output_rows checks them; the permutation is the cloner's own. The
+    decomposition is 0.5 * Mt A M with M the integer Bell matrix and A the
+    joint's 4x4 (r a0, a1 b1) blocks, so the output is Bell-diagonal with
+    off-diagonals of exactly 0.
+    """
+    prep = [_BELL_SCALE * z for z in _expand(coeffs)]
+    unit_norm_rule(_norm_sq(prep))
+    # |Phi+> on (r, a0) as the a0 input (s, 0) for r = 0 and (0, s) for r = 1, s the Bell scale
+    scaled = [_BELL_SCALE * z for z in prep]
+    joint = [row[k] for row in (scaled + _ZEROS, _ZEROS + scaled) for k in _ROW_PERMUTATION]
+    unit_norm_rule(_norm_sq(joint))
+    # A M row by row, then Mt (A M) on its columns, as 0.5 Mt A M in sums and differences
+    rows = [_bell_sums(joint[i : i + 4]) for i in (0, 4, 8, 12)]
+    columns = [_bell_sums([row[k] for row in rows]) for k in range(4)]
+    matrix = [[0.5 * column[j] for column in columns] for j in range(4)]
+    return matrix, max([abs(matrix[j][k]) for j in range(4) for k in range(4) if j != k])
 
 
 def bell_basis(labels: tuple[str, str] = ("a1", "b1")) -> tuple[StateVector, ...]:

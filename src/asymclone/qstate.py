@@ -62,6 +62,11 @@ def unit_norm_rule(norm_sq) -> None:
         raise ValueError(f"state is not normalized: sum |amp|^2 = {_offender(norm_sq, ok)!r}")
 
 
+def _norm_sq(amplitudes: list) -> float:
+    """sum |z|^2 of a row of Python complex numbers, the squared norm unit_norm_rule reads."""
+    return sum([z.real * z.real + z.imag * z.imag for z in amplitudes])
+
+
 def check_unit_norm(amplitudes: np.ndarray) -> None:
     """Raise ValueError unless every state (last axis) has sum |amp|^2 = 1."""
     unit_norm_rule((np.abs(amplitudes) ** 2).sum(axis=-1))

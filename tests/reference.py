@@ -1,4 +1,4 @@
-"""An exact reference for one clone row, written from the paper and sharing no code with asymclone.
+"""An exact reference for one clone row and one Bell output, written from the paper and sharing no code with asymclone.
 
 Every number is a 50-digit mpmath complex. The register is (a0, a1, b1),
 a0 the most significant bit of a basis index: the input on a0, the
@@ -6,7 +6,8 @@ preparation's amplitudes over |00>, |01>, |10>, |11> of (a1, b1). Each CNOT
 flips its target bit on the basis indices whose control bit is set, in the
 paper's order a0->a1, a0->b1, a1->a0, b1->a0. A partial trace is the
 explicit sum over the traced-out bits, and a Bloch component is
-tr(rho sigma_k).
+tr(rho sigma_k). The purified network puts a reference qubit r above a0,
+so (r, a0, a1, b1), and leaves r alone.
 """
 import mpmath
 
@@ -20,9 +21,9 @@ def _mask(label):
 
 
 def network(amplitudes):
-    """The 8 amplitudes after the four CNOTs, one gate at a time."""
+    """The 8 amplitudes, or 16 with r above a0, after the four CNOTs, one gate at a time."""
     for control, target in GATES:
-        out = [None] * 8
+        out = [None] * len(amplitudes)
         for index, amplitude in enumerate(amplitudes):
             out[index ^ _mask(target) if index & _mask(control) else index] = amplitude
         amplitudes = out
@@ -69,3 +70,26 @@ def clone(state, prep):
             image = [sum(clone_rho[x][y] * psi[y] for y in (0, 1)) for x in (0, 1)]
             fidelity.append(mpmath.re(sum(mpmath.conj(psi[x]) * image[x] for x in (0, 1))))
         return joint, rho, s_est, residual, fidelity
+
+
+def _bell_states():
+    """Phi+, Phi-, Psi+, Psi- over |00>, |01>, |10>, |11>: (|00> +- |11>)/sqrt(2) and (|01> +- |10>)/sqrt(2)."""
+    h = 1 / mpmath.sqrt(2)
+    return [[h, 0, 0, h], [h, 0, 0, -h], [0, h, h, 0], [0, h, -h, 0]]
+
+
+def bell_output(coeffs):
+    """Bell x Bell coefficients [j][k] (B_j on (r, a0), B_k on (a1, b1)) of the network's output, at 50 digits.
+
+    The preparation on (a1, b1) is sum_k coeffs[k] B_k, the input on
+    (r, a0) is Phi+, and each coefficient is <B_j|<B_k| of the output.
+    """
+    with mpmath.workdps(50):
+        bell = _bell_states()
+        x = [mpmath.mpc(z) for z in coeffs]
+        prep = [sum(x[k] * bell[k][i] for k in range(4)) for i in range(4)]
+        out = network([bell[0][index >> 2] * prep[index & 3] for index in range(16)])
+        return [
+            [sum(bell[j][index >> 2] * bell[k][index & 3] * out[index] for index in range(16)) for k in range(4)]
+            for j in range(4)
+        ]

@@ -367,10 +367,10 @@ def test_stdout_is_byte_identical_to_the_reference():
         ),
         # complex Bell coefficients print the network's off-diagonal round-off
         ("pauli", "0.3", "0.4", "0.1,0.5", "0.2"): (
-            "ca9e8e21ff78c60b3bca917b2c5ff5566f76a24b0ca11087c78c86e30803deff"
+            "28e0c1b4e5787e439d1f2680c6f72675b152f8547e5a98a075ceba3e0a4684a3"
         ),
         ("pauli", "0.3", "0.4,0.1", "0.5", "0.2"): (
-            "98984a1bf0614417499e939affff12be8fbd9dc66eb3b3d6bc6bce200f6c2ecd"
+            "42e64a757e4d59652c88276c2ac00209b4028e2edaa587d5f945a16061279122"
         ),
         ("solve", "0.8", "0.4"): "121d0cd79a45924425386b50cb7b8623c6a3f562583b2ad9a7894bb915013ad3",
         ("solve", "0.8", "0.4", "--format", "json"): (
@@ -385,12 +385,12 @@ def test_stdout_is_byte_identical_to_the_reference():
         ),
         # renormalized from coefficients near the float range
         ("pauli", "1e300", "1e300", "0", "0"): (
-            "bdc3e5e645e3b8a917d487969088048c1cede1354ce4a96a850b979d8559973c"
+            "5beabf5e010528c7e773eb2ace849743d9ea502727add27109d24598bc8e4f75"
         ),
         # each kind of token _rounded rewrites: integral, e-3xx and -0
-        ("pauli", "1", "0", "0", "0"): "21eb5da80249e8e7c1052b61f340ce7c13986c025c6366d1633438f68d80bcc4",
-        ("pauli", "1", "1", "1", "0"): "e5481a52787259dd42557a19d8d8b5f72c290f42d3b640c1c70fea9f0cf070ec",
-        ("pauli", "0", "1e-320", "1", "0.5"): "d95aa237cec78fe6828bf9b267b4e38e1d1b878b325064f562c11fc3f1fd640e",
+        ("pauli", "1", "0", "0", "0"): "10a0cf10715b6d35610854ff0f31caba56936ff2314353d35c3597a3f306ac6f",
+        ("pauli", "1", "1", "1", "0"): "cfaf8d8c71e47a3abf98131588a46c73443c0befb5ddf589f714c21ffc082935",
+        ("pauli", "0", "1e-320", "1", "0.5"): "baf3b1131c90c40bd69e9af3478328345d854efc696a15de478130926fcd283b",
         # a boundary pair on an input with an imaginary amplitude
         ("clone", "--state=+i", "--s0", "1", "--s1", "0"): (
             "24b3bb5f8eee342e66217b7f23b273a6b953e03555b913024265661b210f2971"
@@ -420,39 +420,54 @@ def test_stdout_is_byte_identical_to_the_reference():
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
-def test_pauli_prints_the_numbers_of_the_object_path(monkeypatch):
-    # pauli runs the row functions that verify's pauli suite runs;
-    # BellCoefficients and bell_output stay the reference for its numbers
-    payloads = []
-    monkeypatch.setattr(cli, "_json_text", lambda payload: payloads.append(payload) or "")
+def _pauli_reference(argv):
+    """pauli's stdout as written from BellCoefficients and bell_output, the object path's numbers."""
+    coeffs = pauli.BellCoefficients(*cli._unit([cli._parse_complex(text) for text in argv])[0])
+    matrix, max_off = pauli.bell_output(coeffs)
+    payload = {
+        "input": coeffs.as_array(),
+        "bell_order": list(pauli.BELL_NAMES),
+        "coefficients": matrix,
+        "diagonal": np.diag(matrix),
+        "max_offdiagonal": max_off,
+    }
+    return cli._json_text(payload) + "\n"
+
+
+def test_pauli_prints_the_numbers_of_the_object_path():
+    # bell_output_row's sums against the object path's products with the scaled Bell matrix: the same layout,
+    # every token with |x| > 1e-12 the object path's text, and every number within 2.2e-16 of it, the round-off
+    # the object path's off-diagonals carry (the row's are exactly 0)
     rng = np.random.default_rng(18)
     drawn = [
         [f"{re!r},{im!r}" for re, im in (rng.standard_normal((4, 2)) * scale).tolist()]
         for scale in rng.choice([0.5, 1.0, 2.0], 40)
     ]
     fixed = [["1", "0", "0", "0"], ["1", "1", "1", "0"], ["0", "1e-320", "1", "0.5"], ["1e300", "1e300", "0", "0"]]
+    significant = 0
     for argv in fixed + drawn:
-        payloads.clear()
-        assert run_cli("pauli", "--", *argv)[0] == 0, argv
-        (payload,) = payloads
-        unit, _ = cli._unit(np.array([cli._parse_complex(text) for text in argv]))
-        coeffs = pauli.BellCoefficients(*unit)
-        matrix, max_off = pauli.bell_output(coeffs)
-        assert payload["input"].tobytes() == coeffs.as_array().tobytes(), argv
-        assert payload["bell_order"] == list(pauli.BELL_NAMES)
-        assert payload["coefficients"].tobytes() == matrix.tobytes(), argv
-        assert payload["diagonal"].tobytes() == np.diag(matrix).tobytes(), argv
-        assert float(payload["max_offdiagonal"]).hex() == max_off.hex(), argv
+        code, out, _ = run_cli("pauli", "--", *argv)
+        assert code == 0, argv
+        layout, got = _numbers(json.loads(out))
+        want_layout, want = _numbers(json.loads(_pauli_reference(argv)))
+        assert layout == want_layout, argv
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 2.2e-16, (argv, x, y)
+            if abs(y) > 1e-12:
+                significant += 1
+                assert repr(x) == repr(y), (argv, x, y)
+    assert significant > 900
 
 
 @pytest.mark.parametrize("argv", [["1", "0", "0", "0"], ["1", "1", "0", "0.5,0.5"], ["1e200", "0", "0", "0"]])
 def test_a_pauli_call_expands_its_coefficients_once(monkeypatch, argv):
-    # BellCoefficients' rule runs inside network_rows, on the one expansion it computes
-    calls = []
-    real = pauli.expand_rows
-    monkeypatch.setattr(pauli, "expand_rows", lambda coeffs: calls.append(coeffs) or real(coeffs))
+    # BellCoefficients' rule runs on the one expansion bell_output_row computes, then on its joint; no stack rule runs
+    rows, stacks = [], []
+    rule = pauli.unit_norm_rule
+    monkeypatch.setattr(pauli, "unit_norm_rule", lambda norm_sq: rows.append(norm_sq) or rule(norm_sq))
+    monkeypatch.setattr(pauli, "check_unit_norm", lambda amplitudes: stacks.append(amplitudes))
     assert run_cli("pauli", *argv)[0] == 0
-    assert len(calls) == 1
+    assert len(rows) == 2 and not stacks, (rows, stacks)
 
 
 def test_a_clone_call_runs_the_kernel_without_run_cloner(monkeypatch):
@@ -657,18 +672,18 @@ def test_norm_past_the_float_range_exits_1():
 
 
 def _unit_or_refused(text):
-    """_parse_state's row for text, checked as clone_batch checks it, or None where it refuses the spec."""
+    """_parse_state's row for text, checked as clone_row checks it, or None where it refuses the spec."""
     try:
         amps = cli._parse_state(text)
     except argparse.ArgumentTypeError:
         return None
-    assert (amps.shape, amps.dtype) == ((2,), np.dtype(complex)), text
-    qstate.check_unit_norm(amps)
+    assert type(amps) is list and [type(z) for z in amps] == [complex, complex], text
+    qstate.unit_norm_rule(qstate._norm_sq(amps))
     return amps
 
 
 def test_every_parsed_state_is_unit_to_round_off():
-    # the only norm check a clone input meets is clone_batch's: each accepted
+    # the only norm check a clone input meets is clone_row's: each accepted
     # spec must pass it, over the whole exponent range of both numeric forms
     rng = np.random.default_rng(23)
     n = 50_000
@@ -700,8 +715,8 @@ def test_every_drawn_state_spec_is_unit_or_a_usage_error():
 
 
 def test_a_clone_call_checks_its_input_norm_once(monkeypatch):
-    # clone_row's unit-norm rule checks the input, the preparation and the joint, in that order,
-    # and no stack check sees a one-qubit row
+    # the unit-norm rule checks PrepState's amplitudes, then clone_row's input, preparation and joint, in that
+    # order, and no stack check sees a one-qubit row
     rows, stacks = [], []
     rule, check = qstate.unit_norm_rule, qstate.check_unit_norm
 
@@ -716,7 +731,7 @@ def test_a_clone_call_checks_its_input_norm_once(monkeypatch):
         rows.clear()
         stacks.clear()
         assert run_cli("clone", f"--state={state}", "--s0", "0.8", "--s1", "0.5")[0] == 0
-        assert len(rows) == 3 and rows[0] == cloner._norm_sq(cli._parse_state(state).tolist()), (state, rows)
+        assert len(rows) == 4 and rows[1] == qstate._norm_sq(cli._parse_state(state)), (state, rows)
         assert (2,) not in stacks, (state, stacks)
 
 
@@ -1426,17 +1441,15 @@ def test_verify_prints_the_same_on_a_blas_kernel_without_fma():
     assert prescott.stdout == default.stdout
 
 
-def test_clone_prints_the_same_without_fma():
-    # clone's numbers are Python complex arithmetic, which is never fused; numpy's X86_V3+ loops and OpenBLAS's
-    # SkylakeX kernels fuse, so one child runs OpenBLAS without FMA and one numpy's baseline dispatch
+def _stdouts_with_and_without_fma(argvs):
+    """(stdout, stderr) of argvs run in one child: by default, under OpenBLAS without FMA and under numpy's baseline
+    dispatch.
+
+    numpy's X86_V3+ loops and OpenBLAS's SkylakeX kernels fuse products into FMAs; Prescott and the baseline do not.
+    """
     chosen = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
     env = {key: value for key, value in os.environ.items() if key not in chosen}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    argvs = [
-        ["clone", "--state=1,0.5,-0.3,0.2", "--s0", "0.3", "--s1", "0.5"],
-        ["clone", "--state=0.7,2.1", "--s0", "0.9", "--s1", "0.2"],
-        ["clone", "--state=+i", "--s0", "1", "--s1", "0"],
-    ]
     script = "import json, sys; from asymclone.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
     command = [sys.executable, "-c", script, json.dumps(argvs)]
     baseline = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"}
@@ -1445,10 +1458,40 @@ def test_clone_prints_the_same_without_fma():
         for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}, baseline)
     ]
     for child in children:
-        assert (child.returncode, child.stderr) == (0, ""), child.stderr
-    assert children[0].stdout.count('"joint_labels"') == 3
-    assert children[1].stdout == children[0].stdout
-    assert children[2].stdout == children[0].stdout
+        assert child.returncode == 0, child.stderr
+    return [(child.stdout, child.stderr) for child in children]
+
+
+def test_clone_prints_the_same_without_fma():
+    # clone's numbers are Python complex arithmetic, which is never fused, and so is the norm of a 4-float
+    # --state; the last argv's norm, summed by a BLAS dot, changed its digits without FMA
+    argvs = [
+        ["clone", "--state=1,0.5,-0.3,0.2", "--s0", "0.3", "--s1", "0.5"],
+        ["clone", "--state=0.7,2.1", "--s0", "0.9", "--s1", "0.2"],
+        ["clone", "--state=+i", "--s0", "1", "--s1", "0"],
+        ["clone", "--state=0.47,-1.493,-1.993,1.486", "--s0", "0.8", "--s1", "0.5"],
+    ]
+    default, prescott, baseline = _stdouts_with_and_without_fma(argvs)
+    assert default[0].count('"joint_labels"') == 4 and default[1] == ""
+    assert prescott == default
+    assert baseline == default
+
+
+def test_pauli_prints_the_same_without_fma():
+    # bell_output_row's sums and its one scale are never fused; the Bell matrix products that pauli ran before
+    # printed other off-diagonal round-off under OpenBLAS without FMA
+    argvs = [
+        ["pauli", "0.3", "0.4", "0.1,0.5", "0.2"],
+        ["pauli", "0.3", "0.4,0.1", "0.5", "0.2"],
+        ["pauli", "1e300", "1e300", "0", "0"],
+        ["pauli", "1", "0", "0", "0"],
+        ["pauli", "1", "1", "1", "0"],
+        ["pauli", "0", "1e-320", "1", "0.5"],
+    ]
+    default, prescott, baseline = _stdouts_with_and_without_fma(argvs)
+    assert default[0].count('"bell_order"') == 6 and default[1].count("renormalizing") == 5
+    assert prescott == default
+    assert baseline == default
 
 
 def test_python_OO_drops_only_the_help_description():

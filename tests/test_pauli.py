@@ -4,7 +4,10 @@ import pytest
 from asymclone.cloner import _NETWORK_PERMUTATION, cloning_network
 from asymclone.pauli import (
     _BELL_MATRIX,
+    _BELL_SCALE,
     _OFF_DIAGONAL,
+    _bell_sums,
+    _expand,
     BELL_DIAGONAL_TOL,
     BELL_NAMES,
     BellCoefficients,
@@ -12,6 +15,7 @@ from asymclone.pauli import (
     bell_components,
     bell_decompose,
     bell_output,
+    bell_output_row,
     bell_output_rows,
     decompose_rows,
     expand_rows,
@@ -200,6 +204,28 @@ def test_bell_output_rows_match_one_call_per_row(n):
         matrix, off = bell_output(coeffs)
         assert np.array_equal(matrices[k], matrix)
         assert max_off[k] == off
+
+
+def test_the_rows_bell_sums_are_the_bell_matrix_column_by_column():
+    # bell_output_row hard-codes its sums and differences; on each basis vector they must give a column of
+    # the integer Bell matrix, _BELL_MATRIX over its scale, so the package keeps one Bell table
+    integer = (_BELL_MATRIX / _BELL_SCALE).real
+    assert set(integer.flat) == {-1.0, 0.0, 1.0}
+    assert np.array_equal(_BELL_SCALE * integer, _BELL_MATRIX)
+    for k in range(4):
+        basis = [1.0 if j == k else 0.0 for j in range(4)]
+        assert _expand(basis) == integer[:, k].tolist(), k
+        assert _bell_sums(basis) == integer.T[:, k].tolist(), k
+
+
+def test_the_bell_output_row_keeps_bell_coefficients_rule():
+    # the norm rule of BellCoefficients, on the expansion, with its message; NaN fails it
+    with pytest.raises(ValueError, match="not normalized"):
+        bell_output_row([complex(np.sqrt(1 + 5e-11)), 0j, 0j, 0j])
+    with pytest.raises(ValueError, match=r"sum \|amp\|\^2 = nan"):
+        bell_output_row([0j, complex(np.nan, 0.0), 0j, 0j])
+    matrix, max_off = bell_output_row([complex(np.sqrt(1 + 5e-13)), 0j, 0j, 0j])
+    assert max_off == 0.0 and abs(matrix[0][0] - 1.0) < 1e-12
 
 
 def _same_bits(a, b):

@@ -1,4 +1,4 @@
-"""clone_row and clone_batch against tests/reference.py, a 50-digit reference that shares no code with them."""
+"""clone_row, clone_batch and the Bell output against tests/reference.py, a 50-digit reference sharing no code with them."""
 import numpy as np
 import pytest
 
@@ -6,7 +6,7 @@ mpmath = pytest.importorskip("mpmath")
 
 import reference  # noqa: E402
 
-from asymclone import cloner, qstate  # noqa: E402
+from asymclone import cli, cloner, pauli, qstate  # noqa: E402
 
 # the largest absolute error against the reference, (clone_row, clone_batch), of every number clone prints;
 # its round-off columns are the clones' imaginary diagonals and residual0/1, where the row is bounded no
@@ -92,3 +92,61 @@ def test_solved_preparations_clone_in_the_papers_form_at_50_digits():
             _, _, s_est, residual, _ = reference.clone(psi.tolist(), prep)
             assert abs(s_est[0] - s0) <= 1e-15 and abs(s_est[1] - s1) <= 1e-15, (s0, s1, psi)
             assert max(residual) <= 1e-15, (s0, s1, psi)
+
+
+# the largest absolute error of a Bell output's coefficients against the reference, (bell_output_row,
+# bell_output_rows); the row's sums and differences on the integer Bell matrix cancel its off-diagonals to
+# exactly 0, and they round its diagonal no worse than the stack's products with the scaled matrix
+BELL_BOUNDS = {"diagonal": (3.3e-16, 5.6e-16), "off-diagonal": (0.0, 1.1e-16)}
+
+
+def _bell_cases():
+    """Rows of 4 Python complex Bell coefficients: seeded random, corners and off-norm rows.
+
+    The corners are each Bell state with a phase, even mixes and a subnormal
+    entry. The off-norm rows are raw coefficients of norm 2e-9 to 1e200 as
+    pauli normalizes them, and unit rows moved within the norm tolerance.
+    """
+    rng = np.random.default_rng(34)
+    cases = qstate.random_rows(rng.standard_normal((40, 8))).tolist()
+    for k in range(4):
+        cases += [[phase if j == k else 0j for j in range(4)] for phase in (1, -1, 1j, -1j, complex(0.6, -0.8))]
+    cases += [[0.5] * 4, [0.5, -0.5j, 0.5, 0.5j], cli._unit([0j, 1e-320, 1.0, 0.5j])[0]]
+    for scale in (2e-9, 1e-3, 1e3, 1e200):
+        cases += [cli._unit(row)[0] for row in (qstate.random_rows(rng.standard_normal((3, 8))) * scale).tolist()]
+    cases += [[z * factor for z in row] for row in cases[:4] for factor in (1.0 - 4e-13, 1.0 + 4e-13)]
+    return [[complex(z) for z in row] for row in cases]
+
+
+def test_the_purified_network_is_bell_diagonal_at_50_digits():
+    # Cerf's Pauli cloner view: the output is sum_j x_j |B_j>|B_j>, the input's coefficients on the diagonal
+    for coeffs in _bell_cases():
+        exact = reference.bell_output(coeffs)
+        with mpmath.workdps(50):
+            for j in range(4):
+                for k in range(4):
+                    want = mpmath.mpc(coeffs[j]) if j == k else 0
+                    assert abs(exact[j][k] - want) <= 1e-45, (coeffs, j, k)
+
+
+def test_the_bell_output_row_and_stack_meet_the_reference_bounds():
+    cases = _bell_cases()
+    stack, stack_off = pauli.bell_output_rows(np.array(cases))
+    worst = {kind: [0.0, 0.0] for kind in BELL_BOUNDS}
+    with mpmath.workdps(50):
+        for n, coeffs in enumerate(cases):
+            exact = reference.bell_output(coeffs)
+            row, row_off = pauli.bell_output_row(coeffs)
+            assert row_off == 0.0 and stack_off[n] <= BELL_BOUNDS["off-diagonal"][1], coeffs
+            for side, got in enumerate((row, stack[n].tolist())):
+                for j in range(4):
+                    for k in range(4):
+                        # an off-diagonal is 0 exactly (test_the_purified_network_is_bell_diagonal_at_50_digits)
+                        want = exact[j][k] if j == k else 0
+                        error = float(abs(want - mpmath.mpc(got[j][k])))
+                        kind = "diagonal" if j == k else "off-diagonal"
+                        worst[kind][side] = max(worst[kind][side], error)
+    for kind, (row_bound, stack_bound) in BELL_BOUNDS.items():
+        assert row_bound <= stack_bound, kind
+        assert worst[kind][0] <= row_bound, (kind, worst[kind])
+        assert worst[kind][1] <= stack_bound, (kind, worst[kind])

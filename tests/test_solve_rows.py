@@ -15,6 +15,7 @@ from asymclone.cloner import (
     check_preparation,
     feasibility,
     feasibility_rule,
+    prep_rows,
     solve_prep,
     solve_rows,
 )
@@ -28,25 +29,28 @@ def _same_bits(got, want):
 
 
 def _reference(pairs):
-    """solve_rows' (columns, amplitudes), one solve_prep call per pair.
+    """solve_rows' (columns, amplitudes), one solve_prep call per pair, and the PrepStates' own amplitudes.
 
-    The amplitudes come from scalar np.exp calls on each pair's fields, not
-    from prep_rows, which PrepState and solve_rows share.
+    The reference amplitudes come from scalar np.exp calls on each pair's
+    fields, neither from prep_rows, the stack's, nor from PrepState's
+    math.cos and math.sin.
     """
     preps = [solve_prep(feasibility(s0, s1)) for s0, s1 in pairs]
     columns = np.array([[p.c1, p.c2, p.c4, p.theta2, p.theta4] for p in preps]).reshape(len(preps), 5)
     amplitudes = np.array(
         [[p.c1 * np.exp(1j * p.theta1), p.c2 * np.exp(1j * p.theta2), 0.0, p.c4 * np.exp(1j * p.theta4)] for p in preps]
     ).reshape(len(preps), 4)
-    return columns, amplitudes
+    return columns, amplitudes, np.array([p.as_amplitudes for p in preps]).reshape(len(preps), 4)
 
 
 def _check_against_solve_prep(pairs):
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     columns, amplitudes = solve_rows(pairs[:, 0], pairs[:, 1])
-    want_columns, want_amplitudes = _reference(pairs.tolist())
+    want_columns, want_amplitudes, row_amplitudes = _reference(pairs.tolist())
     assert _same_bits(columns, want_columns)
     assert _same_bits(amplitudes, want_amplitudes)
+    # one row's preparation, PrepState on Python numbers, and the stack's prep_rows give the same bits
+    assert _same_bits(row_amplitudes, amplitudes)
 
 
 def _feasible(pairs):
@@ -175,6 +179,26 @@ class TestSolveRows:
         # the same row alone, as a PrepState
         with pytest.raises(ValueError, match=message):
             PrepState(*values[7].tolist())
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((1.2, 0.0, 0.0, 0.0, 0.0, 0.0), "modulus c1 = 1.2 outside [0, 1]"),
+            ((0.6, -0.1, 0.8, 0.0, 0.0, 0.0), "modulus c2 = -0.1 outside [0, 1]"),
+            ((0.6, 0.0, np.nan, 0.0, np.nan, 0.0), "modulus c4 = nan outside [0, 1]"),
+            ((2.0, -1.0, 0.0, 0.0, 0.0, 0.0), "modulus c1 = 2.0 outside [0, 1]"),
+            ((1.0, 0.0, 0.0, 0.0, np.nan, 0.0), "phases must be finite"),
+            ((1.0, 0.0, 0.0, -np.inf, 0.0, 0.0), "phases must be finite"),
+            ((0.5, 0.5, 0.5, 0.0, 1.0, 2.0), "state is not normalized: sum |amp|^2 = 0.75"),
+        ],
+    )
+    def test_one_preparation_raises_the_stacks_message(self, fields, message):
+        # PrepState checks its Python row with the rules prep_rows runs on a stack, in the same order
+        with pytest.raises(ValueError) as row:
+            PrepState(*fields)
+        with pytest.raises(ValueError) as stack:
+            prep_rows(np.array([(0.6, 0.0, 0.8, 0.0, 0.0, 0.0), fields]))
+        assert str(row.value) == str(stack.value) == message
 
     def test_every_rule_runs_once_on_the_whole_stack(self, monkeypatch):
         seen = []
