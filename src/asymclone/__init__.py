@@ -7,8 +7,20 @@ load fails stays lazy, so the next read runs it again and raises as an
 eager import would.
 """
 import importlib.util
+import math
 import sys
 import types
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+# the six axis states' amplitudes, in Python numbers: qstate's named states, clone's --state names and sweep's probes
+_NAMED_AMPLITUDES = {
+    "0": (1.0, 0.0),
+    "1": (0.0, 1.0),
+    "+": (_SQRT_HALF, _SQRT_HALF),
+    "-": (_SQRT_HALF, -_SQRT_HALF),
+    "+i": (_SQRT_HALF, 1j * _SQRT_HALF),
+    "-i": (_SQRT_HALF, -1j * _SQRT_HALF),
+}
 
 
 class _Retry:

@@ -6,7 +6,7 @@ JSON numbers carry 12 significant digits, CSV numbers 9.
 Importing this module and building its parser run no numpy code. numpy and
 the package's other modules are lazy modules, each loaded on the first read
 of one of its names. So --help and usage errors load no numpy, except that
-parsing a clone --state value reads qstate's named states, and so loads numpy.
+a 're0,im0,re1,im1' clone --state value reads qstate's zero-norm floor.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import shutil
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import _lazy, cloner, gates, pauli, qstate
+from . import _NAMED_AMPLITUDES, _lazy, cloner, gates, pauli, qstate
 
 np = _lazy("numpy")
 
@@ -50,9 +50,10 @@ _SWEEP_POINTS = 512
 # a sweep row from its s0 and s1 text and its nine numbers, or its margin alone
 _FEASIBLE_ROW = "%s,%s,true," + ",".join(["%.9g"] * 9)
 _INFEASIBLE_ROW = "%s,%s,false,%.9g" + "," * 8
-# solve's text report: nine numbers, then the [re, im] parts of four amplitudes, im signed as {:+} signs a float
-_SOLVE_TEXT = "s0 = {}  s1 = {}  margin = {}\nc1 = {}  theta1 = {}\nc2 = {}  theta2 = {}\nc4 = {}  theta4 = {}\n"
-_SOLVE_TEXT += "amplitudes: " + ", ".join(["{}{}j"] * 4)
+# solve's text report of the JSON report's numbers: nine, then the [re, im] parts of four amplitudes, im signed as
+# {:+} signs a float
+_SOLVE_TEXT = "s0 = {0}  s1 = {1}  margin = {2}\nc1 = {3}  theta1 = {6}\nc2 = {4}  theta2 = {7}\n"
+_SOLVE_TEXT += "c4 = {5}  theta4 = {8}\namplitudes: {9}{10}j, {11}{12}j, {13}{14}j, {15}{16}j"
 # verify trials per stacked pass: enough to spread numpy's per-call cost
 # thin, few enough that a suite's largest stack (8x8 per trial) stays 1 MB
 _VERIFY_CHUNK = 1024
@@ -144,8 +145,8 @@ def _parse_real(text: str) -> float:
 
 def _parse_state(text: str) -> list[complex]:
     """2 Python complex amplitudes, unit to round-off, of a named state, 'theta,phi' Bloch angles or 're0,im0,re1,im1'."""
-    if text in qstate._NAMED_AMPLITUDES:
-        return [complex(z) for z in qstate._NAMED_AMPLITUDES[text]]
+    if text in _NAMED_AMPLITUDES:
+        return [complex(z) for z in _NAMED_AMPLITUDES[text]]
     parts = text.split(",")
     try:
         values = _finite([float(p) for p in parts])
@@ -199,30 +200,6 @@ def _json_list(items: list[str], depth: int, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def _tag(value, numbers: list[float], strings: list[tuple[int, str]]):
-    """value's layout key: None, True, False, str, float, a tuple of tags (a list) or (complex, *shape) (an array,
-    and (complex,) a complex number, as a 0-d array); a kind, never a value, as False == 0.0. Numbers go onto
-    numbers, and strings onto strings with their fill index."""
-    if type(value) is float:  # most of a report's values, tested first so the complex check costs them nothing
-        numbers.append(value)
-        return float
-    if isinstance(value, complex):  # a row's list entries, next; numpy's complex scalar too
-        numbers += (value.real, value.imag)
-        return (complex,)
-    if value is None or value is True or value is False:
-        return value
-    if isinstance(value, str):
-        strings.append((len(numbers) + len(strings), encode_basestring_ascii(value)))
-        return str
-    if isinstance(value, np.ndarray):
-        numbers += np.ascontiguousarray(value, dtype=complex).view(float).reshape(-1).tolist()
-        return (complex, *value.shape)
-    if isinstance(value, list):
-        return tuple([_tag(v, numbers, strings) for v in value])
-    numbers.append(float(value))
-    return float
-
-
 def _template(tag, depth: int) -> str:
     """%-template of a tagged value as json.dumps(indent=2) lays it out at this depth; a complex number is [re, im]."""
     if not isinstance(tag, tuple):
@@ -232,35 +209,72 @@ def _template(tag, depth: int) -> str:
     return _json_list([_template(t, depth + 1) for t in tag], depth)
 
 
+def _escaped(text: str) -> str:
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
+def _layout_text(pairs) -> str:
+    """%-template of a flat dict with these (key, tag) pairs; a % in a key or a constant is escaped."""
+
+    def value(tag) -> str:  # a list of str is a constant, written in
+        return _json_list([_escaped(s) for s in tag], 1) if isinstance(tag, list) else _template(tag, 1)
+
+    return _json_list([f"{_escaped(k)}: {value(t)}" for k, t in pairs], 0, "{}")
+
+
+# Each JSON report's layout, its (key, tag) pairs in print order. A tag is float (a number), None, True or False (the
+# literal), str (a string filled per call, after every number), a tuple of tags (a list), (complex, *shape) (an
+# array of [re, im] pairs) or a list of str (a constant). Each is a function, so cloner's and pauli's constants are
+# read on the report's first use.
+_PAIR = (("s0", float), ("s1", float))
+_REPORTS = {
+    "solve": lambda: (
+        *_PAIR, ("feasible", True), ("margin", float),
+        *[(k, float) for k in ("c1", "c2", "c4", "theta1", "theta2", "theta4")], ("amplitudes", (complex, 4)),
+    ),
+    "infeasible": lambda: (*_PAIR, ("feasible", False), ("margin", float), ("reason", str)),
+    "infeasible, null margin": lambda: (*_PAIR, ("feasible", False), ("margin", None), ("reason", str)),
+    "clone": lambda: (
+        ("input", (complex, 2)), ("s0_target", float), ("s1_target", float), ("margin", float),
+        ("joint_labels", list(cloner.NETWORK_LABELS)), ("joint", (complex, 8)), ("rho_a0", (complex, 2, 2)),
+        ("rho_a1", (complex, 2, 2)),
+        *[(k, float) for k in ("s0_est", "s1_est", "residual0", "residual1", "fidelity0", "fidelity1")],
+    ),
+    "pauli": lambda: (
+        ("input", (complex, 4)), ("bell_order", list(pauli.BELL_NAMES)), ("coefficients", (complex, 4, 4)),
+        ("diagonal", (complex, 4)), ("max_offdiagonal", float),
+    ),
+}
+
+
 @functools.cache
-def _layout(tags: tuple) -> str:
-    """%-template of a flat dict with these (key, _tag) pairs, one per report layout; a % in a key is escaped."""
-    return _json_list([f"{encode_basestring_ascii(k).replace('%', '%%')}: {_template(t, 1)}" for k, t in tags], 0, "{}")
+def _layout(report: str) -> str:
+    """The %-template of a report in _REPORTS, built on its first use."""
+    return _layout_text(_REPORTS[report]())
 
 
-def _json_text(payload: dict) -> str:
-    """A flat dict of str keys and _tag's values as json.dumps(indent=2, allow_nan=False) writes it."""
-    numbers, strings = [], []
-    template = _layout(tuple([(key, _tag(v, numbers, strings)) for key, v in payload.items()]))
-    fills = _rounded(numbers)
-    for index, text in strings:
-        fills.insert(index, text)
-    return template % tuple(fills)
+def _json_text(template: str, numbers: list[float], *strings: str) -> str:
+    """A layout's template filled as json.dumps(indent=2, allow_nan=False) writes it; ValueError on NaN or inf.
+
+    numbers are the layout's floats in order, a complex number as its real
+    and imaginary parts; strings fill its str slots.
+    """
+    return template % (*_rounded(numbers), *[encode_basestring_ascii(s) for s in strings])
 
 
-def _pair_json(pair: cloner.ScalingPair) -> dict:
-    # the margin of an out-of-range pair can overflow to inf or NaN
-    margin = pair.margin if math.isfinite(pair.margin) else None
-    return {"s0": pair.s0, "s1": pair.s1, "feasible": pair.feasible, "margin": margin}
+def _parts(values: list[complex]) -> list[float]:
+    """The real and imaginary parts of complex numbers, in order."""
+    return [x for z in values for x in (z.real, z.imag)]
 
 
 def _emit_infeasible(pair: cloner.ScalingPair, fmt: str) -> int:
-    head = _pair_json(pair)
+    # the margin of an out-of-range pair can overflow to inf or NaN, and prints as null
+    finite = math.isfinite(pair.margin)
+    numbers = [pair.s0, pair.s1, pair.margin] if finite else [pair.s0, pair.s1]
     if fmt == "json":
-        print(_json_text({**head, "reason": pair.reason}))
+        print(_json_text(_layout("infeasible" if finite else "infeasible, null margin"), numbers, pair.reason))
     else:
-        # a null margin stays out of _rounded, which takes finite numbers alone
-        s0, s1, margin, *_ = _rounded([v for v in (pair.s0, pair.s1, head["margin"]) if v is not None]) + ["null"]
+        s0, s1, margin, *_ = _rounded(numbers) + ["null"]
         print(f"infeasible: s0 = {s0}, s1 = {s1}, margin = {margin} ({pair.reason})")
     return EXIT_INFEASIBLE
 
@@ -270,21 +284,12 @@ def _cmd_solve(args) -> int:
     if not pair.feasible:
         return _emit_infeasible(pair, args.format)
     prep = cloner.solve_prep(pair)
+    numbers = [pair.s0, pair.s1, pair.margin, prep.c1, prep.c2, prep.c4, prep.theta1, prep.theta2, prep.theta4]
+    numbers += prep.as_amplitudes.view(float).tolist()
     if args.format == "json":
-        payload = {
-            **_pair_json(pair),
-            "c1": prep.c1,
-            "c2": prep.c2,
-            "c4": prep.c4,
-            "theta1": prep.theta1,
-            "theta2": prep.theta2,
-            "theta4": prep.theta4,
-            "amplitudes": prep.as_amplitudes,
-        }
-        print(_json_text(payload))
+        print(_json_text(_layout("solve"), numbers))
     else:
-        numbers = [pair.s0, pair.s1, pair.margin, prep.c1, prep.theta1, prep.c2, prep.theta2, prep.c4, prep.theta4]
-        texts = _rounded(numbers + prep.as_amplitudes.view(float).tolist())
+        texts = _rounded(numbers)
         texts[10::2] = [text if text[0] == "-" else "+" + text for text in texts[10::2]]
         print(_SOLVE_TEXT.format(*texts))
     return EXIT_OK
@@ -296,23 +301,9 @@ def _cmd_clone(args) -> int:
         return _emit_infeasible(pair, "json")
     # the parsed input's one unit-norm check is clone_row's
     joint, rho, s_est, residual, fidelity = cloner.clone_row(args.state, cloner.solve_prep(pair).as_amplitudes.tolist())
-    payload = {
-        "input": args.state,
-        "s0_target": pair.s0,
-        "s1_target": pair.s1,
-        "margin": pair.margin,
-        "joint_labels": list(cloner.NETWORK_LABELS),
-        "joint": joint,
-        "rho_a0": rho[0],
-        "rho_a1": rho[1],
-        "s0_est": s_est[0],
-        "s1_est": s_est[1],
-        "residual0": residual[0],
-        "residual1": residual[1],
-        "fidelity0": fidelity[0],
-        "fidelity1": fidelity[1],
-    }
-    print(_json_text(payload))
+    entries = _parts(joint + [z for clone in rho for row in clone for z in row])
+    numbers = _parts(args.state) + [pair.s0, pair.s1, pair.margin] + entries + s_est + residual + fidelity
+    print(_json_text(_layout("clone"), numbers))
     return EXIT_OK
 
 
@@ -345,7 +336,7 @@ def _sweep_blocks(step: float):
     block: one pass of the feasibility rule, one solve_rows call on the
     block's feasible points and one clone_batch call: six probes a point.
     """
-    probes = np.array(list(qstate._NAMED_AMPLITUDES.values()), dtype=complex)
+    probes = np.array(list(_NAMED_AMPLITUDES.values()), dtype=complex)
     values = _sweep_values(step)
     grid = np.array(values)
     text = [_csv_num(s) for s in values]
@@ -402,14 +393,8 @@ def _cmd_pauli(args) -> int:
     if not max_off <= pauli.BELL_DIAGONAL_TOL:
         print(f"pauli: output is not Bell-diagonal (max off-diagonal {max_off:.3g})", file=sys.stderr)
         return EXIT_USAGE
-    payload = {
-        "input": unit,
-        "bell_order": list(pauli.BELL_NAMES),
-        "coefficients": matrix,
-        "diagonal": [matrix[k][k] for k in range(4)],
-        "max_offdiagonal": max_off,
-    }
-    print(_json_text(payload))
+    diagonal = [matrix[k][k] for k in range(4)]
+    print(_json_text(_layout("pauli"), _parts(unit + [z for row in matrix for z in row] + diagonal) + [max_off]))
     return EXIT_OK
 
 

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _NAMED_AMPLITUDES
+
 MAX_QUBITS = 4
 
 # The package's one tolerance table. Validators write their checks as
@@ -406,18 +408,6 @@ def basis_state(bits: str | Sequence[int], labels: Sequence[str]) -> StateVector
 def single_qubit(alpha0: complex, alpha1: complex, label: str = "q") -> StateVector:
     """One-qubit state alpha0|0> + alpha1|1> (must already be normalized)."""
     return StateVector(np.array([alpha0, alpha1], dtype=complex), (label,))
-
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-_NAMED_AMPLITUDES = {
-    "0": (1.0, 0.0),
-    "1": (0.0, 1.0),
-    "+": (_SQRT_HALF, _SQRT_HALF),
-    "-": (_SQRT_HALF, -_SQRT_HALF),
-    "+i": (_SQRT_HALF, 1j * _SQRT_HALF),
-    "-i": (_SQRT_HALF, -1j * _SQRT_HALF),
-}
 
 
 def named_state(name: str, label: str = "q") -> StateVector:

@@ -90,6 +90,9 @@ _CONSOLE_SCRIPT = _IMPORT.format(
         pytest.param(_RUN_CLI, ["solve", "abc", "0.5"], False, id="solve abc 0.5"),
         pytest.param(_RUN_CLI, ["sweep", "--step", "5"], False, id="sweep --step 5"),
         pytest.param(_RUN_CLI, ["verify", "--trials", "0"], False, id="verify --trials 0"),
+        # a named or malformed --state value before a bad number
+        pytest.param(_RUN_CLI, ["clone", "--state", "+", "--s0", "abc", "--s1", "0"], False, id="clone bad --s0"),
+        pytest.param(_RUN_CLI, ["clone", "--state", "foo", "--s0", "1", "--s1", "0"], False, id="clone bad --state"),
         pytest.param(_CONSOLE_SCRIPT, ["--help"], False, id="console script --help"),
         pytest.param(_CONSOLE_SCRIPT, ["solve", "abc", "0.5"], False, id="console script solve abc 0.5"),
         # a feasible solve computes, so the checks above cannot pass by never seeing numpy

@@ -412,12 +412,41 @@ def test_stdout_is_byte_identical_to_the_reference():
         ("solve", "0", "0", "--format", "json"): (
             "c8885514d63cae9ab0432cbd51e74d9d895c05d4bc0f0470dfb9adda7376207c"
         ),
+        # the infeasible JSON with a null margin, and with the out-of-range reason
+        ("solve", "--format", "json", "--", "1e200", "-1e200"): (
+            "f55b16d85dcc5f46e6b9ba18fd11e3bf0feb8d5f65d5d21fa7e02999c0044387"
+        ),
+        ("solve", "1.5", "0", "--format", "json"): (
+            "565d9682e5d6135019a9d6f5fddf9d63db1d59f872d667240adcfb04d7c7e172"
+        ),
     }
-    infeasible = {("solve", "0.9", "0.9", "--format", "json"), ("clone", "--state=0", "--s0", "0.9", "--s1", "0.9")}
+    infeasible = {
+        ("solve", "0.9", "0.9", "--format", "json"),
+        ("clone", "--state=0", "--s0", "0.9", "--s1", "0.9"),
+        ("solve", "--format", "json", "--", "1e200", "-1e200"),
+        ("solve", "1.5", "0", "--format", "json"),
+    }
     for argv, digest in expected.items():
         code, out, _ = run_cli(*argv)
         assert code == (2 if argv in infeasible else 0), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def _json_ready(value):
+    """value as json.dumps takes it: each number rounded to 12 digits and read back (-0.0 as 0.0), a complex one
+    as a [re, im] list."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, complex):
+        return [_json_ready(value.real), _json_ready(value.imag)]
+    if isinstance(value, str):
+        return value
+    return float(format(float(value) + 0.0, ".12g"))
+
+
+def _json_dump(payload: dict) -> str:
+    """A report's stdout as json.dumps writes it, a printed line."""
+    return json.dumps({key: _json_ready(value) for key, value in payload.items()}, indent=2, allow_nan=False) + "\n"
 
 
 def _pauli_reference(argv):
@@ -431,7 +460,7 @@ def _pauli_reference(argv):
         "diagonal": np.diag(matrix),
         "max_offdiagonal": max_off,
     }
-    return cli._json_text(payload) + "\n"
+    return _json_dump(payload)
 
 
 def test_pauli_prints_the_numbers_of_the_object_path():
@@ -500,7 +529,7 @@ def _clone_reference(state_text, s0_text, s1_text):
         "fidelity0": out.fidelity[0],
         "fidelity1": out.fidelity[1],
     }
-    return cli._json_text(payload) + "\n"
+    return _json_dump(payload)
 
 
 def _numbers(payload):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from asymclone import cli
-from asymclone.cli import _json_text, _rounded
+from asymclone.cli import _json_text, _layout_text, _rounded
 
 
 def _json_num(x: float) -> float:
@@ -23,22 +23,18 @@ EDGE_FLOATS = [
     999999999999.5, 1e12, 123456789012345.0, 9.9999999999995e15, 1e-307, 2.2250738585072014e-308, 1e-320, 3.0,
     -7.0,
 ]
-# the writer fills one %-template of the whole payload, so strings and keys
-# carry % signs and conversion specs too
+# the writer fills one %-template of the whole report, so strings, constants
+# and keys carry % signs and conversion specs too
 EDGE_STRINGS = [
     'say "no"', "back\\slash", "café", " \u0000\x7f", "\U0001d54a", "margin 0.63 exceeds 0", "100%", "%s", "%%d",
 ]
 
 
 def _reference(value):
-    """value as the CLI handed it to json.dumps before the direct writer.
-
-    Every number goes through _json_num and every complex number becomes a
-    [re, im] list, as the removed _json_vector/_json_matrix builders did.
-    """
+    """value as json.dumps takes it from the CLI: every number through _json_num, every complex one a [re, im] list."""
     if isinstance(value, dict):
         return {key: _reference(v) for key, v in value.items()}
-    if isinstance(value, (list, np.ndarray)):
+    if isinstance(value, (list, tuple, np.ndarray)):
         return [_reference(v) for v in value]
     if isinstance(value, complex):
         return [_json_num(value.real), _json_num(value.imag)]
@@ -47,45 +43,90 @@ def _reference(value):
     return _json_num(value)
 
 
-def _payloads():
+def _declared(value):
+    """value's tag in a declared layout, with its numbers and strings in fill order, as a command hands them over.
+
+    A complex number or ndarray is (complex, *shape), a list a tuple of tags and any other number float.
+    """
+    if value is None or isinstance(value, bool):
+        return value, [], []
+    if isinstance(value, str):
+        return str, [], [value]
+    if isinstance(value, (complex, np.ndarray)):
+        array = np.ascontiguousarray(value, dtype=complex)
+        return (complex, *array.shape), array.reshape(-1).view(float).tolist(), []
+    if isinstance(value, list):
+        parts = [_declared(v) for v in value]
+        return tuple(t for t, _, _ in parts), [x for _, n, _ in parts for x in n], [x for _, _, s in parts for x in s]
+    return float, [float(value)], []
+
+
+def _slots(tag):
+    """A tag's fill slots in order: n a number, s a string."""
+    if tag is str:
+        return "s"
+    if tag is float:
+        return "n"
+    if isinstance(tag, tuple) and tag[:1] == (complex,):
+        return "n" * 2 * math.prod(tag[1:])
+    return "".join(_slots(t) for t in tag) if isinstance(tag, tuple) else ""
+
+
+def _write(values: dict, template=None) -> str:
+    """values written through the layout their kinds declare (or template), checked against json.dumps."""
+    layout, numbers, strings = [], [], []
+    for key, value in values.items():
+        tag, n, s = _declared(value)
+        layout.append((key, tag))
+        numbers += n
+        strings += s
+    text = _json_text(template or _layout_text(layout), numbers, *strings)
+    assert text == json.dumps(_reference(values), indent=2, allow_nan=False)
+    return text
+
+
+def _layouts():
+    """A declared layout, its values' json.dumps reference, numbers and strings, and a slot and a value to spoil.
+
+    Entries are numbers, literals, complex arrays, nested lists of these and
+    constant lists of str; str slots come last, after every number, as the
+    writer fills them.
+    """
     st = pytest.importorskip("hypothesis").strategies
     real = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
     text = st.one_of(st.sampled_from(EDGE_STRINGS), st.text())
 
     @st.composite
     def complex_array(draw):
-        shape = draw(st.sampled_from([(1,), (2,), (4,), (8,), (2, 2), (4, 4)]))
-        size = 2 * math.prod(shape)
-        parts = np.array(draw(st.lists(real, min_size=size, max_size=size)))
-        array = parts.view(complex).reshape(shape)
-        # strided views, as np.diag and a transpose hand them over
-        view = draw(st.sampled_from(["contiguous", "diagonal", "transpose", "every other"]))
-        if view == "diagonal" and array.ndim == 2:
-            return np.diag(array)
-        if view == "transpose":
-            return array.T
-        if view == "every other" and len(array) > 1:
-            return array[::2]
-        return array
+        shape = draw(st.sampled_from([(), (0,), (1,), (2,), (4,), (8,), (2, 2), (4, 4), (2, 0)]))
+        parts = draw(st.lists(real, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
+        return (complex, *shape), np.array(parts).reshape(*shape, 2).tolist(), parts
+
+    number = real.map(lambda x: (float, x, [x]))
+    literal = st.sampled_from([None, True, False]).map(lambda v: (v, v, []))
+    leaf = st.one_of(number, literal, complex_array())
+    entry = st.recursive(
+        leaf,
+        lambda children: st.lists(children, max_size=4).map(
+            lambda items: (tuple(t for t, _, _ in items), [v for _, v, _ in items], [x for _, _, n in items for x in n])
+        ),
+        max_leaves=12,
+    )
+    constant = st.lists(text, max_size=4).map(lambda names: (names, names, []))
 
     @st.composite
-    def complex_list(draw):
-        # Python complex numbers in a list or a nested 2x2 list, as clone writes its row's numbers
-        shape = draw(st.sampled_from([(1,), (2,), (8,), (2, 2)]))
-        parts = np.array(draw(st.lists(real, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape))))
-        return parts.view(complex).reshape(shape).tolist()
+    def layouts(draw):
+        entries = draw(st.lists(st.one_of(entry, constant), max_size=8))
+        strings = draw(st.lists(text, max_size=2))
+        size = len(entries) + len(strings)
+        keys = draw(st.lists(text, min_size=size, max_size=size, unique=True))
+        layout = [(k, t) for k, (t, _, _) in zip(keys, entries)] + [(k, str) for k in keys[len(entries) :]]
+        reference = {k: v for k, (_, v, _) in zip(keys, entries)} | dict(zip(keys[len(entries) :], strings))
+        numbers = [x for _, _, n in entries for x in n]
+        spoil = draw(st.integers(0, max(len(numbers) - 1, 0))), draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return layout, {k: _reference(v) for k, v in reference.items()}, numbers, strings, spoil
 
-    leaf = st.one_of(st.none(), st.booleans(), real, text, st.lists(text, max_size=4), complex_array(), complex_list())
-    return st.dictionaries(text, leaf, min_size=1, max_size=8)
-
-
-def _as_arrays(payload: dict) -> dict:
-    """payload with each list of complex numbers, nested or not, as the complex ndarray of the same values."""
-
-    def first(value):
-        return first(value[0]) if isinstance(value, list) and value else value
-
-    return {k: np.array(v) if isinstance(v, list) and isinstance(first(v), complex) else v for k, v in payload.items()}
+    return layouts()
 
 
 def test_each_token_is_the_text_of_the_rounded_value():
@@ -105,42 +146,52 @@ def test_writer_matches_json_dumps_on_every_payload_shape():
     hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(_payloads())
-    def check(payload):
-        reference = _reference(payload)
-        text = _json_text(payload)
+    @hypothesis.given(_layouts())
+    def check(case):
+        layout, reference, numbers, strings, (where, bad) = case
+        template = _layout_text(layout)
+        text = _json_text(template, numbers, *strings)
         assert text == json.dumps(reference, indent=2, allow_nan=False)
         # and a second, independent reading: the parser gives the numbers back
         assert json.loads(text) == reference
-        # a list of complex numbers writes the bytes of the complex array of its values
-        assert _json_text(_as_arrays(payload)) == text
+        # a NaN or infinite number raises in any number slot
+        if numbers:
+            numbers[where] = bad
+            with pytest.raises(ValueError):
+                _json_text(template, numbers, *strings)
 
     check()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_numbers_raise_value_error(bad):
-    for payload in ({"x": bad}, {"x": np.array([1.0, complex(0.0, bad)])}, {"x": np.full((2, 2), bad)}):
-        with pytest.raises(ValueError):
-            json.dumps(_reference(payload), indent=2, allow_nan=False)
-        with pytest.raises(ValueError):
-            _json_text(payload)
+    # in every number slot of each of the CLI's reports
+    for report, declare in cli._REPORTS.items():
+        slots = "".join(_slots(tag) for _, tag in declare())
+        for where in range(slots.count("n")):
+            numbers = [0.5] * slots.count("n")
+            numbers[where] = bad
+            with pytest.raises(ValueError):
+                _json_text(cli._layout(report), numbers, *["reason"] * slots.count("s"))
+
+
+def test_every_report_fills_its_strings_after_its_numbers():
+    for report, declare in cli._REPORTS.items():
+        slots = "".join(_slots(tag) for _, tag in declare())
+        assert "n" in slots and "sn" not in slots, report
+        assert cli._layout(report).count("%s") == len(slots), report
 
 
 def test_percent_signs_neither_raise_nor_move_a_number():
-    payload = {"%s": "100%", "%%d": [0.5, "%s"], "100%": np.array([1 + 2j]), "x": -1.25}
-    assert _json_text(payload) == json.dumps(_reference(payload), indent=2, allow_nan=False)
+    layout = (("%s", (float, float)), ("%%d", ["%s", "100%"]), ("100%", (complex, 1)), ("x", float), ("s", str))
+    text = _json_text(_layout_text(layout), [0.5, -1.25, 1.0, 2.0, 3.5], "100% %s")
+    reference = {"%s": [0.5, -1.25], "%%d": ["%s", "100%"], "100%": [[1.0, 2.0]], "x": 3.5, "s": "100% %s"}
+    assert text == json.dumps(reference, indent=2, allow_nan=False)
 
 
 def test_negative_zero_prints_as_zero():
-    assert _json_text({"x": -0.0}) == '{\n  "x": 0.0\n}'
-    assert _json_text({"z": np.array([complex(-0.0, -0.0)])}) == '{\n  "z": [\n    [\n      0.0,\n      0.0\n    ]\n  ]\n}'
-
-
-def _written(payload) -> str:
-    text = _json_text(payload)
-    assert text == json.dumps(_reference(payload), indent=2, allow_nan=False)
-    return text
+    assert _write({"x": -0.0}) == '{\n  "x": 0.0\n}'
+    assert _write({"z": np.array([complex(-0.0, -0.0)])}) == '{\n  "z": [\n    [\n      0.0,\n      0.0\n    ]\n  ]\n}'
 
 
 # values that compare equal, or lay out alike, across the kinds a layout tells apart
@@ -152,37 +203,35 @@ _LOOKALIKE_PAIRS = [
 
 
 @pytest.mark.parametrize("first, second", _LOOKALIKE_PAIRS, ids=[f"{a!r}-{b!r}" for a, b in _LOOKALIKE_PAIRS])
-def test_a_layout_is_keyed_by_kind_not_by_value(first, second):
+def test_a_layout_is_keyed_by_kind_not_by_value(monkeypatch, first, second):
+    # two reports whose layouts differ only in the kind of one value, each written through its own cached template
     for a, b in ((first, second), (second, first)):
+        for name, value in (("first", a), ("second", b)):
+            monkeypatch.setitem(cli._REPORTS, name, lambda value=value: (("n", float), ("k", _declared(value)[0])))
         cli._layout.cache_clear()
-        for value in (a, b, a):
-            _written({"k": value})
-            _written({"k": value, "n": 0.5, "s": "%s"})
+        for name, value in (("first", a), ("second", b), ("first", a)):
+            _write({"n": 0.5, "k": value}, cli._layout(name))
+            _write({"n": 0.5, "k": value, "s": "%s"})
+    cli._layout.cache_clear()
 
 
-def test_a_cached_layout_writes_what_a_fresh_one_writes():
+def test_a_cached_layout_writes_what_a_fresh_one_writes(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @st.composite
-    def payload_pairs(draw):
-        # two payloads with the same keys, so that only their values' kinds can tell their layouts apart
-        first = draw(_payloads())
-        values = draw(st.lists(_payloads(), min_size=1, max_size=3))
-        leaves = [v for payload in values for v in payload.values()]
-        return first, {key: draw(st.sampled_from(leaves)) for key in first}
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(payload_pairs())
-    def check(pair):
-        first, second = pair
+    @hypothesis.given(_layouts(), _layouts())
+    def check(first, second):
+        # two reports registered by name, written cold, cached and in turn, each as its fresh template writes it
+        for name, (layout, *_) in (("first", first), ("second", second)):
+            monkeypatch.setitem(cli._REPORTS, name, lambda layout=layout: layout)
         cli._layout.cache_clear()
-        cold = _written(first)
-        assert _written(first) == cold
-        assert _written(second) == _written(second)
-        assert _written(first) == cold
+        for name, (layout, reference, numbers, strings, _) in (("first", first), ("second", second), ("first", first)):
+            text = _json_text(cli._layout(name), numbers, *strings)
+            assert text == _json_text(_layout_text(layout), numbers, *strings)
+            assert json.loads(text) == reference
 
     check()
+    cli._layout.cache_clear()
 
 
 def _clean_values(n: int) -> list[float]:
