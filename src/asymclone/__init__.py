@@ -22,6 +22,21 @@ _NAMED_AMPLITUDES = {
     "-i": (_SQRT_HALF, -1j * _SQRT_HALF),
 }
 
+# The package's one tolerance table. Validators write their checks as
+# `not (err <= tol)` so that NaN fails them.
+# round-off of one step on unit-scale numbers: norms, traces, margins, angles
+ROUNDOFF_TOL = 1e-12
+# error accumulated over a chain of steps: eigenvalues, Bloch lengths, circuits
+ACCUMULATED_TOL = 1e-10
+# a vector shorter than this (amplitudes, Bell coefficients) has no direction
+ZERO_NORM_FLOOR = 1e-9
+# agreement of a clone's estimated shrink, and its fidelity, with the target
+ESTIMATE_TOL = 1e-8
+# slack on 1/step so that a sweep step dividing 1 keeps the grid point 1
+GRID_SLACK = 1e-9
+# a coefficient norm further than this from 1 is reported as renormalized
+RENORMALIZE_WARN = 1e-6
+
 
 class _Retry:
     """Runs loader's exec_module; if that raises, the module is left lazy again, so the next read reruns it."""

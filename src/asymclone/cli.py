@@ -5,8 +5,7 @@ JSON numbers carry 12 significant digits, CSV numbers 9.
 
 Importing this module and building its parser run no numpy code. numpy and
 the package's other modules are lazy modules, each loaded on the first read
-of one of its names. So --help and usage errors load no numpy, except that
-a 're0,im0,re1,im1' clone --state value reads qstate's zero-norm floor.
+of one of its names. So --help and usage errors load no numpy.
 """
 from __future__ import annotations
 
@@ -20,6 +19,7 @@ import shutil
 import sys
 from json.encoder import encode_basestring_ascii
 
+from . import ESTIMATE_TOL, GRID_SLACK, RENORMALIZE_WARN, ZERO_NORM_FLOOR
 from . import _NAMED_AMPLITUDES, _lazy, cloner, gates, pauli, qstate
 
 np = _lazy("numpy")
@@ -129,7 +129,7 @@ def _unit(raw: list[complex]) -> tuple[list[complex], float]:
         norm = math.ldexp(math.sqrt(norm_sq), k)
     except OverflowError:
         raise ValueError("a norm past the float range") from None
-    if norm < qstate.ZERO_NORM_FLOOR:
+    if norm < ZERO_NORM_FLOOR:
         raise ValueError("zero norm")
     inverse = 1.0 / norm  # times the reciprocal, as numpy divides a complex array by a float
     return [z * inverse for z in raw], norm
@@ -308,7 +308,7 @@ def _cmd_clone(args) -> int:
 
 
 def _sweep_values(step: float) -> list[float]:
-    count = int(np.floor(1.0 / step + qstate.GRID_SLACK))
+    count = int(np.floor(1.0 / step + GRID_SLACK))
     return [k * step for k in range(count + 1)]
 
 
@@ -387,7 +387,7 @@ def _cmd_pauli(args) -> int:
     except ValueError as exc:
         print(f"pauli: coefficients have {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if abs(norm - 1.0) > qstate.RENORMALIZE_WARN:
+    if abs(norm - 1.0) > RENORMALIZE_WARN:
         print(f"pauli: renormalizing input of norm {norm:.9g}", file=sys.stderr)
     matrix, max_off = pauli.bell_output_row(unit)
     if not max_off <= pauli.BELL_DIAGONAL_TOL:
@@ -491,9 +491,9 @@ def _check_cloner(target: np.ndarray, inputs: np.ndarray):
     shrink = np.abs(batch.s_est - target[:, None, :]).max(axis=-1)
     fidelity = np.abs(batch.fidelity - 0.5 * (1.0 + batch.s_est)).max(axis=-1)
     for k in range(2):
-        yield scaled[:, k], qstate.ESTIMATE_TOL
-        yield shrink[:, k], qstate.ESTIMATE_TOL
-        yield fidelity[:, k], qstate.ESTIMATE_TOL
+        yield scaled[:, k], ESTIMATE_TOL
+        yield shrink[:, k], ESTIMATE_TOL
+        yield fidelity[:, k], ESTIMATE_TOL
 
 
 def _draw_pauli(rng: np.random.Generator, n: int):

@@ -21,10 +21,10 @@ stack of feasible pairs in one numpy pass: sweep calls it once per row block
 and verify once per chunk of trials. solve_prep solves one pair with the
 same operations on floats, which costs less than a one-row stack; the
 tests hold the two bit for bit equal, amplitudes included: PrepState builds
-them on Python numbers and prep_rows on a stack. The feasibility rule, the
-preparation's rule and the infeasibility message each have one home
-(feasibility_rule, preparation_rule, _infeasible) that serves one pair and a
-stack alike, as qstate's unit_norm_rule does for the amplitudes' norm.
+them on Python numbers and solve_rows column by column. The feasibility
+rule, the preparation's rule and the infeasibility message each have one
+home (feasibility_rule, preparation_rule, _infeasible) that serves one pair
+and a stack alike, as qstate's unit_norm_rule does for the amplitudes' norm.
 
 The network itself is four CNOTs on (a0, a1, b1), applied in the order
 a0->a1, a0->b1, a1->a0, b1->a0. On the 8 basis amplitudes that is one
@@ -111,8 +111,8 @@ class PrepState:
     """Solved preparation state: moduli c and phases theta, |10> amplitude 0.
 
     as_amplitudes, c * exp(i theta) over |00>, |01>, |10>, |11>, is set at construction and read-only: the fields
-    pass preparation_rule and the amplitudes unit_norm_rule, as prep_rows checks a stack. Each amplitude is
-    c * complex(cos theta, sin theta) on Python numbers, which the tests hold to prep_rows' np.exp bits.
+    pass preparation_rule and the amplitudes unit_norm_rule, as solve_rows checks a stack. Each amplitude is
+    c * complex(cos theta, sin theta) on Python numbers, which the tests hold to solve_rows' np.exp bits.
     """
 
     c1: float
@@ -146,25 +146,6 @@ def preparation_rule(c1, c2, c4, theta1, theta2, theta4) -> None:
         raise ValueError(f"modulus {name} = {_offender(moduli, ok)!r} outside [0, 1]")
     if not _every((abs(theta1) < math.inf) & (abs(theta2) < math.inf) & (abs(theta4) < math.inf)):
         raise ValueError("phases must be finite")
-
-
-def check_preparation(values: np.ndarray) -> None:
-    """Raise ValueError unless every (..., 6) row (c1, c2, c4, theta1, theta2, theta4) passes preparation_rule."""
-    preparation_rule(*[values[..., k] for k in range(6)])  # columns by index: np.moveaxis costs ~3 us more
-
-
-def prep_rows(values: np.ndarray) -> np.ndarray:
-    """The (..., 4) amplitudes c * exp(i theta) over |00>, |01>, |10>, |11> of (..., 6) preparation rows, |10> at 0.
-
-    The rows pass check_preparation first and the amplitudes check_unit_norm.
-    """
-    check_preparation(values)
-    phased = values[..., :3] * np.exp(1j * values[..., 3:])
-    amplitudes = np.zeros(values.shape[:-1] + (4,), dtype=complex)  # slice writes: ~1 us a row less than a fancy index
-    amplitudes[..., :2] = phased[..., :2]
-    amplitudes[..., 3] = phased[..., 2]
-    check_unit_norm(amplitudes)
-    return amplitudes
 
 
 def feasibility_rule(s0, s1):
@@ -230,7 +211,7 @@ def solve_prep(pair: ScalingPair) -> PrepState:
     np.sqrt's bits at a fraction of its per-call cost; the arccosine stays
     np.arccos, since math.acos differs from it by an ulp on ~9% of inputs.
     PrepState builds the amplitudes from math.cos and math.sin, which give
-    prep_rows' np.exp bits, so the one pair's only numpy calls are those
+    solve_rows' np.exp bits, so the one pair's only numpy calls are those
     arccosines and the np.array of as_amplitudes.
     """
     if not pair.feasible:
@@ -253,7 +234,8 @@ def solve_rows(s0: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns is (M, 5), each row (c1, c2, c4, theta2, theta4), and amplitudes
     is (M, 4); each value is bit for bit what solve_prep gives that pair
     (theta1 is 0). One infeasible or NaN pair fails the whole stack with
-    InfeasibleScalingError, and PrepState's rules run once on the stack.
+    InfeasibleScalingError, and PrepState's rules, preparation_rule on the
+    columns and unit_norm_rule on the amplitudes, run once on the stack.
     """
     s0 = np.asarray(s0, dtype=float)
     s1 = np.asarray(s1, dtype=float)
@@ -268,14 +250,18 @@ def solve_rows(s0: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s0 = np.where(s0 > 1.0, 1.0, np.where(s0 < 0.0, 0.0, s0))
     s1 = np.where(s1 > 1.0, 1.0, np.where(s1 < 0.0, 0.0, s1))
     c1 = np.sqrt((s0 + s1) / 2.0)
-    values = np.empty(c1.shape + (6,))  # (c1, c2, c4, theta1, theta2, theta4), written column by column
-    values[..., 0] = c1
-    values[..., 1] = np.sqrt((1.0 - s0) / 2.0)
-    values[..., 2] = np.sqrt((1.0 - s1) / 2.0)
-    values[..., 3] = 0.0
-    values[..., 4] = _theta_rows(s1, s0 + s1, 1.0 - s0)
-    values[..., 5] = _theta_rows(s0, s0 + s1, 1.0 - s1)
-    return values[..., [0, 1, 2, 4, 5]], prep_rows(values)
+    c2 = np.sqrt((1.0 - s0) / 2.0)
+    c4 = np.sqrt((1.0 - s1) / 2.0)
+    theta2 = _theta_rows(s1, s0 + s1, 1.0 - s0)
+    theta4 = _theta_rows(s0, s0 + s1, 1.0 - s1)
+    preparation_rule(c1, c2, c4, 0.0, theta2, theta4)
+    # c * exp(i theta) over |00>, |01>, |10>, |11>, column by column as PrepState builds one row, theta1 = 0
+    amplitudes = np.zeros(c1.shape + (4,), dtype=complex)
+    amplitudes[..., 0] = c1
+    amplitudes[..., 1] = c2 * np.exp(1j * theta2)
+    amplitudes[..., 3] = c4 * np.exp(1j * theta4)
+    check_unit_norm(amplitudes)
+    return np.stack([c1, c2, c4, theta2, theta4], axis=-1), amplitudes
 
 
 def joint_rows(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> np.ndarray:

@@ -10,13 +10,15 @@ run_pauli_cloner runs the network through the cloner's own step,
 joint_rows, with |Phi+> taken as two a0 rows, one for each value of the
 spectator r; a CNOT only moves amplitudes, so this matches cloning_network
 bit for bit. Each step also has a function on (..., 4) or (..., 16) stacks,
-which the object functions and verify's pauli suite call.
+which the object functions and verify's pauli suite call, and the pauli
+command runs bell_output_row, the same steps on one row of Python complex
+numbers.
 
-The pauli command runs bell_output_row, the same steps on one row of Python
-complex numbers. Its Bell matrix is the integer one (entries 0 and +-1),
-scaled once: the expansion by 1/sqrt(2) and the decomposition, 1/2 Mt A M,
-by 0.5 after sums and differences alone. So the off-diagonals cancel to
-exactly 0 and no product is fused, whatever the CPU.
+Row and stack share one Bell matrix, the integer one (entries 0 and +-1),
+scaled once: by 1/sqrt(2) in the expansion, |Phi+>, bell_basis and
+bell_components, and by 0.5 in the decomposition 1/2 Mt (A M). A product by
+0 or +-1 is exact, so the off-diagonals cancel to exactly 0, the stack gives
+the row's bits, and neither depends on the CPU's FMA or the BLAS kernel.
 
 Bell order is fixed everywhere as (Phi+, Phi-, Psi+, Psi-).
 """
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _SQRT_HALF
 from .cloner import _ROW_PERMUTATION, NETWORK_LABELS, joint_rows
 from .qstate import ACCUMULATED_TOL as BELL_DIAGONAL_TOL
 from .qstate import StateVector, _norm_sq, check_unit_norm, reorder, unit_norm_rule
@@ -37,25 +40,11 @@ from .qstate import tensor  # noqa: F401
 
 BELL_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
-# columns are Phi+, Phi-, Psi+, Psi- over the computational basis 00,01,10,11
-_BELL_MATRIX = np.array(
-    [
-        [1.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0],
-        [0.0, 0.0, 1.0, -1.0],
-        [1.0, -1.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-) / np.sqrt(2.0)
-# the per-call operands, built once; the adjoint stays the transposed view
-# that @ took when it was built per call, so the BLAS path and bits match
-_BELL_ADJOINT = _BELL_MATRIX.conj().T
-_BELL_CONJ = _BELL_MATRIX.conj()
+# the integer Bell matrix: columns Phi+, Phi-, Psi+, Psi- over the computational basis 00,01,10,11, times sqrt(2)
+_BELL_MATRIX = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], dtype=complex)
 # |Phi+> on (r, a0) as two a0 rows, one for r = 0 and one for r = 1
-_PHI_PLUS_ROWS = _BELL_MATRIX[:, 0].reshape(2, 2)
+_PHI_PLUS_ROWS = (_SQRT_HALF * _BELL_MATRIX[:, 0]).reshape(2, 2)
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
-# the Bell matrix's one nonzero modulus, 1/sqrt(2): bell_output_row's scale on its integer form
-_BELL_SCALE = _BELL_MATRIX[0, 0].real.item()
 _ZEROS = [0j] * 4
 
 
@@ -80,7 +69,7 @@ def expand_rows(coeffs: np.ndarray) -> np.ndarray:
 
     That is BellCoefficients' rule, in its one home.
     """
-    expanded = (_BELL_MATRIX @ coeffs[..., None])[..., 0]
+    expanded = _SQRT_HALF * (_BELL_MATRIX @ coeffs[..., None])[..., 0]
     check_unit_norm(expanded)
     return expanded
 
@@ -94,7 +83,7 @@ def network_rows(coeffs: np.ndarray) -> np.ndarray:
 def decompose_rows(amplitudes: np.ndarray) -> np.ndarray:
     """Bell x Bell coefficients of each (..., 16) row, its first two qubits forming the first pair."""
     amps = amplitudes.reshape(amplitudes.shape[:-1] + (4, 4))
-    return _BELL_ADJOINT @ amps @ _BELL_CONJ
+    return 0.5 * (_BELL_MATRIX.T @ (amps @ _BELL_MATRIX))
 
 
 def bell_output_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,12 +96,12 @@ def bell_output_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expand(x: list) -> list:
-    """The integer Bell matrix times x: (x1 + x2, x3 + x4, x3 - x4, x1 - x2), _BELL_MATRIX's rows times sqrt(2)."""
+    """_BELL_MATRIX times x: (x1 + x2, x3 + x4, x3 - x4, x1 - x2), its rows."""
     return [x[0] + x[1], x[2] + x[3], x[2] - x[3], x[0] - x[1]]
 
 
 def _bell_sums(v: list) -> list:
-    """The integer Bell matrix's transpose times v: (v00 + v11, v00 - v11, v01 + v10, v01 - v10), its columns."""
+    """_BELL_MATRIX's transpose times v: (v00 + v11, v00 - v11, v01 + v10, v01 - v10), its columns."""
     return [v[0] + v[3], v[0] - v[3], v[1] + v[2], v[1] - v[2]]
 
 
@@ -126,10 +115,10 @@ def bell_output_row(coeffs: list) -> tuple[list, float]:
     joint's 4x4 (r a0, a1 b1) blocks, so the output is Bell-diagonal with
     off-diagonals of exactly 0.
     """
-    prep = [_BELL_SCALE * z for z in _expand(coeffs)]
+    prep = [_SQRT_HALF * z for z in _expand(coeffs)]
     unit_norm_rule(_norm_sq(prep))
-    # |Phi+> on (r, a0) as the a0 input (s, 0) for r = 0 and (0, s) for r = 1, s the Bell scale
-    scaled = [_BELL_SCALE * z for z in prep]
+    # |Phi+> on (r, a0) as the a0 input (s, 0) for r = 0 and (0, s) for r = 1, s = 1/sqrt(2)
+    scaled = [_SQRT_HALF * z for z in prep]
     joint = [row[k] for row in (scaled + _ZEROS, _ZEROS + scaled) for k in _ROW_PERMUTATION]
     unit_norm_rule(_norm_sq(joint))
     # A M row by row, then Mt (A M) on its columns, as 0.5 Mt A M in sums and differences
@@ -141,7 +130,7 @@ def bell_output_row(coeffs: list) -> tuple[list, float]:
 
 def bell_basis(labels: tuple[str, str] = ("a1", "b1")) -> tuple[StateVector, ...]:
     """The four Bell states in the fixed order (Phi+, Phi-, Psi+, Psi-)."""
-    return tuple(StateVector(_BELL_MATRIX[:, k], labels) for k in range(4))
+    return tuple(StateVector(_SQRT_HALF * _BELL_MATRIX[:, k], labels) for k in range(4))
 
 
 def bell_components(state: StateVector) -> np.ndarray:
@@ -151,7 +140,7 @@ def bell_components(state: StateVector) -> np.ndarray:
     """
     if state.n_qubits != 2:
         raise ValueError(f"need a two-qubit state, got {state.n_qubits} qubits")
-    return _BELL_ADJOINT @ state.amplitudes
+    return _SQRT_HALF * (_BELL_MATRIX.T @ state.amplitudes)
 
 
 def run_pauli_cloner(prep: BellCoefficients) -> StateVector:

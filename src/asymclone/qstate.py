@@ -16,24 +16,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _NAMED_AMPLITUDES
+from . import _NAMED_AMPLITUDES, ACCUMULATED_TOL, ROUNDOFF_TOL
+
+# the rest of the package's tolerance table, whose home is the package itself, kept readable as qstate.<NAME>
+from . import ESTIMATE_TOL, GRID_SLACK, RENORMALIZE_WARN, ZERO_NORM_FLOOR  # noqa: F401
 
 MAX_QUBITS = 4
-
-# The package's one tolerance table. Validators write their checks as
-# `not (err <= tol)` so that NaN fails them.
-# round-off of one step on unit-scale numbers: norms, traces, margins, angles
-ROUNDOFF_TOL = 1e-12
-# error accumulated over a chain of steps: eigenvalues, Bloch lengths, circuits
-ACCUMULATED_TOL = 1e-10
-# a vector shorter than this (amplitudes, Bell coefficients) has no direction
-ZERO_NORM_FLOOR = 1e-9
-# agreement of a clone's estimated shrink, and its fidelity, with the target
-ESTIMATE_TOL = 1e-8
-# slack on 1/step so that a sweep step dividing 1 keeps the grid point 1
-GRID_SLACK = 1e-9
-# a coefficient norm further than this from 1 is reported as renormalized
-RENORMALIZE_WARN = 1e-6
 
 
 # The validity rules of StateVector, DensityMatrix and BlochVector. Each

@@ -93,6 +93,10 @@ _CONSOLE_SCRIPT = _IMPORT.format(
         # a named or malformed --state value before a bad number
         pytest.param(_RUN_CLI, ["clone", "--state", "+", "--s0", "abc", "--s1", "0"], False, id="clone bad --s0"),
         pytest.param(_RUN_CLI, ["clone", "--state", "foo", "--s0", "1", "--s1", "0"], False, id="clone bad --state"),
+        # a 4-float --state is normalized against the package's zero-norm floor, which loads no module
+        pytest.param(
+            _RUN_CLI, ["clone", "--state", "1,0,0,0", "--s0", "abc", "--s1", "0"], False, id="clone 4-float --state"
+        ),
         pytest.param(_CONSOLE_SCRIPT, ["--help"], False, id="console script --help"),
         pytest.param(_CONSOLE_SCRIPT, ["solve", "abc", "0.5"], False, id="console script solve abc 0.5"),
         # a feasible solve computes, so the checks above cannot pass by never seeing numpy

@@ -1456,39 +1456,38 @@ def test_a_failed_stdout_write_ends_in_one_line(argv, stdout):
     assert text.count("\n") == 1 and text.startswith("asymclone: "), text
 
 
-def test_verify_prints_the_same_on_a_blas_kernel_without_fma():
-    # verify runs LAPACK's Cholesky and SVD on small stacks; OpenBLAS picks
-    # its kernels by CPU unless OPENBLAS_CORETYPE names one, set on the child only
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    command = [sys.executable, "-m", "asymclone.cli", "verify", "--seed", "42", "--trials", "1000"]
-    default = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
-    prescott = subprocess.run(command, capture_output=True, text=True, env=dict(env, OPENBLAS_CORETYPE="Prescott"), timeout=120)
-    assert (default.returncode, default.stderr) == (0, ""), default.stderr
-    assert (prescott.returncode, prescott.stderr) == (0, ""), prescott.stderr
-    assert default.stdout.endswith("verify: 17000 checks, 0 failures (seed 42, trials 1000)\n")
-    assert prescott.stdout == default.stdout
+_RUN_MAIN = "import json, sys; from asymclone.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
 
 
-def _stdouts_with_and_without_fma(argvs):
-    """(stdout, stderr) of argvs run in one child: by default, under OpenBLAS without FMA and under numpy's baseline
-    dispatch.
+def _stdouts_with_and_without_fma(payload, script=_RUN_MAIN):
+    """(stdout, stderr) of one child per kernel: by default, under OpenBLAS's Prescott, Sandybridge and Haswell
+    kernels and under numpy's baseline dispatch.
 
-    numpy's X86_V3+ loops and OpenBLAS's SkylakeX kernels fuse products into FMAs; Prescott and the baseline do not.
+    By default the child runs main on each argv of payload; a script reads json.loads(sys.argv[1]) itself.
+    numpy's X86_V3+ loops and OpenBLAS's SkylakeX and Haswell kernels fuse products into FMAs; Prescott,
+    Sandybridge and the baseline do not.
     """
     chosen = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
     env = {key: value for key, value in os.environ.items() if key not in chosen}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    script = "import json, sys; from asymclone.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
-    command = [sys.executable, "-c", script, json.dumps(argvs)]
+    command = [sys.executable, "-c", script, json.dumps(payload)]
+    kernels = [{"OPENBLAS_CORETYPE": kernel} for kernel in ("Prescott", "Sandybridge", "Haswell")]
     baseline = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"}
     children = [
         subprocess.run(command, capture_output=True, text=True, env=dict(env, **extra), timeout=120)
-        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}, baseline)
+        for extra in ({}, *kernels, baseline)
     ]
     for child in children:
         assert child.returncode == 0, child.stderr
     return [(child.stdout, child.stderr) for child in children]
+
+
+def test_verify_prints_the_same_on_a_blas_kernel_without_fma():
+    # verify runs LAPACK's Cholesky and SVD on small stacks; OpenBLAS picks
+    # its kernels by CPU unless OPENBLAS_CORETYPE names one, set on the child only
+    default, *others = _stdouts_with_and_without_fma([["verify", "--seed", "42", "--trials", "1000"]])
+    assert default[0].endswith("verify: 17000 checks, 0 failures (seed 42, trials 1000)\n") and default[1] == ""
+    assert others == [default] * len(others)
 
 
 def test_clone_prints_the_same_without_fma():
@@ -1500,10 +1499,9 @@ def test_clone_prints_the_same_without_fma():
         ["clone", "--state=+i", "--s0", "1", "--s1", "0"],
         ["clone", "--state=0.47,-1.493,-1.993,1.486", "--s0", "0.8", "--s1", "0.5"],
     ]
-    default, prescott, baseline = _stdouts_with_and_without_fma(argvs)
+    default, *others = _stdouts_with_and_without_fma(argvs)
     assert default[0].count('"joint_labels"') == 4 and default[1] == ""
-    assert prescott == default
-    assert baseline == default
+    assert others == [default] * len(others)
 
 
 def test_pauli_prints_the_same_without_fma():
@@ -1517,10 +1515,27 @@ def test_pauli_prints_the_same_without_fma():
         ["pauli", "1", "1", "1", "0"],
         ["pauli", "0", "1e-320", "1", "0.5"],
     ]
-    default, prescott, baseline = _stdouts_with_and_without_fma(argvs)
+    default, *others = _stdouts_with_and_without_fma(argvs)
     assert default[0].count('"bell_order"') == 6 and default[1].count("renormalizing") == 5
-    assert prescott == default
-    assert baseline == default
+    assert others == [default] * len(others)
+
+
+def test_the_bell_stack_gives_the_same_bits_without_fma():
+    # bell_output_rows multiplies by the integer Bell matrix, whose products by 0 and +-1 are exact under any
+    # BLAS kernel or FMA; the 1/sqrt(2) matrix it multiplied by before gave three digests. The rows are
+    # normalized here in Python numbers and passed in, since a BLAS norm in the child would move them too
+    rows = []
+    for row in np.random.default_rng(35).standard_normal((500, 4, 2)).tolist():
+        norm = math.sqrt(sum([re * re + im * im for re, im in row]))
+        rows.append([[re / norm, im / norm] for re, im in row])
+    script = (
+        "import hashlib, json, sys\nimport numpy as np\nfrom asymclone.pauli import bell_output_rows\n"
+        "matrix, max_off = bell_output_rows(np.array(json.loads(sys.argv[1])).view(complex)[..., 0])\n"
+        "print(hashlib.sha256(matrix.tobytes() + max_off.tobytes()).hexdigest(), max_off.max())"
+    )
+    default, *others = _stdouts_with_and_without_fma(rows, script)
+    assert others == [default] * len(others)
+    assert re.fullmatch(r"[0-9a-f]{64} 0\.0\n", default[0]) and default[1] == "", default
 
 
 def test_python_OO_drops_only_the_help_description():

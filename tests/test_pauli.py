@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from asymclone import _SQRT_HALF
 from asymclone.cloner import _NETWORK_PERMUTATION, cloning_network
 from asymclone.pauli import (
     _BELL_MATRIX,
-    _BELL_SCALE,
     _OFF_DIAGONAL,
     _bell_sums,
     _expand,
@@ -208,10 +208,9 @@ def test_bell_output_rows_match_one_call_per_row(n):
 
 def test_the_rows_bell_sums_are_the_bell_matrix_column_by_column():
     # bell_output_row hard-codes its sums and differences; on each basis vector they must give a column of
-    # the integer Bell matrix, _BELL_MATRIX over its scale, so the package keeps one Bell table
-    integer = (_BELL_MATRIX / _BELL_SCALE).real
-    assert set(integer.flat) == {-1.0, 0.0, 1.0}
-    assert np.array_equal(_BELL_SCALE * integer, _BELL_MATRIX)
+    # _BELL_MATRIX, the integer Bell matrix the stacks scale, so the package keeps one Bell table
+    assert set(_BELL_MATRIX.flat) == {-1, 0, 1}
+    integer = _BELL_MATRIX.real
     for k in range(4):
         basis = [1.0 if j == k else 0.0 for j in range(4)]
         assert _expand(basis) == integer[:, k].tolist(), k
@@ -237,23 +236,32 @@ def _zeroed_diagonal_max(matrix):
     return np.abs(np.where(np.eye(4, dtype=bool), 0.0, matrix)).max(axis=(-2, -1))
 
 
+# the integer Bell matrix, written out again: columns Phi+, Phi-, Psi+, Psi- times sqrt(2)
+_INTEGER_BELL = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], dtype=complex)
+
+
 def test_operands_built_once_give_the_per_call_bits():
-    # the reference builds each operand from _BELL_MATRIX on the spot; the
-    # module's adjoint must stay the transposed view, or @ takes another BLAS path
+    # the reference builds each step on the spot from the integer Bell matrix, scaled once: 1/sqrt(2) on an
+    # expansion and the Bell basis, 0.5 on a decomposition's Mt (A M)
     rng = np.random.default_rng(18)
     joint = random_rows(rng.standard_normal((64, 32)))
     coeffs = random_rows(rng.standard_normal((64, 8)))
+    assert np.array_equal(_BELL_MATRIX, _INTEGER_BELL)
     for amps, c in ((joint, coeffs), (joint[5], coeffs[5])):
-        per_call = _BELL_MATRIX.conj().T @ amps.reshape(amps.shape[:-1] + (4, 4)) @ _BELL_MATRIX.conj()
+        per_call = 0.5 * (_INTEGER_BELL.T @ (amps.reshape(amps.shape[:-1] + (4, 4)) @ _INTEGER_BELL))
         assert _same_bits(decompose_rows(amps), per_call)
-        network = tensor_rows(_BELL_MATRIX[:, 0], expand_rows(c))
+        expanded = _SQRT_HALF * (_INTEGER_BELL @ c[..., None])[..., 0]
+        assert _same_bits(expand_rows(c), expanded)
+        network = tensor_rows(_SQRT_HALF * _INTEGER_BELL[:, 0], expanded)
         network = network.reshape(network.shape[:-1] + (2, 8))[..., _NETWORK_PERMUTATION].reshape(network.shape)
         assert _same_bits(network_rows(c), network)
         matrix, max_off = bell_output_rows(c)
         assert _same_bits(matrix, decompose_rows(network))
         assert _same_bits(max_off, _zeroed_diagonal_max(matrix))
     state = StateVector(coeffs[7], ("a1", "b1"))
-    assert _same_bits(bell_components(state), _BELL_MATRIX.conj().T @ state.amplitudes)
+    assert _same_bits(bell_components(state), _SQRT_HALF * (_INTEGER_BELL.T @ state.amplitudes))
+    for k, vector in enumerate(bell_basis()):
+        assert _same_bits(vector.amplitudes, _SQRT_HALF * _INTEGER_BELL[:, k])
 
 
 def test_masked_off_diagonal_maximum_keeps_nan():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asymclone.cloner import check_preparation
+from asymclone.cloner import preparation_rule
 from asymclone.gates import synthesis_rows
 from asymclone.qstate import (
     ACCUMULATED_TOL,
@@ -653,6 +653,11 @@ _U = 1.0 / math.sqrt(2.0)
 _HALF = 0.5 * np.eye(2, dtype=complex)
 _QUARTER = 0.25 * np.eye(4, dtype=complex)
 _PREP = [math.sqrt(0.5), 0.5, 0.5, 0.0, -1.0, -2.0]
+
+
+def check_preparation(values):
+    """preparation_rule on the columns (c1, c2, c4, theta1, theta2, theta4) of (..., 6) rows, as solve_rows calls it."""
+    preparation_rule(*np.moveaxis(np.asarray(values), -1, 0))
 
 
 def _with(base, index, value):

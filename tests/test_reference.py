@@ -116,10 +116,10 @@ def test_solved_preparations_clone_in_the_papers_form_at_50_digits():
             assert max(residual) <= 1e-15 + 0.5 * outside, (s0, s1, psi)
 
 
-# the largest absolute error of a Bell output's coefficients against the reference, (bell_output_row,
-# bell_output_rows); the row's sums and differences on the integer Bell matrix cancel its off-diagonals to
-# exactly 0, and they round its diagonal no worse than the stack's products with the scaled matrix
-BELL_BOUNDS = {"diagonal": (3.3e-16, 5.6e-16), "off-diagonal": (0.0, 1.1e-16)}
+# the largest absolute error of a Bell output's diagonal coefficients against the reference; bell_output_row
+# and bell_output_rows run the same sums and differences on the integer Bell matrix, so they agree bit for bit
+# and cancel the off-diagonals to exactly 0
+BELL_BOUND = 3.3e-16
 
 
 def _bell_cases():
@@ -154,21 +154,16 @@ def test_the_purified_network_is_bell_diagonal_at_50_digits():
 def test_the_bell_output_row_and_stack_meet_the_reference_bounds():
     cases = _bell_cases()
     stack, stack_off = pauli.bell_output_rows(np.array(cases))
-    worst = {kind: [0.0, 0.0] for kind in BELL_BOUNDS}
+    worst = 0.0
     with mpmath.workdps(50):
         for n, coeffs in enumerate(cases):
             exact = reference.bell_output(coeffs)
             row, row_off = pauli.bell_output_row(coeffs)
-            assert row_off == 0.0 and stack_off[n] <= BELL_BOUNDS["off-diagonal"][1], coeffs
-            for side, got in enumerate((row, stack[n].tolist())):
-                for j in range(4):
-                    for k in range(4):
-                        # an off-diagonal is 0 exactly (test_the_purified_network_is_bell_diagonal_at_50_digits)
-                        want = exact[j][k] if j == k else 0
-                        error = float(abs(want - mpmath.mpc(got[j][k])))
-                        kind = "diagonal" if j == k else "off-diagonal"
-                        worst[kind][side] = max(worst[kind][side], error)
-    for kind, (row_bound, stack_bound) in BELL_BOUNDS.items():
-        assert row_bound <= stack_bound, kind
-        assert worst[kind][0] <= row_bound, (kind, worst[kind])
-        assert worst[kind][1] <= stack_bound, (kind, worst[kind])
+            assert np.array(row).tobytes() == stack[n].tobytes() and row_off == stack_off[n] == 0.0, coeffs
+            for j in range(4):
+                for k in range(4):
+                    # an off-diagonal is 0 exactly (test_the_purified_network_is_bell_diagonal_at_50_digits)
+                    want = exact[j][k] if j == k else 0
+                    assert j == k or row[j][k] == 0, (coeffs, j, k)
+                    worst = max(worst, float(abs(want - mpmath.mpc(row[j][k]))))
+    assert worst <= BELL_BOUND, worst

@@ -12,14 +12,13 @@ from asymclone import cli, cloner
 from asymclone.cloner import (
     InfeasibleScalingError,
     PrepState,
-    check_preparation,
     feasibility,
     feasibility_rule,
-    prep_rows,
+    preparation_rule,
     solve_prep,
     solve_rows,
 )
-from asymclone.qstate import ROUNDOFF_TOL
+from asymclone.qstate import ROUNDOFF_TOL, check_unit_norm
 
 
 def _same_bits(got, want):
@@ -32,7 +31,7 @@ def _reference(pairs):
     """solve_rows' (columns, amplitudes), one solve_prep call per pair, and the PrepStates' own amplitudes.
 
     The reference amplitudes come from scalar np.exp calls on each pair's
-    fields, neither from prep_rows, the stack's, nor from PrepState's
+    fields, neither from solve_rows' column writes nor from PrepState's
     math.cos and math.sin.
     """
     preps = [solve_prep(feasibility(s0, s1)) for s0, s1 in pairs]
@@ -49,7 +48,7 @@ def _check_against_solve_prep(pairs):
     want_columns, want_amplitudes, row_amplitudes = _reference(pairs.tolist())
     assert _same_bits(columns, want_columns)
     assert _same_bits(amplitudes, want_amplitudes)
-    # one row's preparation, PrepState on Python numbers, and the stack's prep_rows give the same bits
+    # one row's preparation, PrepState on Python numbers, and the stack's, solve_rows', give the same bits
     assert _same_bits(row_amplitudes, amplitudes)
 
 
@@ -172,10 +171,10 @@ class TestSolveRows:
         pairs = np.array(_feasible(rng.uniform(0.0, 1.0, size=(40, 2)).tolist()))
         columns, _ = solve_rows(pairs[:, 0], pairs[:, 1])
         values = np.insert(columns, 3, 0.0, axis=1)
-        check_preparation(values)
+        preparation_rule(*values.T)
         values[7, column] = value
         with pytest.raises(ValueError, match=message):
-            check_preparation(values)
+            preparation_rule(*values.T)
         # the same row alone, as a PrepState
         with pytest.raises(ValueError, match=message):
             PrepState(*values[7].tolist())
@@ -193,11 +192,14 @@ class TestSolveRows:
         ],
     )
     def test_one_preparation_raises_the_stacks_message(self, fields, message):
-        # PrepState checks its Python row with the rules prep_rows runs on a stack, in the same order
+        # PrepState checks its Python row with the rules solve_rows runs on a stack's columns, in the same order
         with pytest.raises(ValueError) as row:
             PrepState(*fields)
+        c1, c2, c4, theta1, theta2, theta4 = np.array([(0.6, 0.0, 0.8, 0.0, 0.0, 0.0), fields]).T
         with pytest.raises(ValueError) as stack:
-            prep_rows(np.array([(0.6, 0.0, 0.8, 0.0, 0.0, 0.0), fields]))
+            preparation_rule(c1, c2, c4, theta1, theta2, theta4)
+            phased = [c1 * np.exp(1j * theta1), c2 * np.exp(1j * theta2), 0.0 * c1, c4 * np.exp(1j * theta4)]
+            check_unit_norm(np.stack(phased, axis=-1))
         assert str(row.value) == str(stack.value) == message
 
     def test_every_rule_runs_once_on_the_whole_stack(self, monkeypatch):
@@ -205,14 +207,19 @@ class TestSolveRows:
 
         def recorded(name):
             rule = getattr(cloner, name)
-            return lambda values: seen.append((name, values.shape)) or rule(values)
+            return lambda *values: seen.append((name, [np.shape(v) for v in values])) or rule(*values)
 
-        for name in ("check_preparation", "check_unit_norm"):
+        for name in ("preparation_rule", "check_unit_norm"):
             monkeypatch.setattr(cloner, name, recorded(name))
         rng = np.random.default_rng(104)
         pairs = np.array(_feasible(rng.uniform(0.0, 1.0, size=(300, 2)).tolist()))
         solve_rows(pairs[:, 0], pairs[:, 1])
-        assert seen == [("check_preparation", (len(pairs), 6)), ("check_unit_norm", (len(pairs), 4))]
+        # the preparation's columns, theta1 the float 0.0, then the amplitudes
+        column = (len(pairs),)
+        assert seen == [
+            ("preparation_rule", [column, column, column, (), column, column]),
+            ("check_unit_norm", [(len(pairs), 4)]),
+        ]
 
 
 class TestFeasibilityRule:
