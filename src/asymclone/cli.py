@@ -262,7 +262,7 @@ def _json_text(template: str, numbers: list[float], *strings: str) -> str:
     return template % (*_rounded(numbers), *[encode_basestring_ascii(s) for s in strings])
 
 
-def _parts(values: list[complex]) -> list[float]:
+def _parts(values: list[complex] | tuple[complex, ...]) -> list[float]:
     """The real and imaginary parts of complex numbers, in order."""
     return [x for z in values for x in (z.real, z.imag)]
 
@@ -285,7 +285,7 @@ def _cmd_solve(args) -> int:
         return _emit_infeasible(pair, args.format)
     prep = cloner.solve_prep(pair)
     numbers = [pair.s0, pair.s1, pair.margin, prep.c1, prep.c2, prep.c4, prep.theta1, prep.theta2, prep.theta4]
-    numbers += prep.as_amplitudes.view(float).tolist()
+    numbers += _parts(prep.amplitudes)
     if args.format == "json":
         print(_json_text(_layout("solve"), numbers))
     else:
@@ -300,7 +300,7 @@ def _cmd_clone(args) -> int:
     if not pair.feasible:
         return _emit_infeasible(pair, "json")
     # the parsed input's one unit-norm check is clone_row's
-    joint, rho, s_est, residual, fidelity = cloner.clone_row(args.state, cloner.solve_prep(pair).as_amplitudes.tolist())
+    joint, rho, s_est, residual, fidelity = cloner.clone_row(args.state, cloner.solve_prep(pair).amplitudes)
     entries = _parts(joint + [z for clone in rho for row in clone for z in row])
     numbers = _parts(args.state) + [pair.s0, pair.s1, pair.margin] + entries + s_est + residual + fidelity
     print(_json_text(_layout("clone"), numbers))

@@ -21,10 +21,11 @@ stack of feasible pairs in one numpy pass: sweep calls it once per row block
 and verify once per chunk of trials. solve_prep solves one pair with the
 same operations on floats, which costs less than a one-row stack; the
 tests hold the two bit for bit equal, amplitudes included: PrepState builds
-them on Python numbers and solve_rows column by column. The feasibility
-rule, the preparation's rule and the infeasibility message each have one
-home (feasibility_rule, preparation_rule, _infeasible) that serves one pair
-and a stack alike, as qstate's unit_norm_rule does for the amplitudes' norm.
+them on Python numbers, which solve and clone read as they are, and
+solve_rows column by column. The feasibility rule, the preparation's rule
+and the infeasibility message each have one home (feasibility_rule,
+preparation_rule, _infeasible) that serves one pair and a stack alike, as
+qstate's unit_norm_rule does for the amplitudes' norm.
 
 The network itself is four CNOTs on (a0, a1, b1), applied in the order
 a0->a1, a0->b1, a1->a0, b1->a0. On the 8 basis amplitudes that is one
@@ -110,9 +111,10 @@ class ScalingPair:
 class PrepState:
     """Solved preparation state: moduli c and phases theta, |10> amplitude 0.
 
-    as_amplitudes, c * exp(i theta) over |00>, |01>, |10>, |11>, is set at construction and read-only: the fields
-    pass preparation_rule and the amplitudes unit_norm_rule, as solve_rows checks a stack. Each amplitude is
-    c * complex(cos theta, sin theta) on Python numbers, which the tests hold to solve_rows' np.exp bits.
+    amplitudes, c * exp(i theta) over |00>, |01>, |10>, |11>, is a read-only tuple of Python complex numbers set at
+    construction: the fields pass preparation_rule and the amplitudes unit_norm_rule, as solve_rows checks a stack.
+    Each is c * complex(cos theta, sin theta), which the tests hold to solve_rows' np.exp bits. as_amplitudes is
+    the same four as a read-only ndarray, built on first read, so a caller that never reads it builds none.
     """
 
     c1: float
@@ -128,7 +130,11 @@ class PrepState:
         amplitudes = [c * complex(math.cos(t), math.sin(t)) for c, t in ((c1, theta1), (c2, theta2), (c4, theta4))]
         amplitudes.insert(2, 0j)
         unit_norm_rule(_norm_sq(amplitudes))
-        object.__setattr__(self, "as_amplitudes", _read_only(np.array(amplitudes)))
+        object.__setattr__(self, "amplitudes", tuple(amplitudes))
+
+    @functools.cached_property
+    def as_amplitudes(self) -> np.ndarray:  # (4,)
+        return _read_only(np.array(self.amplitudes))
 
 
 def preparation_rule(c1, c2, c4, theta1, theta2, theta4) -> None:
@@ -207,12 +213,20 @@ def solve_prep(pair: ScalingPair) -> PrepState:
     arccosine gives the same two reduced clones; theta2 and theta4 take the
     minus sign.
 
+    feasibility accepts a pair up to ROUNDOFF_TOL outside the region: its
+    margin m may be positive, or a factor may lie a distance d past [0, 1].
+    Such a pair is solved as a boundary pair: each factor is clamped to
+    [0, 1] and each arccosine's argument to 1. Its clones' shrinks then
+    miss the target by up to 2.5 m + d, and the paper's scaled-output form
+    holds to 0.5 m, beyond round-off (tests/test_reference.py checks both
+    at 50 digits).
+
     Square roots are correctly rounded in IEEE arithmetic, so math.sqrt gives
     np.sqrt's bits at a fraction of its per-call cost; the arccosine stays
     np.arccos, since math.acos differs from it by an ulp on ~9% of inputs.
     PrepState builds the amplitudes from math.cos and math.sin, which give
-    solve_rows' np.exp bits, so the one pair's only numpy calls are those
-    arccosines and the np.array of as_amplitudes.
+    solve_rows' np.exp bits, and keeps them as Python numbers, so the one
+    pair's only numpy calls are those two arccosines.
     """
     if not pair.feasible:
         raise _infeasible(pair.s0, pair.s1, pair.reason or f"margin {pair.margin:.6g}")
@@ -374,16 +388,17 @@ def _dot3(a: tuple, b: tuple) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def clone_row(state: list, prep: list) -> tuple:
+def clone_row(state: list | tuple, prep: list | tuple) -> tuple:
     """clone_batch on one input, in Python complex numbers: (joint, rho, s_est, residual, fidelity).
 
-    state holds the input's 2 amplitudes and prep the preparation's 4, as
-    .tolist() gives them. joint is the 8 amplitudes over NETWORK_LABELS, rho
-    the two clones as 2x2 lists, and s_est, residual and fidelity are lists
-    of two, a0 first, as in CloneBatch; isotropy is not computed. The steps
-    and rules are clone_batch's: each rule is qstate's own, called on the
-    row's squared norms, 2x2 entries and Bloch columns, and the same 32
-    products trace b1 out. On one row this runs about four times as fast as
+    state holds the input's 2 amplitudes and prep the preparation's 4, in
+    a list as .tolist() gives them or a tuple as PrepState.amplitudes holds
+    them. joint is the 8 amplitudes over NETWORK_LABELS, rho the two clones
+    as 2x2 lists, and s_est, residual and fidelity are lists of two, a0
+    first, as in CloneBatch; isotropy is not computed. The steps and rules
+    are clone_batch's: each rule is qstate's own, called on the row's
+    squared norms, 2x2 entries and Bloch columns, and the same 32 products
+    trace b1 out. On one row this runs about four times as fast as
     clone_batch, whose time there is mostly numpy's per-call cost. A Python
     product is never fused, so the bits do not depend on the CPU's FMA;
     they may differ from clone_batch's in the last place.

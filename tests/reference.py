@@ -1,4 +1,4 @@
-"""An exact reference for one clone row and one Bell output, written from the paper and sharing no code with asymclone.
+"""An exact reference for one clone row, one Bell output and one synthesis circuit, sharing no code with asymclone.
 
 Every number is a 50-digit mpmath complex. The register is (a0, a1, b1),
 a0 the most significant bit of a basis index: the input on a0, the
@@ -7,7 +7,9 @@ flips its target bit on the basis indices whose control bit is set, in the
 paper's order a0->a1, a0->b1, a1->a0, b1->a0. A partial trace is the
 explicit sum over the traced-out bits, and a Bloch component is
 tr(rho sigma_k). The purified network puts a reference qubit r above a0,
-so (r, a0, a1, b1), and leaves r alone.
+so (r, a0, a1, b1), and leaves r alone. The synthesis circuit runs on two
+qubits, qubit 0 the most significant bit, with RY(t) = [[cos t/2, -sin t/2],
+[sin t/2, cos t/2]] and RZ(t) = diag(exp(-i t/2), exp(i t/2)).
 """
 import mpmath
 
@@ -93,3 +95,39 @@ def bell_output(coeffs):
             [sum(bell[j][index >> 2] * bell[k][index & 3] * out[index] for index in range(16)) for k in range(4)]
             for j in range(4)
         ]
+
+
+def _rotate(amplitudes, qubit, matrix):
+    """A 2x2 matrix on one qubit of 4 amplitudes: each pair of indices that differ in that qubit's bit."""
+    bit = 2 if qubit == 0 else 1
+    out = list(amplitudes)
+    for low in [index for index in range(4) if not index & bit]:
+        zero, one = amplitudes[low], amplitudes[low | bit]
+        out[low] = matrix[0][0] * zero + matrix[0][1] * one
+        out[low | bit] = matrix[1][0] * zero + matrix[1][1] * one
+    return out
+
+
+def _ry(angle):
+    c, s = mpmath.cos(angle / 2), mpmath.sin(angle / 2)
+    return ((c, -s), (s, c))
+
+
+def _rz(angle):
+    return ((mpmath.exp(-0.5j * angle), 0), (0, mpmath.exp(0.5j * angle)))
+
+
+def synthesized(angles):
+    """|00> through the two-qubit synthesis circuit of 7 angles, at 50 digits from the floats' exact values.
+
+    The circuit: RY(angles[0]) on qubit 0, CNOT 0 -> 1, then RZ(angles[1]),
+    RY(angles[2]), RZ(angles[3]) on qubit 0 and RZ(angles[4]), RY(angles[5]),
+    RZ(angles[6]) on qubit 1, in that order.
+    """
+    with mpmath.workdps(50):
+        t = [mpmath.mpf(angle) for angle in angles]
+        psi = _rotate([mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(0)], 0, _ry(t[0]))
+        psi = [psi[0], psi[1], psi[3], psi[2]]  # CNOT 0 -> 1 swaps |10> and |11>
+        for qubit, rotation, column in ((0, _rz, 1), (0, _ry, 2), (0, _rz, 3), (1, _rz, 4), (1, _ry, 5), (1, _rz, 6)):
+            psi = _rotate(psi, qubit, rotation(t[column]))
+        return psi

@@ -680,6 +680,28 @@ def test_solve_text_report_matches_the_float_format():
         assert "margin = null (scaling factors must lie in [0, 1])" in run_cli("solve", "--", s0, s1)[1]
 
 
+def test_solve_and_clone_read_the_preparation_as_python_numbers(monkeypatch):
+    # a feasible solve or clone reads PrepState's tuple of Python complex numbers and never builds its ndarray
+    real, preps = cloner.solve_prep, []
+
+    def spy(pair):
+        preps.append(real(pair))
+        return preps[-1]
+
+    monkeypatch.setattr(cloner, "solve_prep", spy)
+    clone = ("clone", "--state", "+i", "--s0", "0.4", "--s1", "0.7")
+    for argv in (("solve", "0.4", "0.7"), ("solve", "0.4", "0.7", "--format", "json"), clone):
+        assert run_cli(*argv)[0] == 0, argv
+    assert len(preps) == 3
+    for prep in preps:
+        assert "as_amplitudes" not in vars(prep)
+        assert type(prep.amplitudes) is tuple and [type(z) for z in prep.amplitudes] == [complex] * 4
+        with pytest.raises(AttributeError):
+            prep.amplitudes = ()
+    # the array, built on its first read, holds the tuple's bits
+    assert preps[0].as_amplitudes.tobytes() == np.array(preps[0].amplitudes).tobytes()
+
+
 def test_large_coefficients_renormalize():
     code, out, err = run_cli("pauli", "1e200", "0", "0", "0")
     assert code == 0

@@ -1,4 +1,14 @@
-"""clone_row, clone_batch and the Bell output against tests/reference.py, a 50-digit reference sharing no code with them."""
+"""The package against tests/reference.py, a 50-digit reference sharing no code with it.
+
+clone_row, clone_batch, sweep's residual_max column, the Bell output and the
+synthesis circuit meet stated absolute bounds; solved preparations clone in
+the paper's form and meet Cerf's no-cloning inequality, with equality on the
+boundary.
+"""
+import io
+import itertools
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
@@ -6,7 +16,7 @@ mpmath = pytest.importorskip("mpmath")
 
 import reference  # noqa: E402
 
-from asymclone import cli, cloner, pauli, qstate  # noqa: E402
+from asymclone import cli, cloner, gates, pauli, qstate  # noqa: E402
 
 # the largest absolute error against the reference, (clone_row, clone_batch), of every number clone prints;
 # its round-off columns are the clones' imaginary diagonals and residual0/1, where the row is bounded no
@@ -22,6 +32,13 @@ BOUNDS = {
 CORNERS = [(1.0, 0.0), (0.0, 1.0), (2.0 / 3.0, 2.0 / 3.0), (0.0, 0.0)]
 
 
+def _arc(count):
+    """count points on the arc margin = 0 between (1, 0) and (0, 1), the corners left out, as a (count, 2) array."""
+    t = np.linspace(-np.pi / 3, np.pi / 3, count + 2)[1:-1]
+    base, shift = (1.0 + np.cos(t)) / 3.0, np.sin(t) / np.sqrt(3.0)
+    return np.stack([base - shift, base + shift], axis=-1)
+
+
 def _pairs():
     """The region's corners, seeded feasible pairs, then pairs at the boundary.
 
@@ -35,9 +52,7 @@ def _pairs():
         s0, s1 = rng.uniform(0.0, 1.0, 2).tolist()
         if cloner.feasibility(s0, s1).feasible:
             pairs.append((s0, s1))
-    t = np.linspace(-np.pi / 3, np.pi / 3, 7)[1:-1]
-    base, shift = (1.0 + np.cos(t)) / 3.0, np.sin(t) / np.sqrt(3.0)
-    arc = np.stack([base - shift, base + shift], axis=-1)
+    arc = _arc(5)
     for nudge in (1e-13, -1e-13, 4e-13, -4e-13):
         pairs += [tuple(pair) for pair in (arc * (1.0 + nudge)).tolist()]
     for _ in range(3):
@@ -167,3 +182,128 @@ def test_the_bell_output_row_and_stack_meet_the_reference_bounds():
                     assert j == k or row[j][k] == 0, (coeffs, j, k)
                     worst = max(worst, float(abs(want - mpmath.mpc(row[j][k]))))
     assert worst <= BELL_BOUND, worst
+
+
+# the largest absolute error of synthesized_rows' amplitudes against the reference run of the same angles, and
+# of the reference's overlap modulus with synthesis_rows' target against 1 (measured on these rows: 2.6e-16 and
+# 2.4e-16; on 2000 more seeded rows 3.4e-16 and 2.8e-16)
+SYNTHESIS_BOUNDS = {"amplitude": 4.4e-16, "overlap": 4.4e-16}
+
+
+def _synthesis_cases():
+    """Rows of 4 amplitudes: seeded random, then product states, Bell states and rows with zero angles."""
+    rng = np.random.default_rng(35)
+    h = 2.0**-0.5
+    corners = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0.5, 0.5, 0.5, 0.5], [0.5, 0.5j, 0.5, 0.5j]]
+    corners += [[h, 0, 0, h], [h, 0, 0, -h], [0, h, h, 0], [0, h, -h, 0], [h, 0, h, 0], [0, 0, h, 1j * h]]
+    corners += [[0.6, 0, 0.8j, 0], [0.6, 0, 0, 0.8j]]
+    return np.concatenate([qstate.random_rows(rng.standard_normal((60, 8))), np.array(corners, dtype=complex)])
+
+
+def _synthesis_errors(rows):
+    """The largest error of each kind in SYNTHESIS_BOUNDS over the rows."""
+    target, angles = gates.synthesis_rows(rows)
+    built = gates.synthesized_rows(angles)
+    worst = dict.fromkeys(SYNTHESIS_BOUNDS, 0.0)
+    with mpmath.workdps(50):
+        for n, row_angles in enumerate(angles.tolist()):
+            exact = reference.synthesized(row_angles)
+            errors = [abs(want - mpmath.mpc(got)) for want, got in zip(exact, built[n].tolist())]
+            worst["amplitude"] = max(worst["amplitude"], float(max(errors)))
+            overlap = abs(sum(mpmath.conj(mpmath.mpc(t)) * want for t, want in zip(target[n].tolist(), exact)))
+            worst["overlap"] = max(worst["overlap"], float(abs(1 - overlap)))
+    return worst
+
+
+def test_the_synthesis_circuit_meets_the_reference_bounds():
+    rows = _synthesis_cases()
+    angles = gates.synthesis_rows(rows)[1]
+    # the corners reach gates left out: a product state has no entangling angle, a Bell state no local rotation
+    assert (angles[-14:] == 0.0).sum(axis=-1).min() >= 2 and (angles[-14:, 0] == 0.0).sum() >= 6
+    worst = _synthesis_errors(rows)
+    for kind, bound in SYNTHESIS_BOUNDS.items():
+        assert worst[kind] <= bound, (kind, worst[kind])
+
+
+# the largest absolute error of sweep's printed residual_max token against the largest reference residual over the
+# six probes and both clones of its point, beyond the %.9g rounding of the token (at most 5e-9 of it): a largest
+# term moves no further than the terms do, so the stack's residual bound (measured: 1.5e-16 on both grids)
+SWEEP_RESIDUAL_BOUND = BOUNDS["residual"][1]
+
+
+def _sweep_residual_error(step: str) -> float:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["sweep", "--step", step]) == 0
+    values = cli._sweep_values(cli._parse_real(step))
+    rows = out.getvalue().splitlines()[1:]
+    assert len(rows) == len(values) ** 2
+    probes = list(qstate._NAMED_AMPLITUDES.values())
+    worst, feasible = 0.0, 0
+    with mpmath.workdps(50):
+        for row, (s0, s1) in zip(rows, itertools.product(values, values)):
+            fields = row.split(",")
+            if fields[2] == "false":
+                continue
+            feasible += 1
+            # sweep's preparation, solve_rows', is solve_prep's bit for bit (tests/test_solve_rows.py)
+            prep = cloner.solve_prep(cloner.feasibility(s0, s1)).amplitudes
+            exact = max(max(reference.clone(psi, prep)[3]) for psi in probes)
+            token = float(fields[-1])
+            worst = max(worst, float(abs(token - exact)) - 5e-9 * token)
+    assert feasible > len(rows) // 2
+    return worst
+
+
+@pytest.mark.parametrize("step", ["1/10", "1/14"])
+def test_sweep_residual_max_meets_the_reference_bound(step):
+    assert _sweep_residual_error(step) <= SWEEP_RESIDUAL_BOUND
+
+
+# the largest |sqrt(ab) - (1/2 - a - b)| over solved boundary pairs and inputs, a = 1 - F0 and b = 1 - F1 the
+# clones' fidelities at 50 digits: Cerf's no-cloning inequality sqrt(ab) >= 1/2 - a - b holds with equality
+# (measured: 3.3e-16 on the arc, 2.6e-26 at (1, 0) and (0, 1))
+CERF_BOUND = 1e-15
+
+
+def _cerf_gap(s0, s1, psi):
+    """sqrt(ab) - (1/2 - a - b) for input psi under the solved preparation of (s0, s1), at 50 digits.
+
+    The input and the preparation are normalized at 50 digits first: a
+    float row's norm misses 1 by round-off, which would move a corner's
+    fidelity of 1 by about 1e-16 and sqrt(ab) there by about 1e-8.
+    """
+    prep = cloner.solve_prep(cloner.feasibility(s0, s1)).amplitudes
+    with mpmath.workdps(50):
+        fidelity = reference.clone(_unit(psi), _unit(prep))[4]
+        a, b = 1 - fidelity[0], 1 - fidelity[1]
+        # a fidelity of 1 may come out past 1 by 50-digit round-off, and ab below 0 by as little
+        return mpmath.sqrt(max(a * b, 0)) - (mpmath.mpf(1) / 2 - a - b)
+
+
+def _unit(row):
+    """row as 50-digit complex numbers scaled to norm 1; call it at 50 digits."""
+    row = [mpmath.mpc(z) for z in row]
+    norm = mpmath.sqrt(sum(abs(z) ** 2 for z in row))
+    return [z / norm for z in row]
+
+
+def _cerf_inputs():
+    rng = np.random.default_rng(36)
+    return list(qstate._NAMED_AMPLITUDES.values()) + qstate.random_rows(rng.standard_normal((2, 4))).tolist()
+
+
+def test_solved_boundary_pairs_meet_cerfs_inequality_with_equality():
+    pairs = [(1.0, 0.0), (0.0, 1.0), (2.0 / 3.0, 2.0 / 3.0)] + [tuple(pair) for pair in _arc(15).tolist()]
+    worst = max(abs(_cerf_gap(s0, s1, psi)) for s0, s1 in pairs for psi in _cerf_inputs())
+    assert worst <= CERF_BOUND, worst
+
+
+def test_solved_pairs_inside_the_region_meet_cerfs_inequality_strictly():
+    rng = np.random.default_rng(37)
+    pairs = []
+    while len(pairs) < 20:
+        s0, s1 = rng.uniform(0.0, 1.0, 2).tolist()
+        if cloner.feasibility(s0, s1).margin < 0.0:
+            pairs.append((s0, s1))
+    assert min(_cerf_gap(s0, s1, psi) for s0, s1 in pairs for psi in _cerf_inputs()) > CERF_BOUND

@@ -32,23 +32,26 @@ def _reference(pairs):
 
     The reference amplitudes come from scalar np.exp calls on each pair's
     fields, neither from solve_rows' column writes nor from PrepState's
-    math.cos and math.sin.
+    math.cos and math.sin. The PrepStates' come twice: as their tuples of
+    Python numbers, which solve and clone read, and as as_amplitudes.
     """
     preps = [solve_prep(feasibility(s0, s1)) for s0, s1 in pairs]
     columns = np.array([[p.c1, p.c2, p.c4, p.theta2, p.theta4] for p in preps]).reshape(len(preps), 5)
     amplitudes = np.array(
         [[p.c1 * np.exp(1j * p.theta1), p.c2 * np.exp(1j * p.theta2), 0.0, p.c4 * np.exp(1j * p.theta4)] for p in preps]
     ).reshape(len(preps), 4)
-    return columns, amplitudes, np.array([p.as_amplitudes for p in preps]).reshape(len(preps), 4)
+    rows = np.array([p.amplitudes for p in preps], dtype=complex).reshape(len(preps), 4)
+    return columns, amplitudes, rows, np.array([p.as_amplitudes for p in preps]).reshape(len(preps), 4)
 
 
 def _check_against_solve_prep(pairs):
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     columns, amplitudes = solve_rows(pairs[:, 0], pairs[:, 1])
-    want_columns, want_amplitudes, row_amplitudes = _reference(pairs.tolist())
+    want_columns, want_amplitudes, row_tuples, row_amplitudes = _reference(pairs.tolist())
     assert _same_bits(columns, want_columns)
     assert _same_bits(amplitudes, want_amplitudes)
     # one row's preparation, PrepState on Python numbers, and the stack's, solve_rows', give the same bits
+    assert row_tuples.tobytes() == amplitudes.tobytes()
     assert _same_bits(row_amplitudes, amplitudes)
 
 
