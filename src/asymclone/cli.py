@@ -47,9 +47,6 @@ MAX_TRIALS = 100_000
 # (6 probes a feasible point) peaks near 1.2 MB for 960 rows and a whole
 # sweep --step 0.05 call near 2.3 MB
 _SWEEP_POINTS = 512
-# a sweep row from its s0 and s1 text and its nine numbers, or its margin alone
-_FEASIBLE_ROW = "%s,%s,true," + ",".join(["%.9g"] * 9)
-_INFEASIBLE_ROW = "%s,%s,false,%.9g" + "," * 8
 # solve's text report of the JSON report's numbers: nine, then the [re, im] parts of four amplitudes, im signed as
 # {:+} signs a float
 _SOLVE_TEXT = "s0 = {0}  s1 = {1}  margin = {2}\nc1 = {3}  theta1 = {6}\nc2 = {4}  theta2 = {7}\n"
@@ -315,17 +312,20 @@ def _sweep_values(step: float) -> list[float]:
 def _block_rows(
     s0_text: list[str], s1_text: list[str], margin: np.ndarray, feasible: np.ndarray, solved: np.ndarray
 ) -> list[str]:
-    """The CSV rows of a block of s0 grid rows, each filled from one %-template.
+    """The CSV rows of a block of s0 grid rows, formatting each distinct number of the block once with %.9g.
 
-    margin and feasible are (rows, points); solved holds the eight columns
-    after the margin of each feasible point, in grid order. + 0.0 on each
-    array turns -0.0 into 0, the rule _csv_num applies number by number.
+    margin and feasible are (rows, points); solved holds the eight columns after the margin of each feasible point,
+    in grid order. + 0.0 turns -0.0 into 0, the rule _csv_num applies number by number. The numbers repeat: c2
+    depends on s0 alone, c4 on s1 alone, and theta2(s0, s1) is theta4(s1, s0).
     """
-    numbers = iter((np.column_stack([margin[feasible], solved]) + 0.0).tolist())
+    values, index = np.unique(np.concatenate([margin.ravel(), solved.ravel()]) + 0.0, return_inverse=True)
+    text = np.array(["%.9g" % x for x in values.tolist()], dtype=object)
+    margins = iter(text[index[: margin.size]].tolist())
+    tails = iter(map(",".join, text[index[margin.size :].reshape(-1, 8)].tolist()))
     return [
-        _FEASIBLE_ROW % (s0, s1, *next(numbers)) if ok else _INFEASIBLE_ROW % (s0, s1, m)
-        for s0, flags, margins in zip(s0_text, feasible.tolist(), (margin + 0.0).tolist())
-        for s1, ok, m in zip(s1_text, flags, margins)
+        f"{s0},{s1},true,{next(margins)},{next(tails)}" if ok else f"{s0},{s1},false,{next(margins)},,,,,,,,"
+        for s0, flags in zip(s0_text, feasible.tolist())
+        for s1, ok in zip(s1_text, flags)
     ]
 
 

@@ -335,9 +335,10 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     CNOTs, to_density, partial_trace, bloch_vector, fidelity_pure) gives
     for that row: the kernel forms the same products and sums, in the same
     order, without the 8x8 joint projector, and its one permutation moves
-    the amplitudes where the CNOTs do. The per-object path traces the 8x8
-    projector with partial_trace_rows, so it is an independent reference
-    for the kernel's trace arithmetic, which
+    the amplitudes where the CNOTs do. It traces on columns of rows, so each
+    ufunc loops over the rows, not over 2 to 4 entries. The per-object path
+    traces the 8x8 projector with partial_trace_rows, an independent
+    reference for the kernel's trace arithmetic, which
     test_bit_identical_to_the_per_object_path compares row by row. Each
     rule runs on the whole stack, so one bad row raises ValueError: unit
     norm of each distinct input, preparation and joint state; the density
@@ -357,18 +358,16 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
 
     joint = joint_rows(inputs, prep)
     check_unit_norm(joint)
-    # b1 traced out of the joint projector: pair[i, j] sums joint[i b1] *
-    # conj(joint[j b1]) over b1, the 32 of its 64 products the clones read
-    v = joint.reshape(lead + (4, 2))
+    # b1 traced out on columns, v[i, b1] the rows' joint[i b1]: pair[i, j] sums joint[i b1] * conj(joint[j b1])
+    # over b1, the 32 of 64 products the clones read; then a1 traced out (keeping a0) or a0 (keeping a1)
+    v = np.ascontiguousarray(joint.reshape(-1, 8).T).reshape(4, 2, -1)
     w = v.conj()
-    pair = v[..., :, None, 0] * w[..., None, :, 0] + v[..., :, None, 1] * w[..., None, :, 1]
-    pair = pair.reshape(lead + (2, 2, 2, 2))
-    # then a1 traced out (keeping a0) or a0 (keeping a1), as partial_trace
-    # does; @ below needs C order, since on strided operands it takes another
-    # path whose last bits differ
-    rho = np.empty(lead + (2, 2, 2), dtype=complex)
-    np.add(pair[..., :, 0, :, 0], pair[..., :, 1, :, 1], out=rho[..., 0, :, :])
-    np.add(pair[..., 0, :, 0, :], pair[..., 1, :, 1, :], out=rho[..., 1, :, :])
+    pair = (v[:, None, 0] * w[None, :, 0] + v[:, None, 1] * w[None, :, 1]).reshape(2, 2, 2, 2, -1)
+    rho = np.empty((2, 2, 2) + pair.shape[-1:], dtype=complex)
+    np.add(pair[:, 0, :, 0], pair[:, 1, :, 1], out=rho[0])
+    np.add(pair[0, :, 0, :], pair[1, :, 1, :], out=rho[1])
+    # back to rows in C order: @ below takes another path on strided operands, whose last bits differ
+    rho = np.ascontiguousarray(rho.reshape(8, -1).T).reshape(lead + (2, 2, 2))
     rho_in = projector_rows(inputs)[..., None, :, :]
     states = np.concatenate([rho_in.reshape(-1, 2, 2), rho.reshape(-1, 2, 2)])
     check_density(states)

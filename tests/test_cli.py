@@ -935,8 +935,10 @@ def test_sweep_block_checks_each_probe_once_and_reads_what_it_prints(monkeypatch
 
 
 def test_template_rows_match_the_per_number_rows():
-    # _block_rows fills each row from one %-template after + 0.0 on each
-    # array; _csv_num, one number at a time, is the reference
+    # _block_rows formats each distinct number of a block once, after + 0.0 on
+    # each; _csv_num, one number at a time, is the reference. Numbers drawn
+    # from a small pool repeat across rows and between margins and solved
+    # columns, with 0.0 and -0.0 in one block
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     num = cli._csv_num
@@ -948,28 +950,43 @@ def test_template_rows_match_the_per_number_rows():
     number = st.one_of(st.sampled_from(special), st.floats(allow_nan=False, allow_infinity=False))
     text = st.sampled_from(cli._sweep_values(1 / 7) + cli._sweep_values(float(f"{1 / 6:.16g}"))).map(num)
 
-    def arrays(data, count, shape, elements):
-        return np.array(data.draw(st.lists(elements, min_size=count, max_size=count)), dtype=float).reshape(shape)
-
-    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(st.integers(1, 2), st.integers(1, 3), st.data())
-    def check(rows, points, data):
-        s0_text = data.draw(st.lists(text, min_size=rows, max_size=rows))
-        s1_text = data.draw(st.lists(text, min_size=points, max_size=points))
-        feasible = arrays(data, rows * points, (rows, points), st.booleans()).astype(bool)
-        margin = arrays(data, rows * points, (rows, points), number)
-        solved = arrays(data, 8 * int(feasible.sum()), (-1, 8), number)
-        want, solutions = [], iter(solved.tolist())
+    def per_number_rows(s0_text, s1_text, margin, feasible, solved):
+        rows, solutions = [], iter(solved.tolist())
         for a, s0 in enumerate(s0_text):
             for b, s1 in enumerate(s1_text):
                 if feasible[a, b]:
                     tail = [num(margin[a, b])] + [num(x) for x in next(solutions)]
                 else:
                     tail = [num(margin[a, b])] + [""] * 8
-                want.append(",".join([s0, s1, "true" if feasible[a, b] else "false"] + tail))
+                rows.append(",".join([s0, s1, "true" if feasible[a, b] else "false"] + tail))
+        return rows
+
+    def arrays(data, count, shape, elements):
+        return np.array(data.draw(st.lists(elements, min_size=count, max_size=count)), dtype=float).reshape(shape)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.data())
+    def check(rows, points, pooled, data):
+        s0_text = data.draw(st.lists(text, min_size=rows, max_size=rows))
+        s1_text = data.draw(st.lists(text, min_size=points, max_size=points))
+        feasible = arrays(data, rows * points, (rows, points), st.booleans()).astype(bool)
+        elements = number
+        if pooled:
+            elements = st.sampled_from([0.0, -0.0] + data.draw(st.lists(number, min_size=1, max_size=3)))
+        margin = arrays(data, rows * points, (rows, points), elements)
+        solved = arrays(data, 8 * int(feasible.sum()), (-1, 8), elements)
+        want = per_number_rows(s0_text, s1_text, margin, feasible, solved)
         assert cli._block_rows(s0_text, s1_text, margin, feasible, solved) == want
 
     check()
+    # a 4 x 6 block whose numbers come from four values, and one with no feasible point
+    s0_text, s1_text = ["0", "0.1", "0.2", "0.3"], ["0", "0.1", "0.2", "0.3", "0.4", "0.5"]
+    feasible = np.arange(24).reshape(4, 6) % 3 > 0
+    pool = np.array([0.0, -0.0, 1 / 3, 0.1])
+    margin, solved = pool[np.arange(24) % 4].reshape(4, 6), pool[np.arange(128) * 3 % 4]
+    for flags, values in ((feasible, solved.reshape(16, 8)), (np.zeros((4, 6), bool), np.zeros((0, 8)))):
+        want = per_number_rows(s0_text, s1_text, margin, flags, values)
+        assert cli._block_rows(s0_text, s1_text, margin, flags, values) == want
 
 
 def test_sweep_at_step_one_third_matches_one_kernel_call_per_row():
@@ -1348,21 +1365,26 @@ def test_sweep_writes_each_block_as_the_kernel_completes_it(monkeypatch):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS that Linux keeps in /proc/self/status")
-def test_a_fine_sweep_streams_in_bounded_memory():
+def test_a_fine_sweep_streams_in_bounded_memory(tmp_path):
     # sweep solves and runs the kernel on one block of whole grid rows at a
     # time (one 501-point row at this step), about 36 MB on x86_64 Linux; the
     # whole 501 x 501 grid as one block peaks near 1.3 GB there. The child
     # reads its own address space's peak: its getrusage figure also counts
-    # the peak of the process it was started from
+    # the peak of the process it was started from. With one s0 value a block,
+    # this grid's numbers repeat least, and its bytes are pinned too
+    out = tmp_path / "sweep.csv"
     code = (
-        "import os, re, sys\nfrom asymclone.cli import main\n"
-        "code = main(['sweep', '--step', '0.002', '--out', os.devnull])\n"
+        "import re, sys\nfrom asymclone.cli import main\n"
+        "code = main(['sweep', '--step', '0.002', '--out', sys.argv[1]])\n"
         "print(re.search(r'^VmHWM:\\s+(\\d+) kB$', open('/proc/self/status').read(), re.M)[1])\nsys.exit(code)"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    command = [sys.executable, "-c", code, str(out)]
+    child = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
     assert child.returncode == 0, child.stderr
     assert int(child.stdout) <= 64 * 1024, f"sweep --step 0.002 peaked at {int(child.stdout) / 1024:.1f} MB"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "3d53b0ef549c351aacc5644cf7b357c45eed21b23b5ad202b3fa70ee0bf71f5b"
 
 
 def _glibc() -> bool:
@@ -1540,6 +1562,27 @@ def test_pauli_prints_the_same_without_fma():
     default, *others = _stdouts_with_and_without_fma(argvs)
     assert default[0].count('"bell_order"') == 6 and default[1].count("renormalizing") == 5
     assert others == [default] * len(others)
+
+
+def test_sweep_moves_only_its_residual_max_without_fma():
+    # sweep prints the same bytes under the three OpenBLAS kernels; numpy's baseline dispatch (no FMA) moves only
+    # the last digits of the round-off column residual_max, which stay within the reference bound
+    steps = ["1/14", "0.013"]
+    default, *others = _stdouts_with_and_without_fma([["sweep", "--step", step] for step in steps])
+    csvs = [out.split(CSV_HEADER + "\n")[1:] for out, _ in (default, *others)]
+    assert [len(csv) for csv in csvs] == [len(steps)] * 5 and default[1] == ""
+
+    def columns(csv):
+        return [row.rsplit(",", 1)[0] for row in csv.splitlines()]
+
+    for csv in csvs[1:]:
+        assert list(map(columns, csv)) == list(map(columns, csvs[0]))
+    assert others[:3] == [default] * 3
+    pytest.importorskip("mpmath")
+    from test_reference import SWEEP_RESIDUAL_BOUND, sweep_residual_error
+
+    for step, csv, every in zip(steps, csvs[-1], (1, 13)):
+        assert sweep_residual_error(step, CSV_HEADER + "\n" + csv, every) <= SWEEP_RESIDUAL_BOUND, step
 
 
 def test_the_bell_stack_gives_the_same_bits_without_fma():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asymclone import cloner
+from asymclone import cli, cloner
 from asymclone.cloner import (
     NETWORK_LABELS,
     InfeasibleScalingError,
@@ -306,6 +306,48 @@ class TestCloneBatch:
         for k, psi in enumerate(inputs):
             for key, want in _per_object_clone(psi, prep).items():
                 assert np.array_equal(getattr(batch, key)[k], want), (k, key)
+
+    @pytest.mark.parametrize(
+        "case", ["sweep 1/10", "sweep 1/14", "sweep 0.01", "verify", "one row", "empty", "empty broadcast", "strided"]
+    )
+    def test_the_column_trace_keeps_the_broadcast_traces_bits(self, monkeypatch, case):
+        # the kernel traces on one column of rows per entry; the reference is
+        # the same products and sums broadcast over rows of 4 x 2 entries
+        def broadcast_trace(joint):
+            lead = joint.shape[:-1]
+            v = joint.reshape(lead + (4, 2))
+            w = v.conj()
+            pair = v[..., :, None, 0] * w[..., None, :, 0] + v[..., :, None, 1] * w[..., None, :, 1]
+            pair = pair.reshape(lead + (2, 2, 2, 2))
+            rho = np.empty(lead + (2, 2, 2), dtype=complex)
+            np.add(pair[..., :, 0, :, 0], pair[..., :, 1, :, 1], out=rho[..., 0, :, :])
+            np.add(pair[..., 0, :, 0, :], pair[..., 1, :, 1, :], out=rho[..., 1, :, :])
+            return rho
+
+        rng = np.random.default_rng(36)
+        preps = np.array([solve_prep(feasibility(*rng.uniform(0.0, 0.5, 2).tolist())).as_amplitudes for _ in range(50)])
+        inputs = random_rows(rng.standard_normal((50, 2, 4)))
+        if case.startswith("sweep"):
+            # the first block sweep passes the kernel, the whole grid at 1/10 and 1/14
+            calls = []
+            monkeypatch.setattr(cloner, "clone_batch", lambda *args: calls.append(args) or clone_batch(*args))
+            cli.sweep_rows(cli._parse_real(case.split()[1]))
+            inputs, preps = calls[0]
+            assert preps.shape[1:] == (1, 4) and len(preps) > 50
+        elif case == "verify":
+            preps = preps[:, None]
+        elif case == "one row":
+            inputs, preps = inputs[0, 0], preps[0]
+        elif case == "empty":
+            inputs, preps = inputs[:0, 0], preps[:0]
+        elif case == "empty broadcast":
+            inputs, preps = PROBE_AMPLITUDES, preps[:0, None]
+        else:
+            inputs, preps = inputs[::2, ::-1], preps[::2, None]
+            assert not inputs.flags.c_contiguous
+        batch = clone_batch(inputs, preps)
+        assert batch.rho.flags.c_contiguous and batch.rho.shape == batch.joint.shape[:-1] + (2, 2, 2)
+        assert batch.rho.tobytes() == broadcast_trace(batch.joint).tobytes()
 
     def test_run_cloner_wraps_the_kernel(self):
         prep = solve_prep(feasibility(0.3, 0.5))
