@@ -44,7 +44,7 @@ MIN_STEP = 0.001
 MAX_TRIALS = 100_000
 # sweep grid points per block of whole s0 rows (one block up to step 1/21):
 # enough to spread numpy's per-call cost thin, few enough that the kernel
-# (6 probes a feasible point) peaks near 1.2 MB for 960 rows and a whole
+# (6 probes a point it runs on) peaks near 1.2 MB for 960 rows and a whole
 # sweep --step 0.05 call near 2.3 MB
 _SWEEP_POINTS = 512
 # solve's text report of the JSON report's numbers: nine, then the [re, im] parts of four amplitudes, im signed as
@@ -335,21 +335,31 @@ def _sweep_blocks(step: float):
     The grid goes in blocks of whole s0 rows, about _SWEEP_POINTS points a
     block: one pass of the feasibility rule, one solve_rows call on the
     block's feasible points and one clone_batch call: six probes a point.
+    Swapping s0 and s1 swaps the two clones bit for bit (see cloner), so
+    the kernel skips a point (i, j) with j < i whose mirror (j, i) is
+    feasible: it reads the mirror's store, fidelity0 and fidelity1 swapped.
     """
     probes = np.array(list(_NAMED_AMPLITUDES.values()), dtype=complex)
     values = _sweep_values(step)
     grid = np.array(values)
     text = [_csv_num(s) for s in values]
-    per_block = max(1, _SWEEP_POINTS // len(values))
-    for start in range(0, len(values), per_block):
+    n = len(values)
+    per_block = max(1, _SWEEP_POINTS // n)
+    flags, store = np.zeros((n, n), dtype=bool), np.empty((n, n, 3))  # own points' fidelity0, fidelity1, residual_max
+    for start in range(0, n, per_block):
         margin, in_range, over = cloner.feasibility_rule(grid[start : start + per_block, None], grid)
-        feasible = in_range & ~over
+        feasible = flags[start : start + per_block] = in_range & ~over
         i, j = np.nonzero(feasible)
-        columns, preps = cloner.solve_rows(grid[start + i], grid[j])
-        batch = cloner.clone_batch(probes, preps[:, None])
+        i += start
+        columns, preps = cloner.solve_rows(grid[i], grid[j])
+        mirror = (j < i) & flags[j, i]
+        batch = cloner.clone_batch(probes, preps[~mirror, None])
         # the CSV reads probe 0's fidelity alone; on a C-ordered copy, as @ on strided operands may differ
         fidelity = qstate.fidelity_rows(probes[0], np.ascontiguousarray(batch.rho[:, 0]))
-        solved = np.column_stack([columns, fidelity, qstate.max_rows(qstate.max_rows(batch.residual))])
+        store[i[~mirror], j[~mirror]] = np.column_stack([fidelity, qstate.max_rows(qstate.max_rows(batch.residual))])
+        tail = store[np.where(mirror, j, i), np.where(mirror, i, j)]
+        tail[mirror] = tail[mirror][:, [1, 0, 2]]
+        solved = np.column_stack([columns, tail])
         yield _block_rows(text[start : start + per_block], text, margin, feasible, solved)
 
 

@@ -27,6 +27,11 @@ and the infeasibility message each have one home (feasibility_rule,
 preparation_rule, _infeasible) that serves one pair and a stack alike, as
 qstate's unit_norm_rule does for the amplitudes' norm.
 
+The region is symmetric, and exchanging s0 and s1 exchanges the outputs:
+c2, theta2 swap with c4, theta4 (amplitudes 1 and 3), and the network then
+gives a1 the clone a0 had. This holds bit for bit, as s0 + s1 = s1 + s0 in
+IEEE arithmetic, so sweep runs the kernel on half its grid.
+
 The network itself is four CNOTs on (a0, a1, b1), applied in the order
 a0->a1, a0->b1, a1->a0, b1->a0. On the 8 basis amplitudes that is one
 fixed permutation, _NETWORK_PERMUTATION: joint_rows runs it on stacks, for

@@ -904,12 +904,15 @@ def test_sweep_blocks_match_one_kernel_call_per_row(monkeypatch, points):
 def test_sweep_block_checks_each_probe_once_and_reads_what_it_prints(monkeypatch):
     # one block at step 1/14: the kernel's density and Bloch-length rules see
     # the six probe projectors once and both clones of each probe at each of
-    # the M feasible points; the CSV takes probe 0's fidelity, one row a
-    # point, and the kernel computes neither fidelity nor isotropy
+    # the block's own feasible points, those with s0 <= s1 or an infeasible
+    # mirror (160 feasible, 85 own); the CSV takes probe 0's fidelity, one
+    # row an own point, and the kernel computes neither fidelity nor isotropy
     step = 1 / 14
     grid = np.array(cli._sweep_values(step))
     _, in_range, over = cloner.feasibility_rule(grid[:, None], grid)
-    m = int((in_range & ~over).sum())
+    feasible = in_range & ~over
+    m = int((feasible & (np.triu(feasible) | ~feasible.T)).sum())
+    assert (int(feasible.sum()), m) == (160, 85)
     want = _sweep_rows_one_call_per_row(step)
     seen = {}
 
@@ -933,6 +936,35 @@ def test_sweep_block_checks_each_probe_once_and_reads_what_it_prints(monkeypatch
     (batch,) = seen["clone_batch"]
     assert "isotropy" not in batch.__dict__ and "fidelity" not in batch.__dict__
 
+
+@pytest.mark.parametrize("points", [15, 512])
+def test_a_point_whose_mirror_is_infeasible_runs_its_own_kernel(monkeypatch, points):
+    # no real grid has a feasible point with an infeasible mirror (steps 1/2 to 1/199 and 13 decimal steps from
+    # 0.001 to 0.5 were checked), so the flags are patched: (4/14, 9/14) reads infeasible, and (9/14, 4/14),
+    # past the diagonal, runs the kernel itself instead of reading its mirror's numbers; one s0 row a block at
+    # 15 points, the whole grid at 512
+    step = 1 / 14
+    # the references before the patch, which their feasibility calls would read
+    want, grid = _sweep_rows_one_call_per_row(step), cli._sweep_values(step)
+    pairs = [(grid[9], grid[4]), (grid[4], grid[9])]
+    own, skipped = [solve_prep(feasibility(*pair)).as_amplitudes.tobytes() for pair in pairs]
+    n, real, passed = len(grid), cloner.feasibility_rule, []
+
+    def patched(s0, s1):
+        margin, in_range, over = real(s0, s1)
+        return margin, in_range, over | ((s0 == grid[4]) & (s1 == grid[9]))
+
+    monkeypatch.setattr(cli, "_SWEEP_POINTS", points)
+    monkeypatch.setattr(cloner, "feasibility_rule", patched)
+    monkeypatch.setattr(cloner, "clone_batch", lambda probes, preps: passed.append(preps) or clone_batch(probes, preps))
+    rows = cli.sweep_rows(step)
+    point, mirror = 9 * n + 4, 4 * n + 9
+    lead = want[mirror].split(",")[:4]
+    assert lead[2] == "true" and rows[mirror] == ",".join(lead[:2] + ["false", lead[3]] + [""] * 8)
+    assert rows[:mirror] + rows[mirror + 1 :] == want[:mirror] + want[mirror + 1 :]
+    ran = {row.tobytes() for row in np.concatenate(passed)[:, 0]}
+    assert own in ran and skipped not in ran
+    assert rows[point] == want[point] and len(ran) == 85
 
 def test_template_rows_match_the_per_number_rows():
     # _block_rows formats each distinct number of a block once, after + 0.0 on
@@ -1367,8 +1399,10 @@ def test_sweep_writes_each_block_as_the_kernel_completes_it(monkeypatch):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS that Linux keeps in /proc/self/status")
 def test_a_fine_sweep_streams_in_bounded_memory(tmp_path):
     # sweep solves and runs the kernel on one block of whole grid rows at a
-    # time (one 501-point row at this step), about 36 MB on x86_64 Linux; the
-    # whole 501 x 501 grid as one block peaks near 1.3 GB there. The child
+    # time (one 501-point row at this step), about 42 MB on x86_64 Linux, of
+    # which about 6 MB are the grid-sized kernel store and flags that mirrored
+    # points read; the whole 501 x 501 grid as one block peaks near 1.3 GB
+    # there. The child
     # reads its own address space's peak: its getrusage figure also counts
     # the peak of the process it was started from. With one s0 value a block,
     # this grid's numbers repeat least, and its bytes are pinned too
@@ -1584,6 +1618,20 @@ def test_sweep_moves_only_its_residual_max_without_fma():
     for step, csv, every in zip(steps, csvs[-1], (1, 13)):
         assert sweep_residual_error(step, CSV_HEADER + "\n" + csv, every) <= SWEEP_RESIDUAL_BOUND, step
 
+
+
+def test_sweep_matches_one_kernel_call_per_row_without_fma():
+    # a mirrored point copies its mirror's kernel numbers; under every kernel and dispatch the CSV must still
+    # be what one clone_batch call a feasible point gives there; at 0.013 a block holds 6 of the 77 s0 rows,
+    # so mirrors cross blocks
+    script = (
+        "import json, sys\ntests, *steps = json.loads(sys.argv[1])\nsys.path.insert(0, tests)\n"
+        "from test_cli import _sweep_rows_one_call_per_row, cli\nfor step in steps:\n"
+        "    rows = cli.sweep_rows(cli._parse_real(step))\n"
+        "    print(step, len(rows), rows == _sweep_rows_one_call_per_row(cli._parse_real(step)))"
+    )
+    outs = _stdouts_with_and_without_fma([os.path.dirname(os.path.abspath(__file__)), "1/14", "0.013"], script)
+    assert outs == [("1/14 225 True\n0.013 5929 True\n", "")] * 5
 
 def test_the_bell_stack_gives_the_same_bits_without_fma():
     # bell_output_rows multiplies by the integer Bell matrix, whose products by 0 and +-1 are exact under any

@@ -308,7 +308,7 @@ class TestCloneBatch:
                 assert np.array_equal(getattr(batch, key)[k], want), (k, key)
 
     @pytest.mark.parametrize(
-        "case", ["sweep 1/10", "sweep 1/14", "sweep 0.01", "verify", "one row", "empty", "empty broadcast", "strided"]
+        "case", ["sweep 1/11", "sweep 1/14", "sweep 0.01", "verify", "one row", "empty", "empty broadcast", "strided"]
     )
     def test_the_column_trace_keeps_the_broadcast_traces_bits(self, monkeypatch, case):
         # the kernel traces on one column of rows per entry; the reference is
@@ -328,7 +328,7 @@ class TestCloneBatch:
         preps = np.array([solve_prep(feasibility(*rng.uniform(0.0, 0.5, 2).tolist())).as_amplitudes for _ in range(50)])
         inputs = random_rows(rng.standard_normal((50, 2, 4)))
         if case.startswith("sweep"):
-            # the first block sweep passes the kernel, the whole grid at 1/10 and 1/14
+            # the first block sweep passes the kernel, the own points of the whole grid at 1/11 and 1/14
             calls = []
             monkeypatch.setattr(cloner, "clone_batch", lambda *args: calls.append(args) or clone_batch(*args))
             cli.sweep_rows(cli._parse_real(case.split()[1]))
@@ -504,6 +504,55 @@ class TestCloneBatch:
                     clone_batch(*args)
                 messages.append(str(raised.value))
             assert messages[0] == messages[1]
+
+
+def _exchange_pairs():
+    """Pairs feasible in both orders: seeded draws, the corners, clamped ends and the arc nudged off by round-off."""
+    drawn = np.random.default_rng(37).uniform(0.0, 1.0, (20000, 2))
+    corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2 / 3, 2 / 3], [0.5, 0.5], [-1e-13, 1.0], [1.0 + 1e-13, 0.0]]
+    corners += [[0.0, 5e-324], [1.0, 1e-300], [0.25, 0.25 + 2**-54]]
+    arc = np.stack(_boundary_point(np.linspace(-np.pi / 3, np.pi / 3, 401)), axis=-1)
+    nudged = [arc * (1.0 + nudge) for nudge in (0.0, 1e-13, -1e-13)] + [np.nextafter(arc, arc + u) for u in (1, -1)]
+    pairs = np.concatenate([drawn, corners, *nudged])
+    _, in_range, over = cloner.feasibility_rule(pairs[:, 0], pairs[:, 1])
+    _, mirror_in_range, mirror_over = cloner.feasibility_rule(pairs[:, 1], pairs[:, 0])
+    both = in_range & ~over & mirror_in_range & ~mirror_over
+    assert both[20000:20010].all() and both[20010:].sum() > 1000 and both[:20000].sum() > 10000
+    return pairs[both]
+
+
+class TestExchangeSymmetry:
+    """Exchanging s0 and s1 exchanges c2, theta2 with c4, theta4 and the two clones, bit for bit.
+
+    sweep runs its kernel on one point of each mirrored pair and copies the
+    other's numbers across, so these hold its bytes.
+    """
+
+    def test_solve_rows_exchanges_c2_and_c4_and_theta2_and_theta4(self):
+        pairs = _exchange_pairs()
+        columns, amplitudes = cloner.solve_rows(pairs[:, 0], pairs[:, 1])
+        mirror_columns, mirror_amplitudes = cloner.solve_rows(pairs[:, 1], pairs[:, 0])
+        assert mirror_columns.tobytes() == columns[:, [0, 2, 1, 4, 3]].tobytes()
+        assert mirror_amplitudes.tobytes() == amplitudes[:, [0, 3, 2, 1]].tobytes()
+
+    @pytest.mark.parametrize("kind", ["solved", "|10> = 0", "empty"])
+    def test_clone_batch_exchanges_the_clones(self, kind):
+        rng = np.random.default_rng(38)
+        if kind == "solved":
+            preps = cloner.solve_rows(*_exchange_pairs()[-3000:].T)[1]  # the corners, the arc and some draws
+        else:
+            preps = random_rows(rng.standard_normal((0 if kind == "empty" else 3000, 8)))
+            preps[:, 2] = 0.0
+            preps /= np.linalg.norm(preps, axis=-1, keepdims=True)
+        inputs = random_rows(rng.standard_normal((len(preps), 4)))
+        # random inputs one a row, and the six probes on every row as sweep passes them
+        for psi, stack in ((inputs, preps), (PROBE_AMPLITUDES, preps[:, None])):
+            batch = clone_batch(psi, stack)
+            mirror = clone_batch(psi, stack[..., [0, 3, 2, 1]])
+            assert mirror.rho.shape == batch.rho.shape and len(batch.rho) == len(preps)
+            assert mirror.rho.tobytes() == np.flip(batch.rho, axis=-3).tobytes()
+            for key in ("s_est", "residual", "isotropy", "fidelity"):
+                assert getattr(mirror, key).tobytes() == np.flip(getattr(batch, key), axis=-1).tobytes(), key
 
 
 def test_projector_of_a_norm_checked_state_is_a_density_matrix():
