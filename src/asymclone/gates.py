@@ -7,6 +7,8 @@ the two halves of the amplitude vector split along its qubit's bit.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +45,8 @@ class GateApplication:
             raise ValueError(f"{self.kind} takes no control qubit")
         if takes_angle and self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
+        if takes_angle and not (isinstance(self.angle, numbers.Real) and math.isfinite(self.angle)):
+            raise ValueError(f"{self.kind} needs a finite angle, got {self.angle!r}")
         if not takes_angle and self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -194,24 +198,43 @@ _SYNTHESIS = (
 def synthesis_rows(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of an (..., 4) stack renormalized, and its synthesis circuit's angles.
 
-    The circuit comes from the Schmidt form of the amplitude matrix: one RY
-    sets the Schmidt weights, at most one CNOT entangles, and ZYZ rotations
-    rotate each qubit into its Schmidt basis. The (..., 7) angles follow
-    _SYNTHESIS; an angle within ROUNDOFF_TOL of 0 is 0, and its gate is left
-    out. Raises ValueError if a row's norm is further than ACCUMULATED_TOL
-    from 1.
+    One RY sets the Schmidt weights, at most one CNOT entangles, and
+    rotations turn each qubit into its Schmidt basis: u diag(s0, s1) vh of
+    m = [[a, b], [c, d]], in closed form. With p = |a|^2 + |b|^2 - |c|^2 -
+    |d|^2 and q = c conj(a) + d conj(b), m m^dagger = (I + p Z + Re(2q) X +
+    Im(2q) Y) / 2, so u = RZ(arg q) RY(arctan2(2|q|, p)): RZ(x) on qubit 0
+    and RZ(-x) on qubit 1 leave s0|00> + s1|11> alone, so qubit 1 takes the
+    first RZ of u's ZYZ form, and column 1 is 0. vh_0 is row 0 of
+    u^dagger m over its norm s0, vh_1 is (-conj vh_01, conj vh_00) times the
+    phase of its overlap t with row 1, and s1 = |t|. The (..., 7) angles
+    follow _SYNTHESIS; an angle within ROUNDOFF_TOL of 0 is 0, and its gate
+    is left out. Raises ValueError if a row's norm is further than
+    ACCUMULATED_TOL from 1.
     """
     norm = norm_rows(amplitudes)
     ok = np.abs(norm - 1.0) <= ACCUMULATED_TOL
     if not _every(ok):
         raise ValueError(f"amplitudes are not normalized: norm = {_offender(norm, ok)!r}")
     target = amplitudes / norm[..., None]
-    u, schmidt, vh = np.linalg.svd(target.reshape(target.shape[:-1] + (2, 2)))
-    xi = 2.0 * np.arctan2(schmidt[..., 1], schmidt[..., 0])
-    first, second = zyz_angles(u), zyz_angles(np.swapaxes(vh, -1, -2))
-    angles = np.empty(xi.shape + (7,))
-    for column, values in enumerate((xi, *first[::-1], *second[::-1])):
-        angles[..., column] = values
+    rows = target.reshape(-1, 4)  # a lone row too: numpy's 0-d scalar loops round unlike its array loops
+    top, bottom = rows[:, :2], rows[:, 2:]
+    weight = rows.real**2 + rows.imag**2
+    p = weight[:, 0] + weight[:, 1] - weight[:, 2] - weight[:, 3]
+    q = bottom[:, 0] * top[:, 0].conj() + bottom[:, 1] * top[:, 1].conj() + 0.0  # no phase from a -0.0
+    theta, phi = np.arctan2(2.0 * np.abs(q), p), np.angle(q)
+    half = np.exp(0.5j * phi)
+    uc, us = (half * np.cos(0.5 * theta))[:, None], (half * np.sin(0.5 * theta))[:, None]  # u: [[uc*, -us*], [us, uc]]
+    row0, row1 = uc * top + us.conj() * bottom, uc.conj() * bottom - us * top
+    s0 = norm_rows(row0)
+    v = row0 / s0[:, None]
+    t = v[:, 0] * row1[:, 1] - v[:, 1] * row1[:, 0]
+    vt = np.empty((len(rows), 2, 2), dtype=complex)  # vh transposed, qubit 1's rotation: columns vh_0 and vh_1
+    vt[:, :, 0], vt[:, :, 1] = v, np.exp(1j * np.angle(t))[:, None] * v[:, ::-1].conj()
+    vt[:, 0, 1] *= -1.0
+    angles = np.empty((len(rows), 7))
+    for column, values in enumerate((2.0 * np.arctan2(np.abs(t), s0), 0.0, theta, phi, *zyz_angles(vt)[::-1])):
+        angles[:, column] = values
+    angles = angles.reshape(target.shape[:-1] + (7,))
     return target, np.where(np.abs(angles) > ROUNDOFF_TOL, angles, 0.0)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import schmidt_rows
 
 from asymclone.gates import (
     CNOT,
@@ -177,6 +178,23 @@ def test_rotations_preserve_norm():
         assert np.linalg.norm(rotated.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf, np.float64("nan"), "x", 1j, [0.5]], ids=repr)
+@pytest.mark.parametrize("kind, rotation", [(RY, apply_ry), (RZ, apply_rz)], ids=[RY, RZ])
+def test_a_rotation_rejects_a_non_real_or_non_finite_angle(kind, rotation, angle):
+    # one line naming the angle, before any numpy warning or a "not normalized" state error
+    with pytest.raises(ValueError, match=f"^{kind} needs a finite angle, got [^\n]+$"):
+        GateApplication(kind, "a", angle=angle)
+    with pytest.raises(ValueError, match=f"^{kind} needs a finite angle, got "):
+        rotation(named_state("+", "a"), "a", angle)
+
+
+@pytest.mark.parametrize("angle", [0, -0.0, 2.5, np.float32(0.5), np.int64(3), np.pi])
+def test_a_rotation_takes_any_finite_real_angle(angle):
+    state = named_state("+", "a")
+    assert np.array_equal(apply_ry(state, "a", angle).amplitudes, gate_rows(state.amplitudes, 0, ry_matrix(angle)))
+    assert np.array_equal(apply_rz(state, "a", angle).amplitudes, gate_rows(state.amplitudes, 0, rz_matrix(angle)))
+
+
 def test_gate_application_validation():
     with pytest.raises(ValueError, match="unknown gate kind"):
         GateApplication("swap", "a")
@@ -215,16 +233,10 @@ def test_apply_circuit_composes_in_order():
     assert np.allclose(bell.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
 
 
-def _random_unitary(rng):
-    raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(raw)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_zyz_angles_reproduce_unitaries_up_to_phase():
     rng = np.random.default_rng(16)
     for _ in range(100):
-        u = _random_unitary(rng)
+        u = schmidt_rows.random_unitary(rng)
         alpha, beta, gamma = zyz_angles(u)
         rebuilt = rz_matrix(alpha) @ ry_matrix(beta) @ rz_matrix(gamma)
         anchor = np.unravel_index(np.argmax(np.abs(u)), u.shape)
@@ -342,7 +354,7 @@ def test_gate_rows_match_the_wrappers(n):
 @pytest.mark.parametrize("n", STACK_SIZES)
 def test_zyz_angles_of_a_stack_match_one_matrix_at_a_time(n):
     rng = np.random.default_rng(44)
-    stack = np.array([_random_unitary(rng) for _ in range(n)])
+    stack = np.array([schmidt_rows.random_unitary(rng) for _ in range(n)])
     # the diagonal and antidiagonal branches
     stack[0] = np.diag([1, 1j])
     if n > 1:
@@ -360,11 +372,35 @@ def test_synthesis_rows_match_prepare_two_qubit(n):
     raw[0] = tensor(random_state(("a",), rng), random_state(("b",), rng)).amplitudes
     if n > 1:
         raw[1] = [1, 0, 0, 0]
+    _assert_each_row_matches_prepare_two_qubit(raw)
+
+
+def _assert_each_row_matches_prepare_two_qubit(raw):
     targets, angles = synthesis_rows(raw)
     built = synthesized_rows(angles)
-    for k in range(n):
+    for k in range(len(raw)):
         target, circuit = prepare_two_qubit(raw[k])
         assert np.array_equal(targets[k], target.amplitudes)
         assert [g.angle for g in circuit if g.kind != CNOT] == [a for a in angles[k] if a != 0]
         assert any(g.kind == CNOT for g in circuit) == (angles[k, 0] != 0)
         assert np.array_equal(built[k], apply_circuit(basis_state("00", ("a1", "b1")), circuit).amplitudes)
+
+
+@pytest.mark.parametrize("name", list(schmidt_rows.families()))
+def test_synthesis_rows_match_prepare_two_qubit_on_the_schmidt_edges(name):
+    # each edge row inside a stack of seeded rows, on either side of them
+    rng = np.random.default_rng(46)
+    seeded = random_rows(rng.standard_normal((3, 8)))
+    _assert_each_row_matches_prepare_two_qubit(np.concatenate([seeded, schmidt_rows.families()[name], seeded]))
+
+
+def test_synthesis_rows_keep_the_leading_shape():
+    rng = np.random.default_rng(47)
+    raw = random_rows(rng.standard_normal((6, 8)))
+    targets, angles = synthesis_rows(raw)
+    shaped_targets, shaped_angles = synthesis_rows(raw.reshape(2, 3, 4))
+    assert (shaped_targets.shape, shaped_angles.shape) == ((2, 3, 4), (2, 3, 7))
+    assert np.array_equal(shaped_targets.reshape(6, 4), targets)
+    assert np.array_equal(shaped_angles.reshape(6, 7), angles)
+    empty_targets, empty_angles = synthesis_rows(np.zeros((0, 4), dtype=complex))
+    assert (empty_targets.shape, empty_angles.shape) == ((0, 4), (0, 7))
