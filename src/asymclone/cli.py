@@ -548,7 +548,7 @@ def _cmd_verify(args) -> int:
         checks = failures = 0
         for errors, tol in _suite_errors(rng, args.trials, draw, check):
             checks += errors.size
-            failures += int(np.count_nonzero(~(errors <= tol)))
+            failures += int(errors.size - np.count_nonzero(errors <= tol))
         total_checks += checks
         total_failures += failures
         print(f"suite {name}: {checks} checks, {failures} failures")

@@ -123,13 +123,23 @@ def rz_matrix(angle) -> np.ndarray:
     return m
 
 
-_MATRICES = {HADAMARD: lambda angle: _H, RY: ry_matrix, RZ: rz_matrix}
+def _rz_rows(amplitudes: np.ndarray, target: int, angle) -> np.ndarray:
+    """RZ on each row as its halves times rz_matrix's diagonal: gate_rows' values, but for the sign of a zero."""
+    # a product with +-1j is exact, so these are rz_matrix's bits
+    phases = np.exp(np.multiply.outer(0.5 * np.asarray(angle, dtype=float), (-1j, 1j)))
+    out = phases[..., None, None, :, None] * amplitudes.reshape(amplitudes.shape[:-1] + (2**target, 1, 2, -1))
+    return out.reshape(out.shape[:-4] + (-1,))
+
+
+_MATRICES = {HADAMARD: lambda angle: _H, RY: ry_matrix}
 
 
 def _gate_rows(amplitudes: np.ndarray, kind: str, target: int, control: int | None, angle) -> np.ndarray:
     """One gate of the given kind on each row, qubits by axis: the one step from a kind to its action."""
     if kind == CNOT:
         return cnot_rows(amplitudes, control, target)
+    if kind == RZ:
+        return _rz_rows(amplitudes, target, angle)
     return gate_rows(amplitudes, target, _MATRICES[kind](angle))
 
 
@@ -163,30 +173,13 @@ def apply_circuit(state: StateVector, gates: Sequence[GateApplication]) -> State
     return state
 
 
-def zyz_angles(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angles (alpha, beta, gamma) with RZ(alpha) RY(beta) RZ(gamma) = u up to phase.
-
-    u is one 2x2 unitary or a (..., 2, 2) stack; each angle has u's leading shape.
-    """
-    u = np.asarray(u, dtype=complex)
-    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
-    v = u * np.exp(-0.5j * np.angle(det))[..., None, None]
-    upper, lower = np.abs(v[..., 0, 0]), np.abs(v[..., 1, 0])
-    beta = 2.0 * np.arctan2(lower, upper)
-    phase11, phase10 = np.angle(v[..., 1, 1]), np.angle(v[..., 1, 0])
-    diagonal, antidiagonal = lower < ROUNDOFF_TOL, upper < ROUNDOFF_TOL
-    alpha = np.where(diagonal, 2.0 * phase11, np.where(antidiagonal, 2.0 * phase10, phase11 + phase10))
-    gamma = np.where(diagonal | antidiagonal, 0.0, phase11 - phase10)
-    return alpha, beta, gamma
-
-
 # prepare_two_qubit's circuit on the pair (qubit 0, qubit 1), one step per
 # column of synthesis_rows' angles: (kind, target, control, column). The
-# CNOT runs when the RY before it does.
+# CNOT runs when the RY before it does. Column 1, qubit 0's first RZ, is
+# always 0 and has no step.
 _SYNTHESIS = (
     (RY, 0, None, 0),
     (CNOT, 1, 0, 0),
-    (RZ, 0, None, 1),
     (RY, 0, None, 2),
     (RZ, 0, None, 3),
     (RZ, 1, None, 4),
@@ -204,9 +197,13 @@ def synthesis_rows(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |d|^2 and q = c conj(a) + d conj(b), m m^dagger = (I + p Z + Re(2q) X +
     Im(2q) Y) / 2, so u = RZ(arg q) RY(arctan2(2|q|, p)): RZ(x) on qubit 0
     and RZ(-x) on qubit 1 leave s0|00> + s1|11> alone, so qubit 1 takes the
-    first RZ of u's ZYZ form, and column 1 is 0. vh_0 is row 0 of
-    u^dagger m over its norm s0, vh_1 is (-conj vh_01, conj vh_00) times the
-    phase of its overlap t with row 1, and s1 = |t|. The (..., 7) angles
+    first RZ of u's ZYZ form, and column 1 is 0. v = vh_0 is row 0 of
+    u^dagger m over its norm s0, vh_1 is (-conj v1, conj v0) times the
+    phase of its overlap t with row 1, and s1 = |t|. Qubit 1's rotation,
+    columns vh_0 and vh_1, is RZ(alpha) RY(beta) RZ(gamma) up to phase with
+    beta = 2 arctan2(|v1|, |v0|), alpha = arg v1 - arg v0 and gamma = arg t
+    - arg v0 - arg v1; when |v1| (|v0|) is below ROUNDOFF_TOL, gamma = 0 and
+    alpha = arg t - 2 arg v0 (2 arg v1 - arg t). The (..., 7) angles
     follow _SYNTHESIS; an angle within ROUNDOFF_TOL of 0 is 0, and its gate
     is left out. Raises ValueError if a row's norm is further than
     ACCUMULATED_TOL from 1.
@@ -228,12 +225,12 @@ def synthesis_rows(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s0 = norm_rows(row0)
     v = row0 / s0[:, None]
     t = v[:, 0] * row1[:, 1] - v[:, 1] * row1[:, 0]
-    vt = np.empty((len(rows), 2, 2), dtype=complex)  # vh transposed, qubit 1's rotation: columns vh_0 and vh_1
-    vt[:, :, 0], vt[:, :, 1] = v, np.exp(1j * np.angle(t))[:, None] * v[:, ::-1].conj()
-    vt[:, 0, 1] *= -1.0
-    angles = np.empty((len(rows), 7))
-    for column, values in enumerate((2.0 * np.arctan2(np.abs(t), s0), 0.0, theta, phi, *zyz_angles(vt)[::-1])):
-        angles[:, column] = values
+    (upper, lower), (phase0, phase1), phase_t = np.abs(v.T), np.angle(v.T), np.angle(t)
+    diagonal, antidiagonal = lower < ROUNDOFF_TOL, upper < ROUNDOFF_TOL
+    alpha = np.where(diagonal, phase_t - 2.0 * phase0, np.where(antidiagonal, 2.0 * phase1 - phase_t, phase1 - phase0))
+    gamma = np.where(diagonal | antidiagonal, 0.0, phase_t - phase0 - phase1)
+    beta = 2.0 * np.arctan2(lower, upper)
+    angles = np.stack((2.0 * np.arctan2(np.abs(t), s0), np.zeros_like(s0), theta, phi, gamma, beta, alpha), axis=-1)
     angles = angles.reshape(target.shape[:-1] + (7,))
     return target, np.where(np.abs(angles) > ROUNDOFF_TOL, angles, 0.0)
 

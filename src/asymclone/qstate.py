@@ -102,7 +102,7 @@ def check_density(entries: np.ndarray) -> None:
     """
     if entries.shape[-2:] == (2, 2):
         return density_rule(entries[..., 0, 0], entries[..., 0, 1], entries[..., 1, 0], entries[..., 1, 1])
-    skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj()).max(axis=(-2, -1))
+    skew = np.abs(entries - np.swapaxes(entries, -1, -2).conj())
     _hermitian_unit_trace(skew <= ROUNDOFF_TOL, entries.trace(axis1=-2, axis2=-1))
     try:
         factor = np.linalg.cholesky(entries + ACCUMULATED_TOL * np.eye(entries.shape[-1]))

@@ -28,6 +28,21 @@ def _gap(g):
     return 0.5 * (root + g), 0.5 * (root - g)
 
 
+def _basis_vectors(rng, flip):
+    """u diag(s0, s1) vh with qubit 1's Schmidt vectors |0>, |1> (|1>, |0> if flip) times random phases.
+
+    Rounding leaves a part of the closed form's vh_0 below ROUNDOFF_TOL, so
+    qubit 1's rotation takes the diagonal (antidiagonal) branch, with s1 > 0.
+    """
+    rows = []
+    for _ in range(COUNT):
+        s1 = rng.uniform(0.05, 0.7)
+        vh = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 2)))
+        weights = np.diag([np.sqrt(1.0 - s1 * s1), s1])
+        rows.append((random_unitary(rng) @ weights @ (vh[::-1] if flip else vh)).reshape(4))
+    return np.array(rows)
+
+
 def _signed_zeros():
     """Basis, product and Bell rows whose zero parts take every sign, real and imaginary."""
     h = 2.0**-0.5
@@ -58,4 +73,6 @@ def families(seed: int = 11) -> dict[str, np.ndarray]:
         "Bell, s0 - s1 = 1e-9": _schmidt(rng, *_gap(1e-9)),
         "signed zeros": _signed_zeros(),
         "norm off by 5e-11": off,
+        "qubit 1 on |0>, |1>": _basis_vectors(rng, False),
+        "qubit 1 on |1>, |0>": _basis_vectors(rng, True),
     }

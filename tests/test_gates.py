@@ -10,6 +10,7 @@ from asymclone.gates import (
     GateApplication,
     _H,
     _cnot_index,
+    _gate_rows,
     apply_circuit,
     apply_cnot,
     apply_gate,
@@ -23,7 +24,6 @@ from asymclone.gates import (
     rz_matrix,
     synthesis_rows,
     synthesized_rows,
-    zyz_angles,
 )
 from asymclone.qstate import StateVector, basis_state, named_state, overlap, random_rows, random_state, tensor
 
@@ -188,7 +188,11 @@ def test_a_rotation_rejects_a_non_real_or_non_finite_angle(kind, rotation, angle
         rotation(named_state("+", "a"), "a", angle)
 
 
-@pytest.mark.parametrize("angle", [0, -0.0, 2.5, np.float32(0.5), np.int64(3), np.pi])
+# RZ runs as two phases, not through rz_matrix: these angles pin its bits to gate_rows with rz_matrix
+EDGE_ANGLES = (0.0, -0.0, np.pi, -np.pi, 4 * np.pi, 1e-300, 1e300)
+
+
+@pytest.mark.parametrize("angle", [0, 2.5, np.float32(0.5), np.int64(3), *EDGE_ANGLES])
 def test_a_rotation_takes_any_finite_real_angle(angle):
     state = named_state("+", "a")
     assert np.array_equal(apply_ry(state, "a", angle).amplitudes, gate_rows(state.amplitudes, 0, ry_matrix(angle)))
@@ -231,27 +235,6 @@ def test_apply_circuit_composes_in_order():
     ]
     bell = apply_circuit(basis_state("00", ("a", "b")), circuit)
     assert np.allclose(bell.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
-
-
-def test_zyz_angles_reproduce_unitaries_up_to_phase():
-    rng = np.random.default_rng(16)
-    for _ in range(100):
-        u = schmidt_rows.random_unitary(rng)
-        alpha, beta, gamma = zyz_angles(u)
-        rebuilt = rz_matrix(alpha) @ ry_matrix(beta) @ rz_matrix(gamma)
-        anchor = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-        phase = rebuilt[anchor] / u[anchor]
-        assert abs(abs(phase) - 1.0) < 1e-10
-        assert np.max(np.abs(rebuilt - phase * u)) < 1e-10
-
-
-def test_zyz_angles_handle_diagonal_and_antidiagonal():
-    for u in (np.eye(2), np.diag([1, 1j]), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])):
-        alpha, beta, gamma = zyz_angles(np.asarray(u, dtype=complex))
-        rebuilt = rz_matrix(alpha) @ ry_matrix(beta) @ rz_matrix(gamma)
-        anchor = np.unravel_index(np.argmax(np.abs(u)), (2, 2))
-        phase = rebuilt[anchor] / u[anchor]
-        assert np.max(np.abs(rebuilt - phase * np.asarray(u))) < 1e-12
 
 
 def _rebuild(circuit):
@@ -330,18 +313,23 @@ def test_gate_rows_match_the_wrappers(n):
         labels = LABELS[:qubits]
         stack = random_rows(rng.standard_normal((n, 2 ** (qubits + 1))))
         angles = rng.uniform(-np.pi, np.pi, size=n)
+        edges = np.resize(np.roll(EDGE_ANGLES, qubits), n)  # a different edge first for each register size
         states = [StateVector(row, labels) for row in stack]
         for target in range(qubits):
             rows = {
                 "h": gate_rows(stack, target, _H),
                 "ry": gate_rows(stack, target, ry_matrix(angles)),
                 "rz": gate_rows(stack, target, rz_matrix(angles)),
+                "rz edges": gate_rows(stack, target, rz_matrix(edges)),
             }
+            assert np.array_equal(_gate_rows(stack, RZ, target, None, angles), rows["rz"])
+            assert np.array_equal(_gate_rows(stack, RZ, target, None, edges), rows["rz edges"])
             for k, state in enumerate(states):
                 label = labels[target]
                 assert np.array_equal(rows["h"][k], apply_hadamard(state, label).amplitudes)
                 assert np.array_equal(rows["ry"][k], apply_ry(state, label, angles[k]).amplitudes)
                 assert np.array_equal(rows["rz"][k], apply_rz(state, label, angles[k]).amplitudes)
+                assert np.array_equal(rows["rz edges"][k], apply_rz(state, label, edges[k]).amplitudes)
             for control in range(qubits):
                 if control == target:
                     continue
@@ -349,19 +337,6 @@ def test_gate_rows_match_the_wrappers(n):
                 for k, state in enumerate(states):
                     want = apply_cnot(state, labels[control], labels[target]).amplitudes
                     assert np.array_equal(flipped[k], want)
-
-
-@pytest.mark.parametrize("n", STACK_SIZES)
-def test_zyz_angles_of_a_stack_match_one_matrix_at_a_time(n):
-    rng = np.random.default_rng(44)
-    stack = np.array([schmidt_rows.random_unitary(rng) for _ in range(n)])
-    # the diagonal and antidiagonal branches
-    stack[0] = np.diag([1, 1j])
-    if n > 1:
-        stack[1] = [[0, -1j], [1j, 0]]
-    angles = zyz_angles(stack)
-    for k in range(n):
-        assert [a[k] for a in angles] == [float(a) for a in zyz_angles(stack[k])]
 
 
 @pytest.mark.parametrize("n", STACK_SIZES)

@@ -187,9 +187,10 @@ def test_the_bell_output_row_and_stack_meet_the_reference_bounds():
 
 # the largest absolute error of synthesized_rows' amplitudes against the reference run of the same angles, and
 # of the reference's overlap modulus with synthesis_rows' target against 1 (measured with the closed-form Schmidt
-# form on these rows: 2.9e-16 and 2.4e-16; on the Schmidt edges 3.8e-16 and 1.5e-16; on 3000 more seeded rows
-# 4.2e-16 and 3.0e-16, where LAPACK's SVD gave 2.6e-16, 2.8e-16 and 3.6e-16 for the amplitude; the amplitude
-# error is a chain of seven rounded gates, and on 800-row samples near s1 = 0 both reach 3.3e-16 to 3.9e-16)
+# form and ZYZ angles on these rows: 2.3e-16 and 2.4e-16; on the Schmidt edges 2.3e-16 and 1.8e-16; on 3000 more
+# seeded rows 4.3e-16 and 3.0e-16, where LAPACK's SVD gave 2.6e-16, 2.8e-16 and 3.6e-16 for the amplitude; the
+# amplitude error is a chain of six rounded rotations, and on 800-row samples near s1 = 0 the closed-form Schmidt
+# form and LAPACK's both reached 3.3e-16 to 3.9e-16)
 SYNTHESIS_BOUNDS = {"amplitude": 4.4e-16, "overlap": 4.4e-16}
 
 
