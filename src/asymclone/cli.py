@@ -42,11 +42,12 @@ CSV_HEADER = "s0,s1,feasible,margin,c1,c2,c4,theta2,theta4,fidelity0,fidelity1,r
 MIN_STEP = 0.001
 # bounds a verify run at about a second of work (--trials 100000: 1-1.6 s wall on 2 shared x86_64 CPUs)
 MAX_TRIALS = 100_000
-# sweep grid points per block of whole s0 rows (one block up to step 1/21):
+# sweep grid points per block of whole s0 rows (one block up to step 1/31):
 # enough to spread numpy's per-call cost thin, few enough that the kernel
-# (6 probes a point it runs on) peaks near 1.2 MB for 960 rows and a whole
-# sweep --step 0.05 call near 2.3 MB
-_SWEEP_POINTS = 512
+# (3 probes a point it runs on) peaks near 1.5 MB for the 1140 rows of step
+# 1/31 and near 3.5 MB for the ~3000 of a fine grid's block, and a whole
+# sweep --step 0.05 call near 0.7 MB
+_SWEEP_POINTS = 1024
 # solve's text report of the JSON report's numbers: nine, then the [re, im] parts of four amplitudes, im signed as
 # {:+} signs a float
 _SOLVE_TEXT = "s0 = {0}  s1 = {1}  margin = {2}\nc1 = {3}  theta1 = {6}\nc2 = {4}  theta2 = {7}\n"
@@ -334,12 +335,15 @@ def _sweep_blocks(step: float):
 
     The grid goes in blocks of whole s0 rows, about _SWEEP_POINTS points a
     block: one pass of the feasibility rule, one solve_rows call on the
-    block's feasible points and one clone_batch call: six probes a point.
+    block's feasible points and one clone_batch call on the probes 0, + and
+    +i, one of each antipodal pair: the network's Pauli covariance gives
+    each partner the same residual bit for bit (see cloner), so
+    residual_max is still the worst of the six axis probes.
     Swapping s0 and s1 swaps the two clones bit for bit (see cloner), so
     the kernel skips a point (i, j) with j < i whose mirror (j, i) is
     feasible: it reads the mirror's store, fidelity0 and fidelity1 swapped.
     """
-    probes = np.array(list(_NAMED_AMPLITUDES.values()), dtype=complex)
+    probes = np.array([_NAMED_AMPLITUDES[name] for name in ("0", "+", "+i")], dtype=complex)
     values = _sweep_values(step)
     grid = np.array(values)
     text = [_csv_num(s) for s in values]

@@ -32,6 +32,22 @@ c2, theta2 swap with c4, theta4 (amplitudes 1 and 3), and the network then
 gives a1 the clone a0 had. This holds bit for bit, as s0 + s1 = s1 + s0 in
 IEEE arithmetic, so sweep runs the kernel on half its grid.
 
+The network is also Pauli covariant. A CNOT carries X on its control to
+X_c X_t and Z on its target to Z_c Z_t, and fixes Z_c and X_t. Through
+a0->a1, a0->b1, a1->a0, b1->a0, X_a0 goes to X_a0 X_a1, X_a0 X_a1 X_b1,
+X_a1 X_b1 and back to X_a0 X_a1 X_b1; Z_a0 is fixed by the first two, then
+goes to Z_a0 Z_a1 and Z_a0 Z_a1 Z_b1. So an input X psi or Z psi leaves the
+joint state X X X or Z Z Z times psi's, with no phase: the same amplitudes
+moved or negated, and each clone is X rho X or Z rho Z, for any
+preparation, bit for bit: the kernel forms the same products, summed in
+the other order or with flipped signs, both exact in IEEE arithmetic. The
+antipodal probes |1> = X|0>, |-> = Z|+> and |-i> = Z|+i> then give their
+partners' residual and s_est bit for bit too: the residual reads the
+clones' entries, and s_est only the Bloch components along the probe's
+own axis, which both negate. (Off the axes, X moves the imaginary part of
+rho[1, 0] to that of rho[0, 1], and a fused multiply-add may round the two
+apart in the last bit.) So sweep runs the kernel on one probe of each pair.
+
 The network itself is four CNOTs on (a0, a1, b1), applied in the order
 a0->a1, a0->b1, a1->a0, b1->a0. On the 8 basis amplitudes that is one
 fixed permutation, _NETWORK_PERMUTATION: joint_rows runs it on stacks, for
@@ -334,7 +350,7 @@ def clone_batch(inputs: np.ndarray, prep_amplitudes: np.ndarray) -> CloneBatch:
     """Clone (..., 2) one-qubit inputs under (..., 4) preparations in one pass.
 
     prep_amplitudes are the four over |00>, |01>, |10>, |11> of (a1, b1).
-    The leading axes broadcast: sweep passes (6, 2) probes with (M, 1, 4),
+    The leading axes broadcast: sweep passes (3, 2) probes with (M, 1, 4),
     verify (n, 2, 2) with (n, 1, 4), and run_cloner (2,) with (4,).
     Every number is bit for bit what the per-object path (tensor, the four
     CNOTs, to_density, partial_trace, bloch_vector, fidelity_pure) gives

@@ -396,13 +396,16 @@ def test_stdout_is_byte_identical_to_the_reference():
             "24b3bb5f8eee342e66217b7f23b273a6b953e03555b913024265661b210f2971"
         ),
         # grids solved in blocks of whole s0 rows: one block at step 1/3 (the
-        # corners and (2/3, 2/3) on the margin's zero), 1/14 and 1/21, the
-        # largest one-block grid; two blocks at 1/22; 13 blocks at 0.013
+        # corners and (2/3, 2/3) on the margin's zero), 1/14, 1/21, 1/22 and
+        # 1/31, the largest one-block grid; two blocks at 1/32; 6 blocks at
+        # 0.013
         ("sweep", "--step", "1/14"): "5bd8394a0b905efd77b9c34ace26e968caef60b090dd4d3b993cc2da57ec8881",
         ("sweep", "--step", "1/3"): "2fa85fa9d8065b07811fabe34988a602462c16084cb2d2f6ee5cc24ae0d9bf1a",
         ("sweep", "--step", "0.013"): "de2accfd0621b744ba14d56596d4305eb5a43838d8a982b47090b6aa00558cdd",
         ("sweep", "--step", "1/21"): "1a645a05155bbb526164f3b0e13f7f3355a1d5add5c63987a8574650f64fea20",
         ("sweep", "--step", "1/22"): "5b2c21ebcf6035ee6460b05432e75ef75ae6d09f9be198d37200a526c58f964c",
+        ("sweep", "--step", "1/31"): "506fa2afe38263f34a87bb43cf1180e62e0b347d7c420e08c4ab44452f66e8af",
+        ("sweep", "--step", "1/32"): "67e0bf770de02141de5a9dc356f154311dc0cbe9b324646a0180d75f6a280813",
         # the solve report at its edges: theta2 = theta4 carry the arccos
         # rounding on the margin's zero; free phases with c2 = 0 and c4 = 0;
         # a corner with c1 = 0 as JSON
@@ -903,10 +906,11 @@ def test_sweep_blocks_match_one_kernel_call_per_row(monkeypatch, points):
 
 def test_sweep_block_checks_each_probe_once_and_reads_what_it_prints(monkeypatch):
     # one block at step 1/14: the kernel's density and Bloch-length rules see
-    # the six probe projectors once and both clones of each probe at each of
-    # the block's own feasible points, those with s0 <= s1 or an infeasible
-    # mirror (160 feasible, 85 own); the CSV takes probe 0's fidelity, one
-    # row an own point, and the kernel computes neither fidelity nor isotropy
+    # the three probe projectors (one of each antipodal pair) once and both
+    # clones of each probe at each of the block's own feasible points, those
+    # with s0 <= s1 or an infeasible mirror (160 feasible, 85 own); the CSV
+    # takes probe 0's fidelity, one row an own point, and the kernel computes
+    # neither fidelity nor isotropy; the reference runs all six probes
     step = 1 / 14
     grid = np.array(cli._sweep_values(step))
     _, in_range, over = cloner.feasibility_rule(grid[:, None], grid)
@@ -931,7 +935,7 @@ def test_sweep_block_checks_each_probe_once_and_reads_what_it_prints(monkeypatch
     spy(qstate, "fidelity_rows", lambda _, result: len(result))
     spy(cloner, "clone_batch", lambda _, batch: batch)
     assert cli.sweep_rows(step) == want
-    assert seen["check_density"] == seen["check_bloch_length"] == [6 + 12 * m]
+    assert seen["check_density"] == seen["check_bloch_length"] == [3 + 6 * m]
     assert seen["fidelity_rows"] == [m]
     (batch,) = seen["clone_batch"]
     assert "isotropy" not in batch.__dict__ and "fidelity" not in batch.__dict__
@@ -1399,13 +1403,14 @@ def test_sweep_writes_each_block_as_the_kernel_completes_it(monkeypatch):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS that Linux keeps in /proc/self/status")
 def test_a_fine_sweep_streams_in_bounded_memory(tmp_path):
     # sweep solves and runs the kernel on one block of whole grid rows at a
-    # time (one 501-point row at this step), about 42 MB on x86_64 Linux, of
+    # time (two 501-point rows at this step), about 41 MB on x86_64 Linux, of
     # which about 6 MB are the grid-sized kernel store and flags that mirrored
-    # points read; the whole 501 x 501 grid as one block peaks near 1.3 GB
-    # there. The child
+    # points read; run as one block, the 251 x 251 grid of step 0.004 alone
+    # peaks near 143 MB there (37 MB in blocks). The child
     # reads its own address space's peak: its getrusage figure also counts
-    # the peak of the process it was started from. With one s0 value a block,
-    # this grid's numbers repeat least, and its bytes are pinned too
+    # the peak of the process it was started from. With two s0 values a
+    # block, the fewest of the pinned grids, this grid's numbers repeat
+    # least, and its bytes are pinned too
     out = tmp_path / "sweep.csv"
     code = (
         "import re, sys\nfrom asymclone.cli import main\n"
@@ -1622,7 +1627,7 @@ def test_sweep_moves_only_its_residual_max_without_fma():
 
 def test_sweep_matches_one_kernel_call_per_row_without_fma():
     # a mirrored point copies its mirror's kernel numbers; under every kernel and dispatch the CSV must still
-    # be what one clone_batch call a feasible point gives there; at 0.013 a block holds 6 of the 77 s0 rows,
+    # be what one clone_batch call a feasible point gives there; at 0.013 a block holds 13 of the 77 s0 rows,
     # so mirrors cross blocks
     script = (
         "import json, sys\ntests, *steps = json.loads(sys.argv[1])\nsys.path.insert(0, tests)\n"

@@ -555,6 +555,70 @@ class TestExchangeSymmetry:
                 assert getattr(mirror, key).tobytes() == np.flip(getattr(batch, key), axis=-1).tobytes(), key
 
 
+def _signed_zero_preps(rng, n):
+    """Unit rows on 1, 2 or 4 of the four entries, each +-m or +-m i beside a signed zero; the rest +-0 +-0i."""
+    support = rng.choice([1, 2, 4], n)
+    on = rng.random((n, 4)).argsort(axis=-1) < support[:, None]
+    modulus = np.where(on, 1.0 / np.sqrt(support)[:, None], 0.0) * rng.choice([1.0, -1.0], (n, 4))
+    real_zero, imag_zero = rng.choice([0.0, -0.0], (2, n, 4))
+    imaginary = rng.random((n, 4)) < 0.5
+    preps = np.empty((n, 4), dtype=complex)
+    preps.real, preps.imag = np.where(imaginary, real_zero, modulus), np.where(imaginary, modulus, imag_zero)
+    return preps
+
+
+def _covariance_preps(kind):
+    rng = np.random.default_rng(40)
+    if kind == "general":  # |10> != 0
+        return random_rows(rng.standard_normal((3000, 8)))
+    if kind == "solved":  # the corners, (2/3, 2/3), clamped ends, the arc and some draws
+        pairs = np.concatenate([_exchange_pairs()[-3000:], [CORNER, CORNER[::-1]]])
+        return cloner.solve_rows(pairs[:, 0], pairs[:, 1])[1]
+    return _signed_zero_preps(rng, 2000)
+
+
+def _pauli_partner(pauli, stack, axes):
+    """X or Z on each qubit of stack's rows (axes -1, bits as in NETWORK_LABELS) or 2x2 matrices (axes (-2, -1)).
+
+    Entries are moved, or negated where Z's sign is -1, both exact.
+    """
+    if pauli == "X":
+        return np.flip(stack, axis=axes)
+    odd = np.array([bin(k).count("1") % 2 for k in range(stack.shape[-1])], dtype=bool)
+    return np.where(odd if axes == -1 else odd[:, None] ^ odd, -stack, stack)
+
+
+class TestPauliCovariance:
+    """X or Z on the input a0 comes out as X X X or Z Z Z on (a0, a1, b1), with no phase, for any preparation.
+
+    So each clone of X psi is X rho X and of Z psi is Z rho Z, and the
+    antipodal probes |1> = X|0>, |-> = Z|+> and |-i> = Z|+i> give their
+    partners' residual and s_est bit for bit; sweep runs one probe of each
+    pair, so these hold its residual_max bytes.
+    """
+
+    @pytest.mark.parametrize("kind", ["general", "solved", "signed zeros"])
+    def test_antipodal_probes_clone_alike(self, kind):
+        batch = clone_batch(PROBE_AMPLITUDES, _covariance_preps(kind)[:, None])
+        # the six probes 0, 1, +, -, +i, -i; each partner is its probe under the Pauli (up to a zero's sign)
+        for probe, partner, pauli in [(0, 1, "X"), (2, 3, "Z"), (4, 5, "Z")]:
+            assert np.array_equal(PROBE_AMPLITUDES[partner], _pauli_partner(pauli, PROBE_AMPLITUDES[probe], -1))
+            assert np.array_equal(batch.joint[:, partner], _pauli_partner(pauli, batch.joint[:, probe], -1))
+            assert np.array_equal(batch.rho[:, partner], _pauli_partner(pauli, batch.rho[:, probe], (-2, -1)))
+            for key in ("residual", "s_est"):
+                assert getattr(batch, key)[:, partner].tobytes() == getattr(batch, key)[:, probe].tobytes(), key
+
+    @pytest.mark.parametrize("pauli", ["X", "Z"])
+    def test_any_input_and_its_pauli_partner_clone_alike(self, pauli):
+        # joint states and clones only: off the axes, X psi's Bloch y reads Im rho[0, 1] where psi's read
+        # Im rho[1, 0], and a fused multiply-add may round the two apart in the last bit
+        preps = np.concatenate([_covariance_preps(kind) for kind in ("general", "solved", "signed zeros")])
+        inputs = random_rows(np.random.default_rng(41).standard_normal((len(preps), 4)))
+        batch, partner = clone_batch(inputs, preps), clone_batch(_pauli_partner(pauli, inputs, -1), preps)
+        assert np.array_equal(partner.joint, _pauli_partner(pauli, batch.joint, -1))
+        assert np.array_equal(partner.rho, _pauli_partner(pauli, batch.rho, (-2, -1)))
+
+
 def test_projector_of_a_norm_checked_state_is_a_density_matrix():
     # clone_batch checks the joint state's norm and not its projector: every
     # stack within half the norm tolerance must give valid density matrices
